@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 
 from .arith import CatMap, order_mod
 from .census import (
+    _json_value,
     compute_integer_records,
     compute_prime_records,
     load_results,
@@ -121,14 +121,6 @@ def parse_observable(text: str) -> Observable:
     if not coefficients:
         raise ValueError(f"no terms in observable spec {text!r}")
     return Observable(coefficients)
-
-
-def _resolve_workers(value: int | None) -> int:
-    if value is None:
-        value = int(os.environ.get("CATMAP_WORKERS", "1"))
-    if value < 1:
-        raise ValueError(f"workers must be >= 1, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +261,6 @@ def _cmd_small_order(args, m: CatMap) -> int:
 
 
 def _cmd_census_primes(args, m: CatMap) -> int:
-    workers = _resolve_workers(args.workers)
     config = _config(args, "x", "eta", "fmt")
     lo = 2
     if args.resume and args.out and args.fmt == "csv":
@@ -277,7 +268,7 @@ def _cmd_census_primes(args, m: CatMap) -> int:
         if last is not None:
             lo = last + 1
     records, failures = compute_prime_records(
-        m, args.x, args.eta, lo=lo, workers=workers
+        m, args.x, args.eta, lo=lo, workers=args.workers
     )
     if args.out:
         store_results(
@@ -296,29 +287,19 @@ def _cmd_census_primes(args, m: CatMap) -> int:
     if args.out:
         doc["rows_written"] = len(records)
     else:
-        doc["records"] = [
-            {
-                "p": r.p,
-                "chi": r.chi,
-                "ord": r.order,
-                "class": r.prime_class.value,
-                "exceeds": r.exceeds,
-            }
-            for r in records
-        ]
+        doc["records"] = [_json_value(r) for r in records]
     sys.stdout.write(_dump(doc))
     return 0
 
 
 def _cmd_census_integers(args, m: CatMap) -> int:
-    workers = _resolve_workers(args.workers)
     config = _config(args, "x", "eta", "fmt")
     lo = 2
     if args.resume and args.out and args.fmt == "csv":
         last = resume_point(args.out)
         if last is not None:
             lo = last + 1
-    records = compute_integer_records(m, args.x, args.eta, lo=lo, workers=workers)
+    records = compute_integer_records(m, args.x, args.eta, lo=lo, workers=args.workers)
     if args.out:
         store_results(
             records,
@@ -336,22 +317,7 @@ def _cmd_census_integers(args, m: CatMap) -> int:
     if args.out:
         doc["rows_written"] = len(records)
     else:
-        doc["records"] = [
-            {
-                "N": r.N,
-                "d": r.d,
-                "s": r.s,
-                "d0": r.d0,
-                "L": r.L,
-                "ord": r.order,
-                "lower_bound": r.lower_bound,
-                "NG": r.good_part,
-                "NB": r.bad_part,
-                "NT": r.terrible_part,
-                "in_S": r.in_s,
-            }
-            for r in records
-        ]
+        doc["records"] = [_json_value(r) for r in records]
     sys.stdout.write(_dump(doc))
     return 0
 
@@ -409,21 +375,7 @@ def _cmd_sweep(args, m: CatMap) -> int:
     else:
         doc = {
             "config": config,
-            "records": [
-                {
-                    "N": r.N,
-                    "n1": r.n1,
-                    "n2": r.n2,
-                    "S4": r.s4,
-                    "bound": r.bound,
-                    "ratio": r.ratio,
-                    "variance": r.variance,
-                    "max_dev": r.max_dev,
-                    "rstar": r.rstar,
-                    "ms": r.ms,
-                }
-                for r in records
-            ],
+            "records": [_json_value(r) for r in records],
             "failures": [[n, reason] for n, reason in failures],
         }
     sys.stdout.write(_dump(doc))

@@ -327,7 +327,10 @@ def _reduced_vector(n: tuple[int, int], modulus: int) -> tuple[int, int]:
 
 def minus_one_exponent(m: CatMap, modulus: int) -> int | None:
     """Smallest t >= 1 with A^t = -I mod `modulus`, or None."""
-    r = order_mod(m, modulus)
+    return _minus_one_exponent(m, modulus, order_mod(m, modulus))
+
+
+def _minus_one_exponent(m: CatMap, modulus: int, r: int) -> int | None:
     t_mod = m.trace % modulus
     u, v = 1 % modulus, 0
     for t in range(1, r + 1):
@@ -349,9 +352,8 @@ class CongruenceCount:
     minus_one_exponent: int | None
 
 
-def _orbit(m: CatMap, modulus: int, n: tuple[int, int]) -> list[tuple[int, int]]:
-    """Row vectors n*A^i mod `modulus` for i = 1..ord(A, modulus)."""
-    r = order_mod(m, modulus)
+def _orbit(m: CatMap, modulus: int, n: tuple[int, int], r: int) -> list[tuple[int, int]]:
+    """Row vectors n*A^i mod `modulus` for i = 1..r."""
     x, y = n[0] % modulus, n[1] % modulus
     rows = []
     for _ in range(r):
@@ -370,8 +372,8 @@ def congruence_count(m: CatMap, modulus: int, n: tuple[int, int]) -> CongruenceC
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     _reduced_vector(n, modulus)
-    rows = _orbit(m, modulus, n)
-    r = len(rows)
+    r = order_mod(m, modulus)
+    rows = _orbit(m, modulus, n, r)
     table: dict[tuple[int, int], int] = {}
     for xi, yi in rows:
         for xj, yj in rows:
@@ -380,13 +382,13 @@ def congruence_count(m: CatMap, modulus: int, n: tuple[int, int]) -> CongruenceC
     total = 0
     for (x, y), cnt in table.items():
         total += cnt * table.get(((-x) % modulus, (-y) % modulus), 0)
-    t = minus_one_exponent(m, modulus)
+    t = _minus_one_exponent(m, modulus, r)
     return CongruenceCount(
         N=modulus,
         n=n,
         r=r,
         count=total,
-        trivial_count=trivial_solution_count(m, modulus, n),
+        trivial_count=_trivial_count(r, t),
         minus_one_exponent=t,
     )
 
@@ -403,7 +405,10 @@ def trivial_solution_count(m: CatMap, modulus: int, n: tuple[int, int]) -> int:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     _reduced_vector(n, modulus)
     r = order_mod(m, modulus)
-    t = minus_one_exponent(m, modulus)
+    return _trivial_count(r, _minus_one_exponent(m, modulus, r))
+
+
+def _trivial_count(r: int, t: int | None) -> int:
     if t is None:
         return 2 * r * r - r
     return 3 * r * r - 3 * r + (r if t % r == 0 else 0)

@@ -6,17 +6,18 @@ act through the finite Heisenberg group; quantizing an integer cat map gives
 a unitary propagator that conjugates translations according to the classical
 action on lattice vectors (row vector times matrix).
 
-Construction of the propagator uses a closed-form quadratic-phase kernel for
-odd N (directly when the lower-left entry is invertible mod N, otherwise for
-the rotated map conjugated back through the discrete Fourier transform), and
-a group-averaged projection onto the intertwiner space for the remaining
-dimensions.
+The propagator is built the same way for every N >= 2 (Hannay-Berry, Knabe):
+the map, a member of the theta group, is factored into the generators
+S = [[0,-1],[1,0]], T^2 = [[1,2],[0,1]] and -I by an even-step Euclid, and
+their quantizations (unitary DFT, quadratic-phase diagonal, parity Q -> -Q)
+are multiplied in the same order.  A group-averaged projection onto the
+intertwiner space is kept as an independent oracle for small N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, pi, sqrt
+from math import pi, sqrt
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -227,19 +228,35 @@ def _row_times(m: CatMap, n) -> tuple:
     return (n[0] * m.a + n[1] * m.c, n[0] * m.b + n[1] * m.d)
 
 
-def _gauss_kernel(m: CatMap, N: int) -> np.ndarray:
-    """Quadratic-phase propagator kernel; needs odd N and gcd(c, N) = 1."""
-    beta = pow((2 * m.c) % N, -1, N)
-    a = m.a % N
-    d = m.d % N
-    Q = np.arange(N)
-    expo = (beta * (a * Q[:, None] ** 2 - 2 * Q[:, None] * Q[None, :] + d * Q[None, :] ** 2)) % N
-    return np.exp(2j * pi * expo / N) / sqrt(N)
+def _theta_word(a: int, b: int, c: int, d: int) -> tuple:
+    """Factor [[a, b], [c, d]] into S = [[0,-1],[1,0]], T^2k and -I.
 
-
-def _fourier_matrix(N: int) -> np.ndarray:
-    P = np.arange(N)
-    return np.exp(-2j * pi * np.outer(P, P) / N) / sqrt(N)
+    Returns letters ("S",), ("T2", k) for [[1, 2k], [0, 1]] and ("-I",)
+    whose left-to-right product is the matrix.  An even-step Euclid on the
+    first column: a and c have opposite parity in the theta group, so the
+    remainder of a modulo 2c lies strictly inside (-|c|, |c|) and |c| falls
+    at every step.  Exact integer arithmetic throughout.
+    """
+    if a * d - b * c != 1 or (a * b) % 2 or (c * d) % 2:
+        raise ValueError(f"[[{a}, {b}], [{c}, {d}]] is not in the theta group")
+    word = []
+    while c != 0:
+        # T^{-2k} on the left takes a to a - 2kc in (-|c|, |c|)
+        r = a % (2 * abs(c))
+        if r > abs(c):
+            r -= 2 * abs(c)
+        k = (a - r) // (2 * c)
+        if k:
+            word.append(("T2", k))
+        # then S^{-1} on the left: (r, c) -> (c, -r)
+        word.append(("S",))
+        a, b, c, d = c, d, -r, 2 * k * d - b
+    if a == -1:
+        word.append(("-I",))
+        b = -b
+    if b:
+        word.append(("T2", b // 2))
+    return tuple(word)
 
 
 def _generator_defect(matrix: np.ndarray, m: CatMap, N: int) -> float:
@@ -317,7 +334,20 @@ def _fix_global_phase(matrix: np.ndarray) -> np.ndarray:
     return matrix * (abs(pivot) / pivot)
 
 
-def propagator(m: CatMap, N: int, *, intertwiner_limit: int = INTERTWINER_LIMIT) -> Operator:
+def _checked_operator(matrix: np.ndarray, m: CatMap, N: int, what: str) -> Operator:
+    """Gate a constructed intertwiner, fix its phase and check unitarity."""
+    defect = _generator_defect(matrix, m, N)
+    if defect > EGOROV_TOL:
+        raise ConstructionFailed(
+            f"generator intertwining defect {defect:.3e} at N={N}"
+        )
+    U = Operator(N, _fix_global_phase(matrix))
+    if not U.is_unitary():
+        raise NotUnitary(f"{what} at N={N} failed the unitarity tolerance")
+    return U
+
+
+def propagator(m: CatMap, N: int) -> Operator:
     """Unitary quantization of the cat map on the N-point state space.
 
     Conjugation by the result maps the translation at n to the translation
@@ -326,46 +356,27 @@ def propagator(m: CatMap, N: int, *, intertwiner_limit: int = INTERTWINER_LIMIT)
     """
     if N < 2:
         raise ValueError("dimension must be at least 2")
-    if N % 2 == 1 and gcd(m.c, N) == 1:
-        matrix = _gauss_kernel(m, N)
-    elif N % 2 == 1 and gcd(m.b, N) == 1:
-        partner = CatMap(m.d, -m.c, -m.b, m.a)
-        F = _fourier_matrix(N)
-        matrix = F.conj().T @ _gauss_kernel(partner, N) @ F
-    elif N <= intertwiner_limit:
-        matrix = _averaged_intertwiner(m, N)
-    else:
-        raise BudgetExceeded(
-            f"no closed-form path at N={N} and the averaging construction "
-            f"is capped at N={intertwiner_limit}"
-        )
-    defect = _generator_defect(matrix, m, N)
-    if defect > EGOROV_TOL:
-        raise ConstructionFailed(
-            f"generator intertwining defect {defect:.3e} at N={N}"
-        )
-    U = Operator(N, _fix_global_phase(matrix))
-    if not U.is_unitary():
-        raise NotUnitary(f"propagator at N={N} failed the unitarity tolerance")
-    return U
+    Q = np.arange(N)
+    matrix = np.eye(N, dtype=np.complex128)
+    # U_{AB} = U_A U_B under the row action, so the letters multiply in order
+    for letter in _theta_word(m.a, m.b, m.c, m.d):
+        if letter[0] == "S":
+            matrix = np.fft.fft(matrix, axis=1, norm="ortho")
+        elif letter[0] == "T2":
+            expo = ((letter[1] % N) * (Q * Q % N)) % N
+            matrix *= np.exp(2j * pi * expo / N)[None, :]
+        else:
+            matrix = matrix[:, -Q % N]
+    return _checked_operator(matrix, m, N, "propagator")
 
 
-def propagator_intertwiner(m: CatMap, N: int, *, limit: int = INTERTWINER_LIMIT) -> Operator:
-    """Reference construction through group averaging alone (any small N)."""
+def propagator_intertwiner(m: CatMap, N: int) -> Operator:
+    """Reference construction through group averaging alone (small N)."""
     if N < 2:
         raise ValueError("dimension must be at least 2")
-    if N > limit:
-        raise BudgetExceeded(f"averaging construction capped at N={limit}")
-    matrix = _averaged_intertwiner(m, N)
-    defect = _generator_defect(matrix, m, N)
-    if defect > EGOROV_TOL:
-        raise ConstructionFailed(
-            f"generator intertwining defect {defect:.3e} at N={N}"
-        )
-    U = Operator(N, _fix_global_phase(matrix))
-    if not U.is_unitary():
-        raise NotUnitary(f"intertwiner at N={N} failed the unitarity tolerance")
-    return U
+    if N > INTERTWINER_LIMIT:
+        raise BudgetExceeded(f"averaging construction capped at N={INTERTWINER_LIMIT}")
+    return _checked_operator(_averaged_intertwiner(m, N), m, N, "intertwiner")
 
 
 def egorov_residual(U: Operator, m: CatMap, n_max: int) -> float:

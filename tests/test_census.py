@@ -234,10 +234,12 @@ def test_sweep_invariants_across_primes():
 
 
 def test_sweep_collects_failures_and_continues():
-    recs, fails = quantum_sweep(A, [66, 5, 350], Observable.cosine(1), (1, 0))
+    # (7, 0) vanishes mod 7 but not mod 5; 350 is past the dense limit
+    recs, fails = quantum_sweep(A, [7, 5, 350], Observable.cosine(1), (7, 0))
     assert [r.N for r in recs] == [5]
-    assert sorted(n for n, _ in fails) == [66, 350]
+    assert sorted(n for n, _ in fails) == [7, 350]
     reasons = dict(fails)
+    assert reasons[7].startswith("ZeroVector")
     assert "dense limit" in reasons[350]
 
 

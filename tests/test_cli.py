@@ -184,6 +184,24 @@ def test_census_json_format(tmp_path, capsys):
     assert len(loaded.records) == 199
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census-primes", "-x", "300", "--eta", "0.52"],
+        ["census-integers", "-x", "200"],
+        ["sweep", "--sizes", "5-13:2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_records_match_json_artifact(argv, tmp_path, capsys):
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)["records"]
+    out = tmp_path / "artifact.json"
+    assert main(argv + ["--fmt", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert printed == json.loads(out.read_text())["records"]
+
+
 def test_sweep_artifact_and_reproduction(tmp_path, capsys):
     a = tmp_path / "s1.csv"
     b = tmp_path / "s2.csv"
@@ -220,10 +238,10 @@ def test_cli_resume_reconstructs_bytes(tmp_path, capsys):
 
 
 def test_sweep_failures_reported(capsys):
-    assert main(["sweep", "--sizes", "5,66"]) == 0
+    assert main(["sweep", "--sizes", "7,5,350", "-n", "7,0"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [r["N"] for r in doc["records"]] == [5]
-    assert doc["failures"][0][0] == 66
+    assert [n for n, _ in doc["failures"]] == [7, 350]
 
 
 def test_argv_from_config_round_trip():

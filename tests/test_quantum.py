@@ -23,6 +23,7 @@ from catmap.quantum import (
     max_deviation,
     propagator,
     propagator_intertwiner,
+    _theta_word,
     spectrum,
     translation,
     translation_trace,
@@ -198,7 +199,7 @@ def test_weyl_random_real_observable_hermitian(data):
 
 
 def test_propagator_egorov_across_paths():
-    # odd N hit both closed-form branches; even N go through averaging
+    # odd and even N, with gcd(b, N) and gcd(c, N) both 1 and not
     for N in (3, 4, 5, 6, 8, 9, 10, 15, 16, 25, 35, 41):
         U = propagator(A, N)
         assert U.is_unitary()
@@ -218,11 +219,84 @@ def test_propagator_large_odd_dimension():
 
 
 def test_propagator_matches_intertwiner_oracle():
-    # N=35 exercises the closed-form path against the averaging oracle
-    for N in (5, 9, 35):
-        fast = propagator(A, N)
-        oracle = propagator_intertwiner(A, N)
-        assert np.abs(fast.matrix - oracle.matrix).max() <= 1e-9, N
+    for m in (A, OTHER):
+        for N in range(2, 41):
+            fast = propagator(m, N)
+            oracle = propagator_intertwiner(m, N)
+            assert np.abs(fast.matrix - oracle.matrix).max() <= 1e-9, (m, N)
+
+
+def test_propagator_every_dimension():
+    # every N up to 101 plus even and composite N past the old averaging cap
+    for m in (A, OTHER):
+        for N in [*range(2, 102), 128, 300]:
+            U = propagator(m, N)
+            assert U.unitarity_defect() <= 1e-10, (m, N)
+            assert egorov_residual(U, m, 1) <= 1e-9, (m, N)
+
+
+def _mul2(x, y):
+    """Exact product of two integer 2x2 matrices given as nested tuples."""
+    return tuple(
+        tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2))
+        for i in range(2)
+    )
+
+
+S_MAT = ((0, -1), (1, 0))
+MINUS_I = ((-1, 0), (0, -1))
+
+
+def _word_product(word):
+    """Multiply theta-group letters out over the integers, left to right."""
+    total = ((1, 0), (0, 1))
+    for letter in word:
+        if letter == ("S",):
+            g = S_MAT
+        elif letter == ("-I",):
+            g = MINUS_I
+        else:
+            assert letter[0] == "T2"
+            g = ((1, 2 * letter[1]), (0, 1))
+        total = _mul2(total, g)
+    return total
+
+
+POOL_MAPS = [CatMap(2, 1, 3, 2), CatMap(2, 3, 1, 2), CatMap(4, 1, -1, 0), CatMap(0, 1, -1, 4)]
+
+
+@pytest.mark.parametrize("m", POOL_MAPS + [OTHER], ids=str)
+def test_theta_word_reproduces_map(m):
+    assert _word_product(_theta_word(m.a, m.b, m.c, m.d)) == ((m.a, m.b), (m.c, m.d))
+
+
+# generators of the theta group and their inverses
+_LETTERS = {
+    "S": S_MAT,
+    "S^-1": ((0, 1), (-1, 0)),
+    "T^2": ((1, 2), (0, 1)),
+    "T^-2": ((1, -2), (0, 1)),
+    "-I": MINUS_I,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_LETTERS)), max_size=40))
+def test_theta_word_of_random_generator_products(names):
+    g = ((1, 0), (0, 1))
+    for name in names:
+        g = _mul2(g, _LETTERS[name])
+    (a, b), (c, d) = g
+    assert _word_product(_theta_word(a, b, c, d)) == g
+
+
+def test_theta_word_rejects_matrices_outside_the_theta_group():
+    with pytest.raises(ValueError):
+        _theta_word(1, 1, 0, 1)  # T itself: ab odd
+    with pytest.raises(ValueError):
+        _theta_word(2, 1, 1, 1)  # det 1 but cd odd
+    with pytest.raises(ValueError):
+        _theta_word(2, 0, 0, 2)  # det 4
 
 
 def test_propagator_conjugates_zero_vector_to_identity():
@@ -245,8 +319,6 @@ def test_egorov_residual_nmax_zero():
 def test_propagator_input_validation():
     with pytest.raises(ValueError):
         propagator(A, 1)
-    with pytest.raises(BudgetExceeded):
-        propagator(A, 66)  # even, beyond the averaging cap
     with pytest.raises(BudgetExceeded):
         propagator_intertwiner(A, 70)
 
