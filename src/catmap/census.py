@@ -19,19 +19,19 @@ worker-pool runs of the censuses produce byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import operator
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from time import perf_counter
 
 import numpy as np
 
-from .arith import CatMap, Factorization, factorize, order_mod, primes_up_to
-from .arith import _sieve_list
+from .arith import CatMap, Factorization, _sieve_list, order_mod, primes_up_to
 from .errors import (
     CatmapError,
     DegenerateK,
@@ -39,12 +39,7 @@ from .errors import (
     FactorizationTimeout,
     SchemaMismatch,
 )
-from .quadorder import (
-    PrimeClass,
-    lcm_defect,
-    small_order_modulus,
-    splitting_character,
-)
+from .quadorder import PrimeClass, PrimeMemo, small_order_modulus
 from .quantum import (
     Observable,
     fourth_moment,
@@ -212,87 +207,7 @@ def c_eta(eta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-process computation engine
-
-
-class _OrderEngine:
-    """Memoized order / character / class lookups for one map in one process."""
-
-    def __init__(self, m: CatMap, eta: float):
-        self.m = m
-        self.eta = eta
-        self._orders: dict[tuple[int, int], int] = {}
-        self._chi: dict[int, int] = {}
-        self._cls: dict[int, PrimeClass] = {}
-
-    def order_pp(self, p: int, e: int = 1) -> int:
-        key = (p, e)
-        got = self._orders.get(key)
-        if got is None:
-            fac = Factorization(((p, e),))
-            got = order_mod(self.m, p**e, fac)
-            self._orders[key] = got
-        return got
-
-    def chi(self, p: int) -> int:
-        got = self._chi.get(p)
-        if got is None:
-            got = splitting_character(self.m, p)
-            self._chi[p] = got
-        return got
-
-    def prime_class(self, p: int) -> PrimeClass:
-        got = self._cls.get(p)
-        if got is None:
-            if self.m.discriminant % p == 0:
-                got = PrimeClass.TERRIBLE
-            else:
-                o = self.order_pp(p)
-                if o < math.sqrt(p) / math.log(p):
-                    got = PrimeClass.TERRIBLE
-                elif o >= p**self.eta:
-                    got = PrimeClass.GOOD
-                else:
-                    got = PrimeClass.BAD
-            self._cls[p] = got
-        return got
-
-    def prime_record(self, p: int, threshold: float) -> PrimeRecord:
-        o = self.order_pp(p)
-        return PrimeRecord(p, self.chi(p), o, self.prime_class(p), o > threshold)
-
-    def integer_record(self, N: int, fac: tuple[tuple[int, int], ...]) -> IntegerRecord:
-        d = 1
-        s = 1
-        for p, e in fac:
-            if e % 2:
-                d *= p
-            s *= p ** (e // 2)
-        d0 = d // math.gcd(d, self.m.discriminant)
-        cof = [p - self.chi(p) for p, _ in fac if d0 % p == 0]
-        L = lcm_defect(cof) if cof else 1
-        prod_orders = 1
-        for p, _ in fac:
-            if d0 % p == 0:
-                prod_orders *= self.order_pp(p)
-        order = 1
-        for p, e in fac:
-            order = math.lcm(order, self.order_pp(p, e))
-        ng = nb = nt = 1
-        for p, e in fac:
-            q = p**e
-            cls = self.prime_class(p)
-            if cls is PrimeClass.GOOD:
-                ng *= q
-            else:
-                nb *= q
-                if cls is PrimeClass.TERRIBLE:
-                    nt *= q
-        log_n = math.log(N)
-        in_s = s <= log_n and len(fac) <= 1.5 * math.log(log_n)
-        return IntegerRecord(
-            N, d, s, d0, L, order, prod_orders // L, ng, nb, nt, in_s
-        )
+# shard workers
 
 
 def _factored_range(lo: int, hi: int):
@@ -325,18 +240,36 @@ def _factored_range(lo: int, hi: int):
 
 def _integer_shard_worker(args):
     abcd, eta, lo, hi = args
-    engine = _OrderEngine(CatMap(*abcd), eta)
-    return [engine.integer_record(N, fac) for N, fac in _factored_range(lo, hi)]
+    memo = PrimeMemo(CatMap(*abcd), eta)
+    records = []
+    for N, fac in _factored_range(lo, hi):
+        prof = memo.profile(N, fac)
+        records.append(
+            IntegerRecord(
+                N,
+                prof.d,
+                prof.s,
+                prof.d0,
+                prof.L,
+                prof.ord,
+                prof.lower_bound,
+                *memo.class_parts(fac),
+                prof.in_s,
+            )
+        )
+    return records
 
 
 def _prime_shard_worker(args):
     abcd, eta, threshold, plist = args
-    engine = _OrderEngine(CatMap(*abcd), eta)
+    memo = PrimeMemo(CatMap(*abcd), eta)
     records = []
     failures = []
     for p in plist:
         try:
-            records.append(engine.prime_record(p, threshold))
+            o = memo.order(p)
+            cls = memo.prime_class(p)
+            records.append(PrimeRecord(p, memo.chi(p), o, cls, o > threshold))
         except FactorizationTimeout:
             failures.append(p)
     return records, failures
@@ -452,14 +385,12 @@ def compute_integer_records(
     return records
 
 
-@lru_cache(maxsize=1 << 18)
-def _omega_of(n: int) -> int:
-    return len(factorize(n).factors)
-
-
-def _record_omega(rec: IntegerRecord) -> int:
-    # d and s are coprime-free splits of the same prime support as N
-    return _omega_of(rec.d * rec.s)
+def _omega_sieve(limit: int) -> list[int]:
+    """omega(n), the number of distinct prime factors, for 0 <= n <= limit."""
+    omega = np.zeros(max(limit, 0) + 1, dtype=np.int8)
+    for p in primes_up_to(limit).tolist():
+        omega[p::p] += 1
+    return omega.tolist()
 
 
 def summarize_integer_records(
@@ -480,6 +411,7 @@ def summarize_integer_records(
     ord >= sqrt(N) * exp((log N)**delta) for each delta in the grid.
     """
     recs = list(records)
+    omega = _omega_sieve(min(x, max((r.N for r in recs), default=0)))
     decades = []
     for bound in (x, x // 10, x // 100):
         if bound < 2:
@@ -492,7 +424,7 @@ def summarize_integer_records(
         big = sum(1 for r in sub if r.order * r.order > r.N)
         square = sum(1 for r in sub if r.s > math.log(r.N))
         many = sum(
-            1 for r in sub if _record_omega(r) >= 1.5 * math.log(math.log(r.N))
+            1 for r in sub if omega[r.N] >= 1.5 * math.log(math.log(r.N))
         )
         allbad = sum(1 for r in sub if r.good_part == 1)
         small = sum(1 for r in sub if r.in_s)
@@ -646,143 +578,89 @@ def quantum_sweep(
 # storage
 
 
-_COLUMNS = {
-    "primes": ("p", "chi", "ord", "class", "exceeds"),
+# kind -> (record class, ((column, cell type), ...)), columns in field order
+_SCHEMA = {
+    "primes": (
+        PrimeRecord,
+        (
+            ("p", int), ("chi", int), ("ord", int), ("class", PrimeClass),
+            ("exceeds", bool),
+        ),
+    ),
     "integers": (
-        "N",
-        "d",
-        "s",
-        "d0",
-        "L",
-        "ord",
-        "lower_bound",
-        "NG",
-        "NB",
-        "NT",
-        "in_S",
+        IntegerRecord,
+        (
+            ("N", int), ("d", int), ("s", int), ("d0", int), ("L", int), ("ord", int),
+            ("lower_bound", int), ("NG", int), ("NB", int), ("NT", int), ("in_S", bool),
+        ),
     ),
     "sweep": (
-        "N",
-        "n1",
-        "n2",
-        "S4",
-        "bound",
-        "ratio",
-        "variance",
-        "max_dev",
-        "rstar",
-        "ms",
+        SweepRecord,
+        (
+            ("N", int), ("n1", int), ("n2", int), ("S4", float), ("bound", float),
+            ("ratio", float), ("variance", float), ("max_dev", float), ("rstar", int),
+            ("ms", int),
+        ),
     ),
 }
 
-_KIND_OF = {PrimeRecord: "primes", IntegerRecord: "integers", SweepRecord: "sweep"}
+# cell type -> (CSV format field, CSV cell parser, JSON value); floats keep 17
+# significant digits in CSV, so they read back bit-exact
+_CELL_TYPES = {
+    int: ("{}", int, int),
+    float: ("{:.17g}", float, float),
+    bool: ("{:d}", lambda cell: bool(int(cell)), bool),
+    PrimeClass: ("{.value}", PrimeClass, lambda v: v.value),
+}
 
 
-def _f17(v: float) -> str:
-    return format(float(v), ".17g")
+class _Layout:
+    """One record kind's stored layout, derived from its _SCHEMA entry."""
+
+    def __init__(self, record: type, spec):
+        self.record = record
+        self.columns = tuple(name for name, _ in spec)
+        cell_types = [_CELL_TYPES[t] for _, t in spec]
+        self.row = ",".join(fmt for fmt, _, _ in cell_types) + "\n"
+        self.parsers = tuple(parse for _, parse, _ in cell_types)
+        self.to_json = tuple(to_json for _, _, to_json in cell_types)
+        # the record's field values, in column order
+        self.values = operator.attrgetter(*(f.name for f in dataclasses.fields(record)))
+
+    def csv_line(self, rec) -> str:
+        return self.row.format(*self.values(rec))
+
+    def parse(self, cells: list[str]):
+        return self.record(*[parse(c) for parse, c in zip(self.parsers, cells)])
+
+    def json_value(self, rec) -> dict:
+        return {
+            name: to_json(v)
+            for name, to_json, v in zip(self.columns, self.to_json, self.values(rec))
+        }
 
 
-def _record_cells(rec) -> list[str]:
-    if isinstance(rec, PrimeRecord):
-        return [
-            str(rec.p),
-            str(rec.chi),
-            str(rec.order),
-            rec.prime_class.value,
-            str(int(rec.exceeds)),
-        ]
-    if isinstance(rec, IntegerRecord):
-        return [
-            str(rec.N),
-            str(rec.d),
-            str(rec.s),
-            str(rec.d0),
-            str(rec.L),
-            str(rec.order),
-            str(rec.lower_bound),
-            str(rec.good_part),
-            str(rec.bad_part),
-            str(rec.terrible_part),
-            str(int(rec.in_s)),
-        ]
-    if isinstance(rec, SweepRecord):
-        return [
-            str(rec.N),
-            str(rec.n1),
-            str(rec.n2),
-            _f17(rec.s4),
-            _f17(rec.bound),
-            _f17(rec.ratio),
-            _f17(rec.variance),
-            _f17(rec.max_dev),
-            str(rec.rstar),
-            str(rec.ms),
-        ]
-    raise TypeError(f"unknown record type {type(rec).__name__}")
-
-
-def _parse_cells(kind: str, cells: list[str]):
-    if kind == "primes":
-        return PrimeRecord(
-            int(cells[0]),
-            int(cells[1]),
-            int(cells[2]),
-            PrimeClass(cells[3]),
-            bool(int(cells[4])),
-        )
-    if kind == "integers":
-        ints = [int(c) for c in cells[:10]]
-        return IntegerRecord(*ints, bool(int(cells[10])))
-    if kind == "sweep":
-        return SweepRecord(
-            int(cells[0]),
-            int(cells[1]),
-            int(cells[2]),
-            float(cells[3]),
-            float(cells[4]),
-            float(cells[5]),
-            float(cells[6]),
-            float(cells[7]),
-            int(cells[8]),
-            int(cells[9]),
-        )
-    raise SchemaMismatch(f"unknown record kind {kind!r}")
-
-
-_FLOAT_COLS = frozenset({"S4", "bound", "ratio", "variance", "max_dev"})
-_BOOL_COLS = frozenset({"exceeds", "in_S"})
-_STR_COLS = frozenset({"class"})
+_LAYOUTS = {kind: _Layout(*entry) for kind, entry in _SCHEMA.items()}
+_KIND_OF = {lay.record: kind for kind, lay in _LAYOUTS.items()}
 
 
 def _json_value(rec) -> dict:
-    cols = _COLUMNS[_KIND_OF[type(rec)]]
-    cells = _record_cells(rec)
-    out = {}
-    for name, cell in zip(cols, cells):
-        if name in _STR_COLS:
-            out[name] = cell
-        elif name in _BOOL_COLS:
-            out[name] = bool(int(cell))
-        elif name in _FLOAT_COLS:
-            out[name] = float(cell)
-        else:
-            out[name] = int(cell)
-    return out
+    return _LAYOUTS[_KIND_OF[type(rec)]].json_value(rec)
 
 
 def _from_json_value(kind: str, obj: dict):
-    cols = _COLUMNS[kind]
+    lay = _LAYOUTS[kind]
     try:
         cells = []
-        for name in cols:
+        for name in lay.columns:
             v = obj[name]
             if isinstance(v, bool):
                 cells.append(str(int(v)))
             elif isinstance(v, float):
-                cells.append(_f17(v))
+                cells.append(format(v, ".17g"))
             else:
                 cells.append(str(v))
-        return _parse_cells(kind, cells)
+        return lay.parse(cells)
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaMismatch(f"bad {kind} record {obj!r}: {exc}") from exc
 
@@ -794,7 +672,7 @@ def _infer_kind(records, kind: str | None) -> str:
         kind = _KIND_OF.get(type(records[0]))
         if kind is None:
             raise TypeError(f"unknown record type {type(records[0]).__name__}")
-    if kind not in _COLUMNS:
+    if kind not in _LAYOUTS:
         raise ValueError(f"unknown record kind {kind!r}")
     for rec in records:
         if _KIND_OF.get(type(rec)) != kind:
@@ -824,20 +702,22 @@ def _parse_header(line: str) -> dict[str, str]:
 
 
 def _trim_partial_tail(path) -> None:
-    """Drop a trailing line without its newline (interrupted append)."""
+    """Drop a trailing line without its newline (interrupted append).
+
+    Scans back in 1 MiB chunks, so a tail of any length (say, zeros left by a
+    crash) goes and every complete line before it stays.
+    """
     with open(path, "rb+") as fh:
-        fh.seek(0, os.SEEK_END)
-        size = fh.tell()
-        if size == 0:
-            return
-        fh.seek(size - 1)
-        if fh.read(1) == b"\n":
-            return
-        back = min(size, 1 << 20)
-        fh.seek(size - back)
-        chunk = fh.read(back)
-        cut = chunk.rfind(b"\n")
-        fh.truncate(size - back + cut + 1 if cut >= 0 else 0)
+        end = pos = fh.seek(0, os.SEEK_END)
+        while pos > 0:
+            step = min(pos, 1 << 20)
+            pos = fh.seek(pos - step)
+            cut = fh.read(step).rfind(b"\n")
+            if cut >= 0:
+                if pos + cut + 1 < end:
+                    fh.truncate(pos + cut + 1)
+                return
+        fh.truncate(0)
 
 
 @dataclass(frozen=True)
@@ -889,7 +769,8 @@ def store_results(
         raise ValueError(f"unknown format {fmt!r}")
 
     header = _header_line(kind, config)
-    columns = ",".join(_COLUMNS[kind])
+    layout = _LAYOUTS[kind]
+    columns = ",".join(layout.columns)
     fresh = True
     if append and os.path.exists(path) and os.path.getsize(path) > 0:
         _trim_partial_tail(path)
@@ -913,7 +794,7 @@ def store_results(
             fh.write(header + "\n")
             fh.write(columns + "\n")
         for rec in records:
-            fh.write(",".join(_record_cells(rec)) + "\n")
+            fh.write(layout.csv_line(rec))
     return len(records)
 
 
@@ -932,7 +813,7 @@ def load_results(path) -> LoadedResults:
         if doc.get("version") != FORMAT_TAG:
             raise SchemaMismatch(f"unsupported format tag {doc.get('version')!r}")
         kind = doc.get("kind")
-        if kind not in _COLUMNS:
+        if kind not in _LAYOUTS:
             raise SchemaMismatch(f"unknown record kind {kind!r}")
         records = tuple(_from_json_value(kind, obj) for obj in doc.get("records", ()))
         return LoadedResults(kind, dict(doc.get("config", {})), records)
@@ -946,14 +827,15 @@ def load_results(path) -> LoadedResults:
     if len(lines) < 2:
         raise SchemaMismatch("missing column line")
     columns = lines[1].rstrip("\n")
-    by_columns = {",".join(v): k for k, v in _COLUMNS.items()}
+    by_columns = {",".join(v.columns): k for k, v in _LAYOUTS.items()}
     col_kind = by_columns.get(columns)
     if col_kind is None:
         raise SchemaMismatch(f"unknown column set {columns!r}")
     if kind is not None and kind != col_kind:
         raise SchemaMismatch(f"header kind {kind!r} does not match columns {col_kind!r}")
     kind = col_kind
-    want = len(_COLUMNS[kind])
+    layout = _LAYOUTS[kind]
+    want = len(layout.columns)
     records = []
     last = len(lines) - 1
     for i, line in enumerate(lines[2:], start=2):
@@ -962,7 +844,7 @@ def load_results(path) -> LoadedResults:
         try:
             if len(cells) != want:
                 raise ValueError(f"expected {want} cells, got {len(cells)}")
-            records.append(_parse_cells(kind, cells))
+            records.append(layout.parse(cells))
         except (ValueError, IndexError) as exc:
             if i == last and not complete:
                 break  # interrupted write; resume will redo this row

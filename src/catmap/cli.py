@@ -201,11 +201,6 @@ def _cmd_order(args, m: CatMap) -> int:
 def _cmd_profile(args, m: CatMap) -> int:
     prof = order_profile(m, args.N)
     split = split_by_class(m, args.N, args.eta)
-    if args.N >= 2:
-        log_n = math.log(args.N)
-        in_s = prof.s <= log_n and prof.omega <= 1.5 * math.log(log_n)
-    else:
-        in_s = False
     body = {
         "N": prof.N,
         "d": prof.d,
@@ -218,7 +213,7 @@ def _cmd_profile(args, m: CatMap) -> int:
         "NB": split.N_B,
         "NT": split.N_T,
         "omega": prof.omega,
-        "in_S": bool(in_s),
+        "in_S": prof.in_s,
         "ord_over_sqrt": prof.ord / math.sqrt(prof.N),
     }
     _emit(_dump({"config": _config(args, "N", "eta"), "profile": body}), args.out)
@@ -260,21 +255,28 @@ def _cmd_small_order(args, m: CatMap) -> int:
     return 0
 
 
-def _cmd_census_primes(args, m: CatMap) -> int:
+def _cmd_census(args, m: CatMap) -> int:
+    primes = args.command == "census-primes"
     config = _config(args, "x", "eta", "fmt")
     lo = 2
     if args.resume and args.out and args.fmt == "csv":
         last = resume_point(args.out)
         if last is not None:
             lo = last + 1
-    records, failures = compute_prime_records(
-        m, args.x, args.eta, lo=lo, workers=args.workers
-    )
+    if primes:
+        records, failures = compute_prime_records(
+            m, args.x, args.eta, lo=lo, workers=args.workers
+        )
+    else:
+        records = compute_integer_records(
+            m, args.x, args.eta, lo=lo, workers=args.workers
+        )
+        failures = ()
     if args.out:
         store_results(
             records,
             args.out,
-            kind="primes",
+            kind="primes" if primes else "integers",
             config=config,
             fmt=args.fmt,
             append=args.resume and args.fmt == "csv",
@@ -282,37 +284,8 @@ def _cmd_census_primes(args, m: CatMap) -> int:
         everything = load_results(args.out).records
     else:
         everything = records
-    summary = summarize_prime_records(everything, args.x, args.eta, failures)
-    doc = {"config": config, "summary": asdict(summary)}
-    if args.out:
-        doc["rows_written"] = len(records)
-    else:
-        doc["records"] = [_json_value(r) for r in records]
-    sys.stdout.write(_dump(doc))
-    return 0
-
-
-def _cmd_census_integers(args, m: CatMap) -> int:
-    config = _config(args, "x", "eta", "fmt")
-    lo = 2
-    if args.resume and args.out and args.fmt == "csv":
-        last = resume_point(args.out)
-        if last is not None:
-            lo = last + 1
-    records = compute_integer_records(m, args.x, args.eta, lo=lo, workers=args.workers)
-    if args.out:
-        store_results(
-            records,
-            args.out,
-            kind="integers",
-            config=config,
-            fmt=args.fmt,
-            append=args.resume and args.fmt == "csv",
-        )
-        everything = load_results(args.out).records
-    else:
-        everything = records
-    summary = summarize_integer_records(everything, args.x, args.eta)
+    summarize = summarize_prime_records if primes else summarize_integer_records
+    summary = summarize(everything, args.x, args.eta, failures=failures)
     doc = {"config": config, "summary": asdict(summary)}
     if args.out:
         doc["rows_written"] = len(records)
@@ -432,19 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("small-order", _cmd_small_order, help="moduli with ord <= k")
     p.add_argument("--k-max", type=int, default=40, dest="k_max")
 
-    p = add("census-primes", _cmd_census_primes, help="classify primes up to x")
-    p.add_argument("-x", type=int, required=True)
-    p.add_argument("--eta", type=float, default=DEFAULT_ETA)
-    p.add_argument("--fmt", choices=("csv", "json"), default="csv")
-    p.add_argument("--resume", action="store_true")
-    p.add_argument("--workers", type=int, default=None)
-
-    p = add("census-integers", _cmd_census_integers, help="profile moduli up to x")
-    p.add_argument("-x", type=int, required=True)
-    p.add_argument("--eta", type=float, default=DEFAULT_ETA)
-    p.add_argument("--fmt", choices=("csv", "json"), default="csv")
-    p.add_argument("--resume", action="store_true")
-    p.add_argument("--workers", type=int, default=None)
+    for name, what in (
+        ("census-primes", "classify primes up to x"),
+        ("census-integers", "profile moduli up to x"),
+    ):
+        p = add(name, _cmd_census, help=what)
+        p.add_argument("-x", type=int, required=True)
+        p.add_argument("--eta", type=float, default=DEFAULT_ETA)
+        p.add_argument("--fmt", choices=("csv", "json"), default="csv")
+        p.add_argument("--resume", action="store_true")
+        p.add_argument("--workers", type=int, default=None)
 
     p = add("propagator", _cmd_propagator, help="unitary propagator matrix")
     p.add_argument("-N", type=int, required=True)

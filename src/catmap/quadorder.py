@@ -3,7 +3,9 @@
 Splitting character, norm-one counts on residue rings, order profiles built
 from the squarefree decomposition, good/bad/terrible prime classification,
 the small-order modulus sequence, and the quartic congruence counter that
-controls fourth moments of matrix elements.
+controls fourth moments of matrix elements.  Profiles, characters and
+classes all come from one per-prime memo, `PrimeMemo`, which the censuses
+share.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .arith import (
     CatMap,
     Factorization,
     _legendre,
+    _order_mod_prime_power,
     _pair_hits,
     _pair_pow,
     _power_is_identity,
@@ -38,6 +41,7 @@ __all__ = [
     "PrimeClass",
     "OrderProfile",
     "ClassSplit",
+    "PrimeMemo",
     "SmallOrderEntry",
     "SmallOrderFactorization",
     "CongruenceCount",
@@ -64,6 +68,9 @@ class SplitType(Enum):
     RAMIFIED = "ramified"
 
 
+_SPLIT_OF_CHI = {1: SplitType.SPLIT, -1: SplitType.INERT, 0: SplitType.RAMIFIED}
+
+
 class PrimeClass(Enum):
     GOOD = "good"
     BAD = "bad"
@@ -83,9 +90,7 @@ def _check_eta(eta: float) -> None:
 def splitting_character(m: CatMap, p: int) -> int:
     """chi(p): 0 if p divides the discriminant, else Legendre of tr^2 - 4."""
     _check_prime(p)
-    if m.discriminant % p == 0:
-        return 0
-    return _legendre(m.trace * m.trace - 4, p)
+    return PrimeMemo(m).chi(p)
 
 
 def norm_one_count(m: CatMap, modulus: int, *, limit: int = NORM_COUNT_LIMIT) -> int:
@@ -135,14 +140,92 @@ class OrderProfile:
     lower_bound: int
     omega: int
 
+    @property
+    def in_s(self) -> bool:
+        """N lies in the small set: s <= log N and omega(N) <= 1.5 log log N."""
+        if self.N < 2:
+            return False
+        log_n = math.log(self.N)
+        return self.s <= log_n and self.omega <= 1.5 * math.log(log_n)
 
-def _squarefree_decomposition(fac: Factorization) -> tuple[int, int]:
-    d = s = 1
-    for p, e in fac:
-        if e % 2:
-            d *= p
-        s *= p ** (e // 2)
-    return d, s
+
+class PrimeMemo:
+    """ord(A, p^e), chi(p) and the class of p at one eta, memoized for one map.
+
+    The one implementation behind `order_profile`, `classify_prime` and
+    `split_by_class`, which build a fresh memo per call; a census shard builds
+    one and keeps it for all its records.  Nothing is validated here: p must be
+    prime, factorizations complete, and `eta` in range once a class is asked.
+    """
+
+    def __init__(self, m: CatMap, eta: float | None = None):
+        self.m = m
+        self.eta = eta
+        self._orders: dict[tuple[int, int], int] = {}
+        self._chi: dict[int, int] = {}
+        self._classes: dict[int, PrimeClass] = {}
+
+    def order(self, p: int, e: int = 1) -> int:
+        got = self._orders.get((p, e))
+        if got is None:
+            got = self._orders[p, e] = _order_mod_prime_power(self.m, p, e)
+        return got
+
+    def chi(self, p: int) -> int:
+        got = self._chi.get(p)
+        if got is None:
+            m = self.m
+            got = 0 if m.discriminant % p == 0 else _legendre(m.trace * m.trace - 4, p)
+            self._chi[p] = got
+        return got
+
+    def prime_class(self, p: int) -> PrimeClass:
+        got = self._classes.get(p)
+        if got is None:
+            if self.m.discriminant % p == 0:
+                got = PrimeClass.TERRIBLE
+            else:
+                o = self.order(p)
+                if o < math.sqrt(p) / math.log(p):
+                    got = PrimeClass.TERRIBLE
+                elif o >= p**self.eta:
+                    got = PrimeClass.GOOD
+                else:
+                    got = PrimeClass.BAD
+            self._classes[p] = got
+        return got
+
+    def profile(self, N: int, factors: tuple[tuple[int, int], ...]) -> OrderProfile:
+        """Profile of N from its prime factors (p, e), in increasing p."""
+        disc = self.m.discriminant
+        d = s = d0 = order = d0_orders = 1
+        d0_cofactors = []
+        for p, e in factors:
+            s *= p ** (e // 2)
+            if e % 2:
+                d *= p
+                # d is squarefree, so p | d0 = d/gcd(d, D) iff p does not divide D
+                if disc % p:
+                    d0 *= p
+                    d0_cofactors.append(p - self.chi(p))
+                    d0_orders *= self.order(p)
+            order = math.lcm(order, self.order(p, e))
+        L = lcm_defect(d0_cofactors)
+        return OrderProfile(N, d, s, d0, L, order, d0_orders // L, len(factors))
+
+    def class_parts(self, factors: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
+        """(N_G, N_B, N_T): the prime powers of N grouped by the class of p."""
+        ng = nb = nt = 1
+        for p, e in factors:
+            cls = self.prime_class(p)
+            q = p**e
+            if cls is PrimeClass.GOOD:
+                ng *= q
+            else:
+                nb *= q
+                if cls is PrimeClass.TERRIBLE:
+                    nt *= q
+        return ng, nb, nt
 
 
 def order_profile(m: CatMap, N: int, factors: Factorization | None = None) -> OrderProfile:
@@ -154,21 +237,7 @@ def order_profile(m: CatMap, N: int, factors: Factorization | None = None) -> Or
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     fac = factors if factors is not None else factorize(N)
-    d, s = _squarefree_decomposition(fac)
-    d0 = d // math.gcd(d, m.discriminant)
-    d0_primes = [p for p, _ in fac if d0 % p == 0]
-    L = lcm_defect([p - splitting_character(m, p) for p in d0_primes]) if d0_primes else 1
-    prod_orders = math.prod(order_mod(m, p) for p in d0_primes)
-    return OrderProfile(
-        N=N,
-        d=d,
-        s=s,
-        d0=d0,
-        L=L,
-        ord=order_mod(m, N, fac),
-        lower_bound=prod_orders // L,
-        omega=len(fac.factors),
-    )
+    return PrimeMemo(m).profile(N, fac.factors)
 
 
 def classify_prime(m: CatMap, p: int, eta: float) -> PrimeClass:
@@ -181,14 +250,7 @@ def classify_prime(m: CatMap, p: int, eta: float) -> PrimeClass:
     """
     _check_eta(eta)
     _check_prime(p)
-    if m.discriminant % p == 0:
-        return PrimeClass.TERRIBLE
-    o = order_mod(m, p)
-    if o < math.sqrt(p) / math.log(p):
-        return PrimeClass.TERRIBLE
-    if o >= p**eta:
-        return PrimeClass.GOOD
-    return PrimeClass.BAD
+    return PrimeMemo(m, eta).prime_class(p)
 
 
 @dataclass(frozen=True)
@@ -206,16 +268,7 @@ def split_by_class(m: CatMap, N: int, eta: float) -> ClassSplit:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     _check_eta(eta)
-    ng = nb = nt = 1
-    for p, e in factorize(N):
-        cls = classify_prime(m, p, eta)
-        q = p**e
-        if cls is PrimeClass.GOOD:
-            ng *= q
-        else:
-            nb *= q
-            if cls is PrimeClass.TERRIBLE:
-                nt *= q
+    ng, nb, nt = PrimeMemo(m, eta).class_parts(factorize(N).factors)
     return ClassSplit(N_G=ng, N_B=nb, N_T=nt, eta=eta)
 
 
@@ -283,21 +336,14 @@ def small_order_modulus(
     entries = []
     n_k = 1
     shrunk = False
+    memo = PrimeMemo(m)
     for p, e in fac:
-        if m.discriminant % p == 0:
-            split = SplitType.RAMIFIED
-            contrib = e // 2
-        else:
-            split = (
-                SplitType.SPLIT
-                if _legendre(m.trace * m.trace - 4, p) == 1
-                else SplitType.INERT
+        split = _SPLIT_OF_CHI[memo.chi(p)]
+        if split is not SplitType.RAMIFIED and e % 2:
+            raise RuntimeError(
+                f"odd exponent {e} at unramified prime {p} in det(A^{k} - I)"
             )
-            if e % 2:
-                raise RuntimeError(
-                    f"odd exponent {e} at unramified prime {p} in det(A^{k} - I)"
-                )
-            contrib = e // 2
+        contrib = e // 2
         # descent: drop the exponent until A^k = I mod p^contrib actually holds
         while contrib > 0 and not _power_is_identity(m, k, p**contrib):
             contrib -= 1

@@ -1,14 +1,14 @@
 """Census records, summaries, resumable storage, and the spectral sweep."""
 
+import functools
 import math
 import os
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catmap.arith import DEFAULT_MAP, CatMap, mat_pow_mod, order_mod
+from catmap.arith import DEFAULT_MAP, CatMap, factorize, mat_pow_mod, order_mod_brute
 from catmap.census import (
     IntegerRecord,
     PrimeRecord,
@@ -26,7 +26,7 @@ from catmap.census import (
     summarize_integer_records,
 )
 from catmap.errors import EtaOutOfRange, SchemaMismatch
-from catmap.quadorder import PrimeClass, classify_prime, order_profile, split_by_class
+from catmap.quadorder import PrimeClass
 from catmap.quantum import Observable
 
 A = DEFAULT_MAP
@@ -41,6 +41,51 @@ BOUND_N5 = 25.0 / 27.0
 
 
 # ---------------------------------------------------------------------------
+# independent oracles for the census records
+
+OTHER = CatMap(1, 2, 2, 5)
+
+
+@functools.cache
+def _brute_order(m, n):
+    return order_mod_brute(m, n)
+
+
+def _discriminant(m):
+    return 4 * (m.trace**2 - 4)
+
+
+def _trial_factor(n):
+    """{p: e} by trial division."""
+    fac = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            fac[p] = fac.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        fac[n] = fac.get(n, 0) + 1
+    return fac
+
+
+def _chi_oracle(m, p):
+    """chi(p): 0 if p | D, else whether tr^2 - 4 is a square mod p, by search."""
+    if _discriminant(m) % p == 0:
+        return 0
+    t = m.trace**2 - 4
+    return 1 if any((y * y - t) % p == 0 for y in range(p)) else -1
+
+
+def _class_oracle(m, p, eta):
+    """Terrible: p | D or ord(A, p) < sqrt(p)/log p; Good: ord(A, p) >= p^eta."""
+    o = _brute_order(m, p)
+    if _discriminant(m) % p == 0 or o < math.sqrt(p) / math.log(p):
+        return PrimeClass.TERRIBLE
+    return PrimeClass.GOOD if o >= p**eta else PrimeClass.BAD
+
+
+# ---------------------------------------------------------------------------
 # integer census
 
 
@@ -50,20 +95,30 @@ def test_integer_records_cover_range_in_order():
 
 
 def test_integer_records_match_profile_oracle():
-    recs = compute_integer_records(A, 400, ETA)
-    rng = random.Random(11)
-    for rec in rng.sample(recs, 40):
-        prof = order_profile(A, rec.N)
-        assert rec.d == prof.d
-        assert rec.s == prof.s
-        assert rec.d0 == prof.d0
-        assert rec.L == prof.L
-        assert rec.order == prof.ord
-        assert rec.lower_bound == prof.lower_bound
-        split = split_by_class(A, rec.N, ETA)
-        assert rec.good_part == split.N_G
-        assert rec.bad_part == split.N_B
-        assert rec.terrible_part == split.N_T
+    # every field from the definitions, with brute-force orders and
+    # characters; nothing here goes through the library's order engine
+    for m in (A, OTHER):
+        disc = _discriminant(m)
+        recs = compute_integer_records(m, 1000, ETA)
+        assert [r.N for r in recs] == list(range(2, 1001))
+        for rec in recs:
+            N = rec.N
+            fac = _trial_factor(N)
+            assert rec.order == _brute_order(m, N), (m, N)
+            assert rec.d * rec.s**2 == N
+            assert all(rec.d % (q * q) for q in range(2, math.isqrt(rec.d) + 1))
+            assert rec.d0 == rec.d // math.gcd(rec.d, disc)
+            d0_primes = [p for p in fac if rec.d0 % p == 0]
+            cof = [p - _chi_oracle(m, p) for p in d0_primes]
+            assert rec.L == math.prod(cof) // math.lcm(*cof)
+            orders = math.prod(_brute_order(m, p) for p in d0_primes)
+            assert rec.lower_bound == orders // rec.L <= rec.order
+            parts = {cls: 1 for cls in PrimeClass}
+            for p, e in fac.items():
+                parts[_class_oracle(m, p, ETA)] *= p**e
+            assert rec.good_part == parts[PrimeClass.GOOD]
+            assert rec.terrible_part == parts[PrimeClass.TERRIBLE]
+            assert rec.bad_part == parts[PrimeClass.BAD] * parts[PrimeClass.TERRIBLE]
 
 
 def test_integer_record_internal_consistency():
@@ -133,13 +188,32 @@ def test_integer_census_rejects_bad_eta():
 # prime census
 
 
+def _small_order_primes(m, k_max, lo, hi):
+    """Primes in (lo, hi] dividing det(A^k - I) for some k <= k_max: their
+    order is at most k_max, near the Terrible threshold sqrt(p)/log p."""
+    found = set()
+    a, b, c, d = m.a, m.b, m.c, m.d
+    for _ in range(k_max):
+        det = (a - 1) * (d - 1) - b * c
+        found |= {p for p in factorize(abs(det)).primes() if lo < p <= hi}
+        a, b = a * m.a + b * m.c, a * m.b + b * m.d
+        c, d = c * m.a + d * m.c, c * m.b + d * m.d
+    return sorted(found)
+
+
 def test_prime_records_match_classifier_oracle():
-    recs, _ = compute_prime_records(A, 2000, ETA)
-    rng = random.Random(3)
-    for rec in rng.sample(recs, 30):
-        assert rec.prime_class == classify_prime(A, rec.p, ETA)
-        assert rec.order == order_mod(A, rec.p)
-        assert rec.exceeds == (rec.order > 2000**ETA)
+    primes = [p for p in range(2, 2001) if _trial_factor(p) == {p: 1}]
+    for m in (A, OTHER):
+        recs, failures = compute_prime_records(m, 2000, ETA)
+        assert failures == []
+        assert [r.p for r in recs] == primes
+        for p in _small_order_primes(m, 20, 2000, 200_000):
+            recs.extend(compute_prime_records(m, p, ETA, lo=p)[0])
+        for rec in recs:
+            assert rec.order == _brute_order(m, rec.p), (m, rec.p)
+            assert rec.chi == _chi_oracle(m, rec.p)
+            assert rec.prime_class == _class_oracle(m, rec.p, ETA)
+            assert rec.exceeds == (rec.order > max(2000, rec.p) ** ETA)
 
 
 def test_prime_census_summary():
@@ -330,6 +404,85 @@ def test_header_and_layout(tmp_path):
     assert len(lines) == 2 + len(recs)
 
 
+# Literal records of each kind and the exact bytes they are stored as: a
+# Terrible, a Bad and a Good prime; an in_S modulus with L = 2 next to one
+# with a terrible part; a sweep row whose floats need 17 significant digits
+# in CSV (and the shortest repr in JSON), down to the smallest subnormal.
+_GOLDEN = {
+    "primes": (
+        [
+            PrimeRecord(3, 0, 6, PrimeClass.TERRIBLE, False),
+            PrimeRecord(19, -1, 5, PrimeClass.BAD, False),
+            PrimeRecord(199, -1, 200, PrimeClass.GOOD, True),
+        ],
+        "p,chi,ord,class,exceeds\n"
+        "3,0,6,terrible,0\n"
+        "19,-1,5,bad,0\n"
+        "199,-1,200,good,1\n",
+        '"records": [\n'
+        '  {\n   "p": 3,\n   "chi": 0,\n   "ord": 6,\n'
+        '   "class": "terrible",\n   "exceeds": false\n  },\n'
+        '  {\n   "p": 19,\n   "chi": -1,\n   "ord": 5,\n'
+        '   "class": "bad",\n   "exceeds": false\n  },\n'
+        '  {\n   "p": 199,\n   "chi": -1,\n   "ord": 200,\n'
+        '   "class": "good",\n   "exceeds": true\n  }\n ]\n}\n',
+    ),
+    "integers": (
+        [
+            IntegerRecord(95, 95, 1, 95, 2, 15, 7, 5, 19, 1, True),
+            IntegerRecord(360, 10, 6, 5, 1, 36, 3, 5, 72, 72, False),
+        ],
+        "N,d,s,d0,L,ord,lower_bound,NG,NB,NT,in_S\n"
+        "95,95,1,95,2,15,7,5,19,1,1\n"
+        "360,10,6,5,1,36,3,5,72,72,0\n",
+        '"records": [\n'
+        '  {\n   "N": 95,\n   "d": 95,\n   "s": 1,\n   "d0": 95,\n   "L": 2,\n'
+        '   "ord": 15,\n   "lower_bound": 7,\n   "NG": 5,\n   "NB": 19,\n'
+        '   "NT": 1,\n   "in_S": true\n  },\n'
+        '  {\n   "N": 360,\n   "d": 10,\n   "s": 6,\n   "d0": 5,\n   "L": 1,\n'
+        '   "ord": 36,\n   "lower_bound": 3,\n   "NG": 5,\n   "NB": 72,\n'
+        '   "NT": 72,\n   "in_S": false\n  }\n ]\n}\n',
+    ),
+    "sweep": (
+        [
+            SweepRecord(
+                5, 1, 0, 0.1 + 0.2, 1 / 3, 0.9000000000000001, 2 / 3, 5e-324, 3, 17
+            )
+        ],
+        "N,n1,n2,S4,bound,ratio,variance,max_dev,rstar,ms\n"
+        "5,1,0,0.30000000000000004,0.33333333333333331,0.90000000000000013,"
+        "0.66666666666666663,4.9406564584124654e-324,3,17\n",
+        '"records": [\n'
+        '  {\n   "N": 5,\n   "n1": 1,\n   "n2": 0,\n'
+        '   "S4": 0.30000000000000004,\n   "bound": 0.3333333333333333,\n'
+        '   "ratio": 0.9000000000000001,\n   "variance": 0.6666666666666666,\n'
+        '   "max_dev": 5e-324,\n   "rstar": 3,\n   "ms": 17\n  }\n ]\n}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GOLDEN))
+def test_storage_golden_bytes(tmp_path, kind):
+    recs, csv_body, json_records = _GOLDEN[kind]
+    cfg = {"x": 200, "eta": 0.55}
+    csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+    store_results(recs, csv_path, config=cfg)
+    store_results(recs, json_path, config=cfg)
+    assert csv_path.read_bytes().decode() == (
+        f"#catmap-census v1; eta=0.55; kind={kind}; x=200\n" + csv_body
+    )
+    assert json_path.read_bytes().decode() == (
+        '{\n "version": "catmap-census v1",\n'
+        f' "kind": "{kind}",\n'
+        ' "config": {\n  "x": "200",\n  "eta": "0.55"\n },\n '
+        + json_records
+    )
+    for path in (csv_path, json_path):
+        loaded = load_results(path)
+        assert loaded.kind == kind
+        assert loaded.records == tuple(recs)
+
+
 def test_truncation_then_resume_reconstructs_bytes(tmp_path):
     recs = _int_records(400)
     cfg = {"x": 400}
@@ -343,6 +496,24 @@ def test_truncation_then_resume_reconstructs_bytes(tmp_path):
     store_results(rest, path, append=True, config=cfg)
     assert path.read_bytes() == full
     assert load_results(path).records == tuple(recs)
+
+
+def test_resume_after_long_unterminated_tail(tmp_path):
+    # a crash can leave megabytes of zeros after the last complete row; the
+    # append must drop exactly that tail and keep every row before it
+    cfg = {"x": 1000}
+    full_path = tmp_path / "full.csv"
+    store_results(_int_records(1000), full_path, config=cfg)
+    path = tmp_path / "ints.csv"
+    store_results(_int_records(501), path, config=cfg)
+    with open(path, "ab") as fh:
+        fh.write(b"\0" * (2 << 20))
+    last = resume_point(path)
+    assert last == 501
+    rest = compute_integer_records(A, 1000, ETA, lo=last + 1)
+    store_results(rest, path, append=True, config=cfg)
+    assert path.read_bytes() == full_path.read_bytes()
+    assert [r.N for r in load_results(path)] == list(range(2, 1001))
 
 
 def test_truncation_inside_header_restarts_clean(tmp_path):
