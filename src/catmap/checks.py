@@ -49,6 +49,8 @@ from .quadorder import (
     trivial_solution_count,
 )
 from .quantum import (
+    SPECTRAL_TOL,
+    UNITARY_TOL,
     Observable,
     egorov_residual,
     propagator,
@@ -339,13 +341,16 @@ def _check_egorov(s: _Scale, rng) -> str:
 
 def _check_spectrum_complete(s: _Scale, rng) -> str:
     m = DEFAULT_MAP
+    residual = gram_defect = 0.0
     for N in range(5, s.spectrum_max + 1, 2):
         eig = spectrum(propagator(m, N), order_mod(m, N))
         assert sum(eig.multiplicities()) == N
         basis = eig.eigenbasis()
         gram = basis.conj().T @ basis / N
         assert np.abs(gram - np.eye(N)).max() <= 1e-10
-    return f"complete orthonormal spectra for odd N in [5, {s.spectrum_max}]"
+        residual, gram_defect = max(residual, eig.residual), max(gram_defect, eig.gram_defect)
+    return (f"complete orthonormal spectra for odd N in [5, {s.spectrum_max}], worst residual "
+            f"{residual:.2e} (tol {SPECTRAL_TOL:.0e}), Gram defect {gram_defect:.2e} (tol {UNITARY_TOL:.0e})")
 
 
 def _check_fourth_moment_bound(s: _Scale, rng) -> str:

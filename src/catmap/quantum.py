@@ -12,6 +12,12 @@ S = [[0,-1],[1,0]], T^2 = [[1,2],[0,1]] and -I by an even-step Euclid, and
 their quantizations (unitary DFT, quadratic-phase diagonal, parity Q -> -Q)
 are multiplied in the same order.  A group-averaged projection onto the
 intertwiner space is kept as an independent oracle for small N.
+
+The spectrum comes from one complex Schur decomposition of U.  Inside a
+degenerate level the basis, on which the diagonal statistics depend, is the
+greedy pivoted Gram-Schmidt of the level projector's columns, with norms
+equal to a relative 1e-9 tied and ties going to the smallest index, so
+neither rounding nor the Schur basis LAPACK returns can change it.
 """
 
 from __future__ import annotations
@@ -37,11 +43,11 @@ from .quadorder import CongruenceCount, congruence_count
 UNITARY_TOL = 1e-10
 EGOROV_TOL = 1e-9
 SPECTRAL_TOL = 1e-8
-MULTIPLICITY_TOL = 1e-6
+# an eigenvalue further than this from every r*-th root belongs to no level
+ROOT_TOL = 1e-6
 INTERTWINER_LIMIT = 64
-
-# memory cap for simultaneously accumulated spectral projectors
-_PROJECTOR_CHUNK_BYTES = 256 << 20
+# entries within this relative distance of the largest one tie for a pivot
+_TIE_RTOL = 1e-9
 
 
 def _as_complex_matrix(matrix, N: int) -> np.ndarray:
@@ -318,19 +324,20 @@ def _averaged_intertwiner(m: CatMap, N: int) -> np.ndarray:
     return image * (sqrt(N) / np.linalg.norm(image))
 
 
+def _first_max(mags: np.ndarray) -> int:
+    """Index of the largest entry; a tie (_TIE_RTOL) goes to the smallest."""
+    return int(np.argmax(mags >= mags.max() * (1.0 - _TIE_RTOL)))
+
+
 def _fix_global_phase(matrix: np.ndarray) -> np.ndarray:
     """Rotate so the leading entry of column 0 is positive real.
 
     Ties in magnitude (flat columns are common here) break to the smallest
     row index, which keeps the convention reproducible across code paths.
     """
-    col = matrix[:, 0]
-    mags = np.abs(col)
-    top = mags.max()
-    if top == 0.0:
+    pivot = matrix[_first_max(np.abs(matrix[:, 0])), 0]
+    if pivot == 0.0:
         raise ConstructionFailed("zero leading column while fixing the phase")
-    idx = int(np.argmax(mags >= top * (1.0 - 1e-9)))
-    pivot = col[idx]
     return matrix * (abs(pivot) / pivot)
 
 
@@ -413,10 +420,16 @@ class SpectralLevel:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
+    """Levels of a periodic unitary, with the worst eigenvector residual, the
+    worst level Gram defect and the largest off-diagonal Schur entry."""
+
     N: int
     scalar_period: int
     global_phase: float
     levels: tuple
+    residual: float
+    gram_defect: float
+    normality_defect: float
 
     def eigenbasis(self) -> np.ndarray:
         """All basis columns side by side, N columns in level order."""
@@ -452,86 +465,67 @@ class Spectrum:
         }
 
 
-def _scalar_defect(matrix: np.ndarray, N: int) -> tuple:
-    scale = np.trace(matrix) / N
-    defect = float(np.abs(matrix - scale * np.eye(N)).max())
-    return scale, defect
+def _level_basis(Zj: np.ndarray) -> np.ndarray:
+    """Greedy pivoted Gram-Schmidt of the columns P e_i of P = Zj Zj^H.
+
+    Each step takes the column with the largest residual norm (`_first_max`).
+    It runs on the coordinates Zj^H e_i, which have the inner products of the
+    P e_i, so the basis, phase included, depends on P alone.
+    """
+    rest = Zj.conj().T.copy()
+    coords = np.empty((len(rest), len(rest)), dtype=np.complex128)
+    for k in range(len(rest)):
+        norms = np.linalg.norm(rest, axis=0)
+        pivot = _first_max(norms)
+        coords[:, k] = rest[:, pivot] / norms[pivot]
+        rest -= np.outer(coords[:, k], coords[:, k].conj() @ rest)
+    return Zj @ coords
 
 
 def spectrum(U: Operator, r_hint: int, *, tol: float = SPECTRAL_TOL) -> Spectrum:
-    """Eigen-decomposition driven by the scalar-power structure.
+    """Eigen-decomposition from one complex Schur decomposition U = Z T Z^H.
 
-    Searches for the least r* <= 2*r_hint with U^{r*} proportional to the
-    identity, places the eigenphases at the r*-th roots of the resulting
-    scalar, reads multiplicities off a discrete Fourier transform of the
-    power traces, and orthonormalizes each spectral projector by pivoted QR.
+    r* is the least k <= 2*r_hint with the k-th powers of diag(T) within tol
+    of their mean, whose angle in (-pi + tol, pi + tol] is the global phase.
+    Each eigenvalue joins the r*-th root of that scalar nearest in angle (so
+    nearest), which must lie within ROOT_TOL; a level's basis is
+    `_level_basis` of its Schur columns, checked by residual (tol) and Gram.
     """
     if r_hint < 1:
         raise ValueError("the order hint must be positive")
     N = U.N
-    traces = [complex(N)]
-    power = U.matrix.copy()
-    r_star = None
-    for k in range(1, 2 * r_hint + 1):
-        scale, defect = _scalar_defect(power, N)
-        if defect <= tol:
-            r_star = k
-            phase = float(np.angle(scale))
+    T, Z = scipy.linalg.schur(U.matrix, output="complex")
+    lam = np.diag(T)
+    power = np.ones(N, dtype=np.complex128)
+    for r_star in range(1, 2 * r_hint + 1):
+        power = power * lam
+        scale = power.mean()
+        if float(np.abs(power - scale).max()) <= tol:
             break
-        traces.append(complex(np.trace(power)))
-        power = power @ U.matrix
-    if r_star is None:
-        raise NoScalarPower(
-            f"no power up to {2 * r_hint} of the propagator is scalar"
-        )
-
-    ks = np.arange(r_star)
-    trace_arr = np.array(traces[:r_star])
-    lams = np.exp(1j * (phase + 2 * pi * ks) / r_star)
-    mults = []
-    for j in range(r_star):
-        raw = np.sum(lams[j] ** (-ks) * trace_arr) / r_star
-        mult = round(raw.real)
-        if abs(raw - mult) > MULTIPLICITY_TOL:
-            raise ConstructionFailed(
-                f"projector trace {raw} is not close to an integer"
-            )
-        mults.append(mult)
-    if sum(mults) != N:
-        raise ConstructionFailed(
-            f"multiplicities {mults} do not sum to the dimension {N}"
-        )
-
-    occupied = [j for j in range(r_star) if mults[j] > 0]
-    per_projector = 16 * N * N
-    chunk = max(1, _PROJECTOR_CHUNK_BYTES // per_projector)
-    levels = []
-    for start in range(0, len(occupied), chunk):
-        block = occupied[start : start + chunk]
-        accum = {j: np.zeros((N, N), dtype=np.complex128) for j in block}
-        power = np.eye(N, dtype=np.complex128)
-        for k in range(r_star):
-            for j in block:
-                accum[j] += lams[j] ** (-k) * power
-            if k + 1 < r_star:
-                power = power @ U.matrix
-        for j in block:
-            proj = accum[j] / r_star
-            q, _, _ = scipy.linalg.qr(proj, pivoting=True)
-            basis = q[:, : mults[j]] * sqrt(N)
-            resid = U.matrix @ basis - lams[j] * basis
-            worst = float(np.sqrt((np.abs(resid) ** 2).sum(axis=0) / N).max())
-            if worst > tol:
-                raise ConstructionFailed(
-                    f"eigenvector residual {worst:.3e} at eigenphase index {j}"
-                )
-            gram = basis.conj().T @ basis / N
-            if float(np.abs(gram - np.eye(mults[j])).max()) > UNITARY_TOL:
-                raise ConstructionFailed(
-                    f"basis at eigenphase index {j} is not orthonormal"
-                )
-            levels.append(SpectralLevel(complex(lams[j]), mults[j], basis))
-    return Spectrum(N, r_star, phase, tuple(levels))
+    else:
+        raise NoScalarPower(f"no power up to {2 * r_hint} of the propagator is scalar")
+    phase = float(np.angle(scale))
+    if phase < -pi + tol:
+        # a scalar at -1 gets the angle +pi whichever side rounding left it
+        phase += 2 * pi
+    roots = np.exp(1j * (phase + 2 * pi * np.arange(r_star)) / r_star)
+    nearest = np.rint((np.angle(lam) * r_star - phase) / (2 * pi)).astype(int) % r_star
+    miss = float(np.abs(lam - roots[nearest]).max())
+    if miss > ROOT_TOL:
+        raise ConstructionFailed(f"an eigenvalue lies {miss:.3e} from every r*-th root")
+    levels, residual, gram = [], 0.0, 0.0
+    for j in np.unique(nearest):
+        basis = _level_basis(Z[:, nearest == j]) * sqrt(N)
+        mult = basis.shape[1]
+        resid = U.matrix @ basis - roots[j] * basis
+        residual = max(residual, float(np.sqrt((np.abs(resid) ** 2).sum(axis=0) / N).max()))
+        gram = max(gram, float(np.abs(basis.conj().T @ basis / N - np.eye(mult)).max()))
+        if residual > tol or gram > UNITARY_TOL:
+            raise ConstructionFailed(f"eigenvector residual {residual:.3e} or Gram defect "
+                                     f"{gram:.3e} at or before eigenphase index {j}")
+        levels.append(SpectralLevel(complex(roots[j]), mult, basis))
+    normality = float(np.abs(np.triu(T, 1)).max())
+    return Spectrum(N, r_star, phase, tuple(levels), residual, gram, normality)
 
 
 def expectation(op: Operator, psi: StateVector, *, norm_tol: float = 1e-12) -> complex:
@@ -556,9 +550,9 @@ def _eigensystem(m: CatMap, N: int, eigsys):
 def variance_stat(m: CatMap, N: int, f: Observable, *, eigsys: Spectrum | None = None) -> float:
     """Mean squared deviation of eigenbasis expectations from the average.
 
-    Computed over the deterministic eigenbasis produced by spectrum(); the
-    value does depend on the choice of basis inside degenerate eigenspaces,
-    so reported numbers always refer to that canonical basis.
+    The value depends on the basis inside degenerate eigenspaces; it refers
+    to the canonical basis of spectrum(), built from each level's projector
+    by greedy pivoted Gram-Schmidt with ties broken to the smallest index.
     """
     eigsys = _eigensystem(m, N, eigsys)
     op = weyl_quantize(N, f)

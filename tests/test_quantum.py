@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from catmap import CatMap, DEFAULT_MAP, order_mod
 from catmap.errors import (
     BudgetExceeded,
+    ConstructionFailed,
     NoScalarPower,
     NotNormalized,
     ZeroVector,
@@ -23,6 +25,7 @@ from catmap.quantum import (
     max_deviation,
     propagator,
     propagator_intertwiner,
+    _level_basis,
     _theta_word,
     spectrum,
     translation,
@@ -381,6 +384,120 @@ def test_spectrum_projectors_idempotent():
         for level in sp.levels:
             P = level.basis @ level.basis.conj().T / N
             assert np.abs(P @ P - P).max() <= 1e-8
+
+
+def oracle_levels(U, r_hint, tol=1e-8):
+    """Spectral data by dense powers, independent of the Schur route.
+
+    r* is the least k <= 2*r_hint with U^k within tol of a scalar (entrywise);
+    the multiplicity of each r*-th root comes from a discrete Fourier
+    transform of the traces of U^0 .. U^{r*-1}, and its projector is the
+    matching average of those powers.  Returns (r*, global phase,
+    [(eigenphase, multiplicity, projector)] for the occupied roots).
+    """
+    N = U.N
+    powers = [np.eye(N, dtype=complex)]
+    for k in range(1, 2 * r_hint + 1):
+        power = powers[-1] @ U.matrix
+        scale = np.trace(power) / N
+        if np.abs(power - scale * np.eye(N)).max() <= tol:
+            break
+        powers.append(power)
+    else:
+        raise AssertionError("the oracle found no scalar power")
+    r_star, phase = k, float(np.angle(scale))
+    levels = []
+    for j in range(r_star):
+        lam = np.exp(1j * (phase + 2 * np.pi * j) / r_star)
+        proj = sum(lam ** (-k) * powers[k] for k in range(r_star)) / r_star
+        mult = np.trace(proj).real
+        assert abs(np.trace(proj) - round(mult)) <= 1e-6
+        if round(mult):
+            levels.append((lam, round(mult), proj))
+    assert sum(level[1] for level in levels) == N
+    return r_star, phase, levels
+
+
+@pytest.mark.parametrize("m", [A, OTHER], ids=str)
+def test_spectrum_matches_dense_power_oracle(m):
+    for N in range(2, 65):
+        U = propagator(m, N)
+        r = order_mod(m, N)
+        sp = spectrum(U, r)
+        r_star, phase, want = oracle_levels(U, r)
+        assert sp.scalar_period == r_star, N
+        assert abs(np.exp(1j * sp.global_phase) - np.exp(1j * phase)) <= 1e-9, N
+        assert len(sp.levels) == len(want), N
+        for level in sp.levels:
+            # match by eigenphase: the level order hinges on the branch of
+            # the phase when the scalar is -1
+            (lam, mult, proj), = [w for w in want if abs(w[0] - level.eigenphase) <= 1e-9]
+            assert level.multiplicity == mult, (N, lam)
+            P = level.basis @ level.basis.conj().T / N
+            assert np.abs(P - proj).max() <= 1e-9, (N, lam)
+
+
+def test_level_basis_depends_on_the_projector_alone():
+    # any orthonormal basis of a level's range gives the same canonical
+    # basis, phases included: the rule reads only P = Zj Zj^H
+    for N in (33, 60):
+        sp = spectrum(propagator(A, N), order_mod(A, N))
+        for k, level in enumerate(sp.levels):
+            Zj = level.basis / np.sqrt(N)
+            m = level.multiplicity
+            W = np.full((1, 1), np.exp(0.7j))
+            if m > 1:
+                W = scipy.stats.unitary_group.rvs(m, random_state=k)
+            assert np.abs(_level_basis(Zj @ W) - Zj).max() <= 1e-12, (N, k)
+
+
+def _perturbed(U, eps, seed):
+    """expm(eps * H) @ U for a seeded anti-Hermitian H with unit-scale entries."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((U.N, U.N)) + 1j * rng.standard_normal((U.N, U.N))
+    return Operator(U.N, scipy.linalg.expm(eps * (G - G.conj().T) / 2) @ U.matrix)
+
+
+@pytest.mark.parametrize("N", [13, 33, 97])
+def test_statistics_stable_under_tiny_perturbation(N):
+    # degenerate eigenspaces at these N have exactly tied projector columns;
+    # the reported statistics must not depend on how rounding breaks them
+    f = Observable.cosine(1)
+    U = propagator(A, N)
+    r = order_mod(A, N)
+    base = spectrum(U, r)
+    assert max(base.multiplicities()) > 1
+    for seed in (1, 2):
+        moved = spectrum(_perturbed(U, 1e-13, seed), r)
+        for stat in (variance_stat, max_deviation):
+            before = stat(A, N, f, eigsys=base)
+            after = stat(A, N, f, eigsys=moved)
+            assert abs(after - before) <= 1e-9, (stat.__name__, seed)
+
+
+def test_spectrum_rejects_non_normal_periodic_matrix():
+    # S diag(roots) S^-1 has a scalar fourth power but is not normal: its
+    # eigenvectors are not orthogonal, so no orthonormal eigenbasis exists
+    rng = np.random.default_rng(7)
+    N = 8
+    S = np.eye(N) + 3.0 * np.triu(rng.standard_normal((N, N)), 1)
+    assert np.linalg.cond(S) > 1e3
+    roots = np.exp(2j * np.pi * np.arange(N) / 4)
+    M = S @ np.diag(roots) @ np.linalg.inv(S)
+    assert np.abs(np.linalg.matrix_power(M, 4) - np.eye(N)).max() <= 1e-12
+    with pytest.raises(ConstructionFailed):
+        spectrum(Operator(N, M), 4)
+
+
+def test_spectrum_reports_check_margins():
+    for N in (5, 33, 97):
+        sp = spectrum(propagator(A, N), order_mod(A, N))
+        assert 0.0 < sp.residual <= 1e-8
+        assert 0.0 <= sp.gram_defect <= 1e-10
+        assert 0.0 <= sp.normality_defect <= 1e-10
+    # the identity is already triangular and its basis is e_i times sqrt(N)
+    sp = spectrum(Operator.identity(7), 1)
+    assert sp.residual == sp.gram_defect == sp.normality_defect == 0.0
 
 
 def test_spectrum_rejects_aperiodic_unitary():
