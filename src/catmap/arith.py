@@ -318,25 +318,23 @@ def mat_pow_mod(m: CatMap, k: int, modulus: int) -> Mat2Mod:
     return result
 
 
-def _pair_pow(trace: int, k: int, modulus: int) -> tuple[int, int]:
-    """Coefficients (u, v) with A^k = u*I + v*A mod `modulus`.
+def _pair_pow(trace: int, k: int, modulus: int | None = None) -> tuple[int, int]:
+    """Coefficients (u, v) with A^k = u*I + v*A mod `modulus`, or exactly if None.
 
     Works in Z[x]/(x^2 - trace*x + 1); valid because A satisfies its
     characteristic polynomial with determinant 1.
     """
-    t = trace % modulus
-    ru, rv = 1 % modulus, 0  # running result
-    bu, bv = 0, 1 % modulus  # running base = A^(2^i)
+    n = modulus
+    t, ru, bv = (trace, 1, 1) if n is None else (trace % n, 1 % n, 1 % n)
+    rv = bu = 0  # running result (ru, rv); running base A^(2^i) = (bu, bv)
     while k:
         if k & 1:
-            ru, rv = (
-                (ru * bu - rv * bv) % modulus,
-                (ru * bv + rv * bu + t * rv * bv) % modulus,
-            )
-        bu, bv = (
-            (bu * bu - bv * bv) % modulus,
-            (2 * bu * bv + t * bv * bv) % modulus,
-        )
+            ru, rv = ru * bu - rv * bv, ru * bv + rv * bu + t * rv * bv
+            if n is not None:
+                ru, rv = ru % n, rv % n
+        bu, bv = bu * bu - bv * bv, 2 * bu * bv + t * bv * bv
+        if n is not None:
+            bu, bv = bu % n, bv % n
         k >>= 1
     return ru, rv
 

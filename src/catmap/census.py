@@ -211,14 +211,20 @@ def c_eta(eta: float) -> float:
 
 
 def _factored_range(lo: int, hi: int):
-    """Yield (N, factorization) for every N in [lo, hi) via a segmented sieve."""
+    """Factorizations of every N in [lo, hi) via a segmented sieve.
+
+    Returns the factor tuples in order of N and the sorted int64 array of
+    the distinct primes dividing some N in the range.
+    """
     count = hi - lo
     remain = np.arange(lo, hi, dtype=np.int64)
     factors: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    hits = []
     for p in _sieve_list(math.isqrt(max(hi - 1, 1))):
         start = ((lo + p - 1) // p) * p
         if start >= hi:
             continue
+        hits.append(p)
         idx = np.arange(start - lo, count, p, dtype=np.int64)
         sub = remain[idx]
         exps = np.zeros(idx.size, dtype=np.int64)
@@ -231,18 +237,20 @@ def _factored_range(lo: int, hi: int):
         remain[idx] = sub
         for i, e in zip(idx.tolist(), exps.tolist()):
             factors[i].append((p, e))
-    leftovers = remain > 1
-    for i in np.flatnonzero(leftovers).tolist():
+    left = np.flatnonzero(remain > 1)  # a prime above the sieve bound is left
+    for i in left.tolist():
         factors[i].append((int(remain[i]), 1))
-    for offset in range(count):
-        yield lo + offset, tuple(factors[offset])
+    primes = np.concatenate([np.array(hits, dtype=np.int64), np.unique(remain[left])])
+    return [tuple(f) for f in factors], primes
 
 
 def _integer_shard_worker(args):
     abcd, eta, lo, hi = args
     memo = PrimeMemo(CatMap(*abcd), eta)
+    factored, primes = _factored_range(lo, hi)
+    memo.seed(primes)
     records = []
-    for N, fac in _factored_range(lo, hi):
+    for N, fac in enumerate(factored, start=lo):
         prof = memo.profile(N, fac)
         records.append(
             IntegerRecord(
@@ -261,11 +269,12 @@ def _integer_shard_worker(args):
 
 
 def _prime_shard_worker(args):
-    abcd, eta, threshold, plist = args
+    abcd, eta, threshold, primes = args
     memo = PrimeMemo(CatMap(*abcd), eta)
+    memo.seed(primes)
     records = []
     failures = []
-    for p in plist:
+    for p in primes.tolist():
         try:
             o = memo.order(p)
             cls = memo.prime_class(p)
@@ -309,11 +318,12 @@ def compute_prime_records(
     c_eta(eta)  # validates the range
     workers = _resolve_workers(workers)
     threshold = float(x) ** eta
-    plist = [int(p) for p in primes_up_to(x) if p >= lo]
+    primes = primes_up_to(x)
+    primes = primes[primes >= lo]
     abcd = (m.a, m.b, m.c, m.d)
     shards = [
-        (abcd, eta, threshold, plist[i : i + _PRIME_SHARD])
-        for i in range(0, len(plist), _PRIME_SHARD)
+        (abcd, eta, threshold, primes[i : i + _PRIME_SHARD])
+        for i in range(0, len(primes), _PRIME_SHARD)
     ]
     records: list[PrimeRecord] = []
     failures: list[int] = []

@@ -258,11 +258,10 @@ def _cmd_small_order(args, m: CatMap) -> int:
 def _cmd_census(args, m: CatMap) -> int:
     primes = args.command == "census-primes"
     config = _config(args, "x", "eta", "fmt")
-    lo = 2
+    last = None
     if args.resume and args.out and args.fmt == "csv":
         last = resume_point(args.out)
-        if last is not None:
-            lo = last + 1
+    lo = 2 if last is None else last + 1
     if primes:
         records, failures = compute_prime_records(
             m, args.x, args.eta, lo=lo, workers=args.workers
@@ -281,9 +280,8 @@ def _cmd_census(args, m: CatMap) -> int:
             fmt=args.fmt,
             append=args.resume and args.fmt == "csv",
         )
-        everything = load_results(args.out).records
-    else:
-        everything = records
+    # with rows resumed, the summary covers the whole file; else just these
+    everything = records if last is None else load_results(args.out).records
     summarize = summarize_prime_records if primes else summarize_integer_records
     summary = summarize(everything, args.x, args.eta, failures=failures)
     doc = {"config": config, "summary": asdict(summary)}

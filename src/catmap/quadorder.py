@@ -5,7 +5,12 @@ from the squarefree decomposition, good/bad/terrible prime classification,
 the small-order modulus sequence, and the quartic congruence counter that
 controls fourth moments of matrix elements.  Profiles, characters and
 classes all come from one per-prime memo, `PrimeMemo`, which the censuses
-share.
+share.  A census seeds the memo for all its primes at once with a batched
+int64 kernel (Euler's criterion for chi, a smallest-prime-factor sieve for
+p - chi, vectorized prime stripping for the order).  The kernel is exact for
+p < INT64_PRIME_BOUND = 2^31; larger primes, primes dividing the
+discriminant and prime powers take the scalar route of `arith`, which is
+also the kernel's oracle.
 """
 
 from __future__ import annotations
@@ -27,11 +32,13 @@ from .arith import (
     factorize,
     is_probable_prime,
     order_mod,
+    primes_up_to,
 )
 from .errors import (
     BudgetExceeded,
     DegenerateK,
     EtaOutOfRange,
+    NotAMultiple,
     NotPrime,
     ZeroVector,
 )
@@ -149,13 +156,124 @@ class OrderProfile:
         return self.s <= log_n and self.omega <= 1.5 * math.log(log_n)
 
 
+# The batched kernel below works on int64 arrays of residues mod p.  Its
+# largest intermediate is a sum of two products of residues, below 2p^2, so
+# every p below this bound is exact (2 * (2^31 - 1)^2 < 2^63).
+INT64_PRIME_BOUND = 1 << 31
+
+
+def _batch_modpow(a: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a^k mod p elementwise, one exponent per element."""
+    r = np.ones_like(a)
+    k = k.copy()
+    while k.any():
+        odd = (k & 1).astype(bool)
+        r = np.where(odd, r * a % p, r)
+        a = a * a % p
+        k >>= 1
+    return r
+
+
+def _batch_pair_pow(
+    t: np.ndarray, k: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_pair_pow` elementwise: (u, v) with A^k = u*I + v*A mod p, 0 <= t < p."""
+    ru, rv = np.ones_like(p), np.zeros_like(p)
+    bu, bv = np.zeros_like(p), np.ones_like(p)
+    k = k.copy()
+    while k.any():
+        odd = (k & 1).astype(bool)
+        s = rv * bv % p
+        ru, rv = (
+            np.where(odd, (ru * bu - s) % p, ru),
+            np.where(odd, ((ru * bv + rv * bu) % p + t * s) % p, rv),
+        )
+        s = bv * bv % p
+        bu, bv = (bu * bu - s) % p, (2 * bu * bv % p + t * s) % p
+        k >>= 1
+    return ru, rv
+
+
+def _batch_is_identity(t: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Whether A^k = I mod p elementwise, for p not dividing the discriminant.
+
+    A is not scalar mod such p, so I and A are independent and A^k = I iff
+    A^k = 1*I + 0*A.
+    """
+    u, v = _batch_pair_pow(t, k, p)
+    return (u == 1) & (v == 0)
+
+
+def _smallest_prime_factors(n: int) -> np.ndarray:
+    """spf[k], the smallest prime factor of k, for 2 <= k <= n (int32)."""
+    spf = np.zeros(n + 1, dtype=np.int32)
+    for q in primes_up_to(math.isqrt(n)).tolist():
+        tail = spf[q * q :: q]
+        tail[tail == 0] = q
+    unset = np.flatnonzero(spf == 0)
+    spf[unset] = unset  # primes are their own smallest factor
+    return spf
+
+
+def _prime_orders(
+    m: CatMap, primes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(kept primes, chi, ord(A, p)) for an int64 array of primes, batched.
+
+    Keeps the odd primes below INT64_PRIME_BOUND that do not divide the
+    discriminant.  chi comes from Euler's criterion; the order from stripping
+    each prime q of M = p - chi while q | ord and A^(ord/q) = I, the same walk
+    as `order_dividing`, with M factored by a smallest-prime-factor sieve.
+    """
+    t = m.trace
+    p = primes[(primes > 2) & (primes < INT64_PRIME_BOUND)]
+    tp = np.array([t % q for q in p.tolist()], dtype=np.int64)
+    disc = (tp * tp - 4) % p
+    keep = disc != 0
+    p, tp, disc = p[keep], tp[keep], disc[keep]
+    if not p.size:
+        return p, p.copy(), p.copy()
+    chi = np.where(_batch_modpow(disc, (p - 1) // 2, p) == 1, 1, -1)
+    multiple = p - chi
+    if not _batch_is_identity(tp, multiple, p).all():
+        raise NotAMultiple("A^(p - chi(p)) != I mod p at some prime")
+    spf = _smallest_prime_factors(int(multiple.max()))
+    order = multiple.copy()
+    rest = multiple.copy()  # M with the primes already walked divided out
+    q = spf[rest].astype(np.int64)
+    active = np.arange(p.size)
+    while active.size:
+        divides = order[active] % q[active] == 0
+        tried = active[divides]
+        hit = _batch_is_identity(tp[tried], order[tried] // q[tried], p[tried])
+        order[tried[hit]] //= q[tried[hit]]
+        # the rest are done with their current q and move on to their next one
+        moving = np.concatenate([active[~divides], tried[~hit]])
+        r, qm = rest[moving], q[moving]
+        while True:
+            more = r % qm == 0
+            if not more.any():
+                break
+            r[more] //= qm[more]
+        rest[moving] = r
+        moving = moving[r > 1]
+        q[moving] = spf[rest[moving]]
+        active = np.concatenate([tried[hit], moving])
+    return p, chi, order
+
+
 class PrimeMemo:
     """ord(A, p^e), chi(p) and the class of p at one eta, memoized for one map.
 
     The one implementation behind `order_profile`, `classify_prime` and
     `split_by_class`, which build a fresh memo per call; a census shard builds
-    one and keeps it for all its records.  Nothing is validated here: p must be
-    prime, factorizations complete, and `eta` in range once a class is asked.
+    one and keeps it for all its records.  A miss goes through the scalar
+    route, `_order_mod_prime_power` and `_legendre`.  `seed` fills chi(p) and
+    ord(A, p) for a whole array of primes at once with the int64 kernel
+    `_prime_orders`; primes it does not take (p = 2, p dividing the
+    discriminant, p >= INT64_PRIME_BOUND) and every exponent e >= 2 are left
+    to the scalar route.  Nothing is validated here: p must be prime,
+    factorizations complete, and `eta` in range once a class is asked.
     """
 
     def __init__(self, m: CatMap, eta: float | None = None):
@@ -164,6 +282,18 @@ class PrimeMemo:
         self._orders: dict[tuple[int, int], int] = {}
         self._chi: dict[int, int] = {}
         self._classes: dict[int, PrimeClass] = {}
+
+    def seed(self, primes) -> None:
+        """Fill chi(p) and ord(A, p) for an array of primes in one batch.
+
+        Its smallest-prime-factor sieve takes 4 bytes per integer up to
+        max(primes) + 1, so seed with the primes of one census range, not
+        with a few far-off ones.
+        """
+        kept, chi, order = _prime_orders(self.m, np.asarray(primes, dtype=np.int64))
+        kept = kept.tolist()
+        self._chi.update(zip(kept, chi.tolist()))
+        self._orders.update(zip([(p, 1) for p in kept], order.tolist()))
 
     def order(self, p: int, e: int = 1) -> int:
         got = self._orders.get((p, e))
@@ -303,19 +433,6 @@ class SmallOrderFactorization:
         return self.N_k == 1
 
 
-def _pow_exact(m: CatMap, k: int) -> tuple[int, int, int, int]:
-    """A^k over the integers (no reduction)."""
-    u, v = 1, 0  # A^k = u*I + v*A via the characteristic polynomial
-    bu, bv = 0, 1
-    t = m.trace
-    while k:
-        if k & 1:
-            u, v = u * bu - v * bv, u * bv + v * bu + t * v * bv
-        bu, bv = bu * bu - bv * bv, 2 * bu * bv + t * bv * bv
-        k >>= 1
-    return (u + v * m.a, v * m.b, v * m.c, u + v * m.d)
-
-
 def small_order_modulus(
     m: CatMap, k: int, *, factor_budget: int | None = None
 ) -> SmallOrderFactorization:
@@ -328,8 +445,8 @@ def small_order_modulus(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    pa, pb, pc, pd = _pow_exact(m, k)
-    det = (pa - 1) * (pd - 1) - pb * pc
+    u, v = _pair_pow(m.trace, k)
+    det = (u - 1 + v * m.a) * (u - 1 + v * m.d) - v * v * m.b * m.c
     if det == 0:
         raise DegenerateK(f"A^{k} = I over the integers")
     fac = factorize(abs(det), budget=factor_budget)

@@ -21,6 +21,7 @@ from catmap import (
     order_mod_brute,
     primes_up_to,
 )
+from catmap.arith import _pair_pow
 from catmap.errors import (
     FactorizationTimeout,
     NotAMultiple,
@@ -122,6 +123,21 @@ def test_pow_matches_naive(k, modulus):
 def test_pow_additivity(i, j, modulus):
     lhs = mat_pow_mod(A, i, modulus).mul(mat_pow_mod(A, j, modulus))
     assert lhs.entries == mat_pow_mod(A, i + j, modulus).entries
+
+
+@pytest.mark.parametrize(
+    "m", [A, CatMap(2, 3, 1, 2), CatMap(4, 1, -1, 0), CatMap(0, 1, -1, 4)], ids=str
+)
+def test_pair_pow_exact_and_reduced(m):
+    # A^k = u*I + v*A over the integers, and reduced mod n it is the modular pair
+    power = (1, 0, 0, 1)
+    for k in range(41):
+        u, v = _pair_pow(m.trace, k)
+        assert (u + v * m.a, v * m.b, v * m.c, u + v * m.d) == power
+        for n in (1, 7, 360, 10**9 + 7):
+            assert _pair_pow(m.trace, k, n) == (u % n, v % n)
+        a, b, c, d = power
+        power = (a * m.a + b * m.c, a * m.b + b * m.d, c * m.a + d * m.c, c * m.b + d * m.d)
 
 
 def test_negative_exponent_rejected():

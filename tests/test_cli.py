@@ -3,11 +3,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
+from catmap import cli
 from catmap.arith import DEFAULT_MAP
-from catmap.census import load_results
+from catmap.census import load_results, summarize_integer_records, summarize_prime_records
 from catmap.checks import CheckResult
 from catmap.cli import (
     argv_from_config,
@@ -200,6 +202,30 @@ def test_stdout_records_match_json_artifact(argv, tmp_path, capsys):
     assert main(argv + ["--fmt", "json", "--out", str(out)]) == 0
     capsys.readouterr()
     assert printed == json.loads(out.read_text())["records"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, summarize",
+    [
+        (["census-primes", "-x", "300", "--eta", "0.52"], summarize_prime_records),
+        (["census-integers", "-x", "200", "--eta", "0.55"], summarize_integer_records),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_fresh_census_summary_needs_no_read_back(
+    argv, summarize, fmt, tmp_path, capsys, monkeypatch
+):
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)["summary"]
+    out = tmp_path / f"artifact.{fmt}"
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "load_results", None)  # nothing was resumed
+        assert main(argv + ["--fmt", fmt, "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"] == printed
+    x, eta = int(argv[2]), float(argv[4])
+    reread = summarize(load_results(out).records, x, eta)
+    assert json.loads(json.dumps(asdict(reread))) == printed
 
 
 def test_sweep_artifact_and_reproduction(tmp_path, capsys):

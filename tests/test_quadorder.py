@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catmap import CatMap, DEFAULT_MAP, factorize, order_mod, order_mod_brute, primes_up_to
+from catmap import quadorder
+from catmap.arith import _legendre, _order_mod_prime_power, _pair_pow, is_probable_prime
 from catmap.errors import (
     BudgetExceeded,
     EtaOutOfRange,
@@ -21,7 +23,9 @@ from catmap.quadorder import (
     ClassSplit,
     CongruenceCount,
     PrimeClass,
+    PrimeMemo,
     SplitType,
+    _prime_orders,
     classify_prime,
     congruence_count,
     lcm_defect,
@@ -250,6 +254,94 @@ def test_classify_eta_range():
 def test_classify_not_prime():
     with pytest.raises(NotPrime):
         classify_prime(A, 9, 0.55)
+
+
+# --- the batched prime-order kernel ----------------------------------------
+
+KERNEL_MAPS = [A, CatMap(1, 2, 2, 5), CatMap(4, 1, -1, 0), CatMap(20001, 2, 10000, 1)]
+
+
+def seeded(m: CatMap, primes, eta: float | None = None) -> PrimeMemo:
+    memo = PrimeMemo(m, eta)
+    memo.seed(np.asarray(primes, dtype=np.int64))
+    return memo
+
+
+@pytest.mark.parametrize("m", KERNEL_MAPS, ids=str)
+def test_seeded_memo_matches_scalar_route(m):
+    primes = primes_up_to(200_000)
+    kept, chi, order = _prime_orders(m, primes)
+    assert kept.tolist() == [p for p in primes.tolist() if m.discriminant % p]
+    for p, c, o in zip(kept.tolist(), chi.tolist(), order.tolist()):
+        assert (c, o) == (_legendre(m.trace**2 - 4, p), _order_mod_prime_power(m, p, 1))
+    memo = seeded(m, primes)
+    assert [memo.order(p) for p in kept.tolist()] == order.tolist()
+    assert [memo.chi(p) for p in kept.tolist()] == chi.tolist()
+
+
+@pytest.mark.parametrize("m", KERNEL_MAPS, ids=str)
+def test_seeded_memo_matches_brute_orders(m):
+    primes = primes_up_to(2000)
+    memo = seeded(m, primes)
+    for p in primes.tolist():
+        assert memo.order(p) == order_mod_brute(m, p)
+
+
+@pytest.mark.parametrize(
+    "m, p, order, cls",
+    [
+        (A, 3691, 13, PrimeClass.BAD),
+        (A, 191861, 19, PrimeClass.TERRIBLE),
+        (CatMap(1, 2, 2, 5), 15607, 17, PrimeClass.BAD),
+    ],
+)
+def test_seeded_small_orders_near_terrible_threshold(m, p, order, cls):
+    # sqrt(p)/log(p) is 7.40, 36.0 and 12.9 here: the orders straddle it
+    memo = seeded(m, primes_up_to(200_000), 0.55)
+    assert memo.order(p) == order
+    assert memo.prime_class(p) is cls is classify_prime(m, p, 0.55)
+
+
+def test_kernel_arithmetic_exact_just_below_int64_bound():
+    # the largest residues the bound admits, where an unreduced sum overflows
+    bound = quadorder.INT64_PRIME_BOUND
+    primes = [p for p in range(bound - 400, bound) if is_probable_prime(p)]
+    rng = random.Random(7)
+    p = np.array(primes * 8, dtype=np.int64)
+    t = np.array([q - 1 - rng.randrange(3) for q in p.tolist()], dtype=np.int64)
+    a = np.array([q - 1 - rng.randrange(q // 2) for q in p.tolist()], dtype=np.int64)
+    k = np.array([rng.randrange(1, 1 << 40) for _ in p.tolist()], dtype=np.int64)
+    u, v = quadorder._batch_pair_pow(t, k, p)
+    r = quadorder._batch_modpow(a, k, p)
+    for row in zip(*(z.tolist() for z in (p, t, a, k, u, v, r))):
+        q, tq, aq, kq, uq, vq, rq = row
+        assert (uq, vq) == _pair_pow(tq, kq, q)
+        assert rq == pow(aq, kq, q)
+
+
+def test_kernel_bound_falls_back_to_scalar_route(monkeypatch):
+    primes = primes_up_to(5000)
+    full = seeded(A, primes)
+    monkeypatch.setattr(quadorder, "INT64_PRIME_BOUND", 1000)
+    kept, _, _ = _prime_orders(A, primes)
+    assert kept.size and kept.max() < 1000
+    cut = seeded(A, primes)
+    for p in primes.tolist():
+        assert (cut.chi(p), cut.order(p)) == (full.chi(p), full.order(p))
+
+
+def test_kernel_empty_and_discriminant_primes():
+    empty = np.empty(0, dtype=np.int64)
+    assert all(a.size == 0 for a in _prime_orders(A, empty))
+    seeded(A, empty)  # a no-op
+    ramified = [p for p in primes_up_to(100).tolist() if A.discriminant % p == 0]
+    assert ramified == [2, 3]
+    kept, _, _ = _prime_orders(A, np.array(ramified + [5, 7], dtype=np.int64))
+    assert kept.tolist() == [5, 7]
+    memo = seeded(A, ramified)
+    for p in ramified:
+        assert memo.chi(p) == 0
+        assert memo.order(p) == order_mod_brute(A, p)
 
 
 def test_split_by_class_examples():
