@@ -41,7 +41,6 @@ from .quantum import (
     fourth_moment,
     max_deviation,
     propagator,
-    propagator_intertwiner,
     spectrum,
     translation,
     translation_trace,

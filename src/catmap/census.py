@@ -10,11 +10,13 @@ Three kinds of tabulated records:
   dimensions, produced by :func:`quantum_sweep`.
 
 Records go to disk as CSV (one header comment line, one column line, then one
-row per record) or as a JSON document with identical field names.  CSV files
-can be appended to and survive truncation mid-row: :func:`store_results` with
-``append=True`` drops a partial trailing line before writing, and
-:func:`resume_point` reports the largest key already present.  Serial and
-worker-pool runs of the censuses produce byte-identical files.
+row per record) or as a JSON document with identical field names.  A CSV row
+is stored once its newline is written: every reader ignores a final line
+without one, the trace of an interrupted write.  So CSV files can be appended
+to and survive truncation mid-row: :func:`store_results` with ``append=True``
+drops that partial line before writing, and :func:`resume_point` reports the
+largest key already stored.  Serial and worker-pool runs of the censuses
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -808,18 +810,26 @@ def store_results(
     return len(records)
 
 
+def _complete_lines(blob: bytes) -> list[str]:
+    """The newline-terminated lines of a file's bytes, without the newlines.
+
+    A row is stored once its newline is written, so a final line without one
+    is an interrupted write and is left out.
+    """
+    return blob[: blob.rfind(b"\n") + 1].decode().split("\n")[:-1]
+
+
 def load_results(path) -> LoadedResults:
     """Read a stored census back; the inverse of store_results.
 
-    A final line cut off mid-write (no newline, or unparsable) is dropped;
-    any earlier malformed line raises SchemaMismatch.  JSON files are
-    detected by their leading brace.
+    Only stored rows count: a final CSV line without its newline (cut off
+    mid-write) is left out, and any stored row that does not parse raises
+    SchemaMismatch.  JSON files are detected by their leading brace.
     """
     with open(path, "rb") as fh:
-        head = fh.read(1)
-    if head == b"{":
-        with open(path, "r") as fh:
-            doc = json.load(fh)
+        blob = fh.read()
+    if blob[:1] == b"{":
+        doc = json.loads(blob)
         if doc.get("version") != FORMAT_TAG:
             raise SchemaMismatch(f"unsupported format tag {doc.get('version')!r}")
         kind = doc.get("kind")
@@ -828,67 +838,57 @@ def load_results(path) -> LoadedResults:
         records = tuple(_from_json_value(kind, obj) for obj in doc.get("records", ()))
         return LoadedResults(kind, dict(doc.get("config", {})), records)
 
-    with open(path, "r", newline="\n") as fh:
-        lines = fh.readlines()
+    lines = _complete_lines(blob)
     if not lines:
         raise SchemaMismatch("empty file")
     config = _parse_header(lines[0])
     kind = config.pop("kind", None)
     if len(lines) < 2:
         raise SchemaMismatch("missing column line")
-    columns = lines[1].rstrip("\n")
     by_columns = {",".join(v.columns): k for k, v in _LAYOUTS.items()}
-    col_kind = by_columns.get(columns)
+    col_kind = by_columns.get(lines[1])
     if col_kind is None:
-        raise SchemaMismatch(f"unknown column set {columns!r}")
+        raise SchemaMismatch(f"unknown column set {lines[1]!r}")
     if kind is not None and kind != col_kind:
         raise SchemaMismatch(f"header kind {kind!r} does not match columns {col_kind!r}")
     kind = col_kind
     layout = _LAYOUTS[kind]
     want = len(layout.columns)
     records = []
-    last = len(lines) - 1
-    for i, line in enumerate(lines[2:], start=2):
-        complete = line.endswith("\n")
-        cells = line.rstrip("\n").split(",")
+    for i, line in enumerate(lines[2:], start=3):
+        cells = line.split(",")
         try:
             if len(cells) != want:
                 raise ValueError(f"expected {want} cells, got {len(cells)}")
             records.append(layout.parse(cells))
         except (ValueError, IndexError) as exc:
-            if i == last and not complete:
-                break  # interrupted write; resume will redo this row
-            raise SchemaMismatch(f"bad row {i + 1}: {line!r}: {exc}") from exc
-        if i == last and not complete:
-            records.pop()  # complete-looking prefix of a longer row
+            raise SchemaMismatch(f"bad row {i}: {line!r}: {exc}") from exc
     return LoadedResults(kind, config, tuple(records))
 
 
 def resume_point(path) -> int | None:
     """Largest key already stored at path, or None if nothing usable survives.
 
-    Only complete lines count, so a file truncated mid-write (even inside the
-    header) reports the last fully stored key; a complete but alien header
-    still raises SchemaMismatch.
+    Only stored rows count, so a file truncated mid-write (even inside the
+    header) reports the last fully stored key.  A complete but alien header,
+    or a stored row whose key is not an integer, raises SchemaMismatch.
     """
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         return None
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob.lstrip()[:1] == b"{":
-        loaded = load_results(path)
-        return max((r.key for r in loaded.records), default=None)
-    cut = blob.rfind(b"\n")
-    if cut < 0:
+    if blob[:1] == b"{":
+        return max((r.key for r in load_results(path).records), default=None)
+    lines = _complete_lines(blob)
+    if not lines:
         return None
-    lines = blob[:cut].split(b"\n")
-    _parse_header(lines[0].decode())
+    _parse_header(lines[0])
     best = None
-    for line in lines[2:]:
+    for i, line in enumerate(lines[2:], start=3):
         try:
-            key = int(line.split(b",", 1)[0])
-        except ValueError:
-            continue
+            key = int(line.split(",", 1)[0])
+        except ValueError as exc:
+            raise SchemaMismatch(f"bad key in row {i}: {line!r}") from exc
         if best is None or key > best:
             best = key
     return best

@@ -261,6 +261,9 @@ def _cmd_census(args, m: CatMap) -> int:
     last = None
     if args.resume and args.out and args.fmt == "csv":
         last = resume_point(args.out)
+    # the stored rows are read once, before any work, so a corrupt file
+    # fails here and is left as it was
+    stored = () if last is None else load_results(args.out).records
     lo = 2 if last is None else last + 1
     if primes:
         records, failures = compute_prime_records(
@@ -280,9 +283,8 @@ def _cmd_census(args, m: CatMap) -> int:
             fmt=args.fmt,
             append=args.resume and args.fmt == "csv",
         )
-    # with rows resumed, the summary covers the whole file; else just these
-    everything = records if last is None else load_results(args.out).records
     summarize = summarize_prime_records if primes else summarize_integer_records
+    everything = [*stored, *records] if stored else records
     summary = summarize(everything, args.x, args.eta, failures=failures)
     doc = {"config": config, "summary": asdict(summary)}
     if args.out:

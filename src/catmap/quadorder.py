@@ -279,6 +279,7 @@ class PrimeMemo:
     def __init__(self, m: CatMap, eta: float | None = None):
         self.m = m
         self.eta = eta
+        self._disc = m.discriminant
         self._orders: dict[tuple[int, int], int] = {}
         self._chi: dict[int, int] = {}
         self._classes: dict[int, PrimeClass] = {}
@@ -304,15 +305,15 @@ class PrimeMemo:
     def chi(self, p: int) -> int:
         got = self._chi.get(p)
         if got is None:
-            m = self.m
-            got = 0 if m.discriminant % p == 0 else _legendre(m.trace * m.trace - 4, p)
+            t = self.m.trace
+            got = 0 if self._disc % p == 0 else _legendre(t * t - 4, p)
             self._chi[p] = got
         return got
 
     def prime_class(self, p: int) -> PrimeClass:
         got = self._classes.get(p)
         if got is None:
-            if self.m.discriminant % p == 0:
+            if self._disc % p == 0:
                 got = PrimeClass.TERRIBLE
             else:
                 o = self.order(p)
@@ -327,7 +328,7 @@ class PrimeMemo:
 
     def profile(self, N: int, factors: tuple[tuple[int, int], ...]) -> OrderProfile:
         """Profile of N from its prime factors (p, e), in increasing p."""
-        disc = self.m.discriminant
+        disc = self._disc
         d = s = d0 = order = d0_orders = 1
         d0_cofactors = []
         for p, e in factors:
@@ -340,7 +341,8 @@ class PrimeMemo:
                     d0_cofactors.append(p - self.chi(p))
                     d0_orders *= self.order(p)
             order = math.lcm(order, self.order(p, e))
-        L = lcm_defect(d0_cofactors)
+        # lcm_defect without its check: every cofactor p - chi(p) is >= 2
+        L = math.prod(d0_cofactors) // math.lcm(*d0_cofactors)
         return OrderProfile(N, d, s, d0, L, order, d0_orders // L, len(factors))
 
     def class_parts(self, factors: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:

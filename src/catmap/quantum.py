@@ -10,8 +10,7 @@ The propagator is built the same way for every N >= 2 (Hannay-Berry, Knabe):
 the map, a member of the theta group, is factored into the generators
 S = [[0,-1],[1,0]], T^2 = [[1,2],[0,1]] and -I by an even-step Euclid, and
 their quantizations (unitary DFT, quadratic-phase diagonal, parity Q -> -Q)
-are multiplied in the same order.  A group-averaged projection onto the
-intertwiner space is kept as an independent oracle for small N.
+are multiplied in the same order.
 
 The spectrum comes from one complex Schur decomposition of U.  Inside a
 degenerate level the basis, on which the diagonal statistics depend, is the
@@ -31,7 +30,6 @@ import scipy.linalg
 
 from .arith import CatMap, order_mod
 from .errors import (
-    BudgetExceeded,
     ConstructionFailed,
     NoScalarPower,
     NotNormalized,
@@ -45,7 +43,6 @@ EGOROV_TOL = 1e-9
 SPECTRAL_TOL = 1e-8
 # an eigenvalue further than this from every r*-th root belongs to no level
 ROOT_TOL = 1e-6
-INTERTWINER_LIMIT = 64
 # entries within this relative distance of the largest one tie for a pivot
 _TIE_RTOL = 1e-9
 
@@ -274,56 +271,6 @@ def _generator_defect(matrix: np.ndarray, m: CatMap, N: int) -> float:
     return worst
 
 
-def _cyclic_average(X: np.ndarray, left: np.ndarray, right: np.ndarray, steps: int) -> np.ndarray:
-    acc = X.copy()
-    Y = X
-    for _ in range(steps - 1):
-        Y = left @ Y @ right
-        acc += Y
-    return acc / steps
-
-
-def _averaged_intertwiner(m: CatMap, N: int) -> np.ndarray:
-    """Solve the generator intertwining relations by group averaging.
-
-    Conjugating a matrix by the translation pair of each generator is a
-    unitary map of order dividing 2N on matrix space, and the two maps
-    commute, so averaging both orbits projects orthogonally onto the joint
-    fixed space.  That space is exactly the solution set of the two linear
-    generator relations, and is at most one-dimensional because the
-    translation operators act irreducibly.
-    """
-    left1 = translation(N, (-1, 0)).matrix
-    right1 = translation(N, _row_times(m, (1, 0))).matrix
-    left2 = translation(N, (0, -1)).matrix
-    right2 = translation(N, _row_times(m, (0, 1))).matrix
-
-    def project(X):
-        once = _cyclic_average(X, left1, right1, 2 * N)
-        return _cyclic_average(once, left2, right2, 2 * N)
-
-    # A seed with a nonzero component along the intertwiner survives the
-    # projection; some entry of row 0 of the (unitary) solution has modulus
-    # at least N**-0.5, so scanning one matrix row must pass the threshold.
-    threshold = 1.0 / (sqrt(2.0) * N)
-    candidates = [np.eye(N, dtype=np.complex128)]
-    image = None
-    for q in range(N + 1):
-        if q > 0:
-            seed = np.zeros((N, N), dtype=np.complex128)
-            seed[0, q - 1] = 1.0
-            candidates.append(seed)
-        Y = project(candidates[-1])
-        if np.linalg.norm(Y) >= threshold:
-            image = Y
-            break
-    if image is None:
-        raise ConstructionFailed(
-            f"intertwiner projection vanished on every seed at N={N}"
-        )
-    return image * (sqrt(N) / np.linalg.norm(image))
-
-
 def _first_max(mags: np.ndarray) -> int:
     """Index of the largest entry; a tie (_TIE_RTOL) goes to the smallest."""
     return int(np.argmax(mags >= mags.max() * (1.0 - _TIE_RTOL)))
@@ -339,19 +286,6 @@ def _fix_global_phase(matrix: np.ndarray) -> np.ndarray:
     if pivot == 0.0:
         raise ConstructionFailed("zero leading column while fixing the phase")
     return matrix * (abs(pivot) / pivot)
-
-
-def _checked_operator(matrix: np.ndarray, m: CatMap, N: int, what: str) -> Operator:
-    """Gate a constructed intertwiner, fix its phase and check unitarity."""
-    defect = _generator_defect(matrix, m, N)
-    if defect > EGOROV_TOL:
-        raise ConstructionFailed(
-            f"generator intertwining defect {defect:.3e} at N={N}"
-        )
-    U = Operator(N, _fix_global_phase(matrix))
-    if not U.is_unitary():
-        raise NotUnitary(f"{what} at N={N} failed the unitarity tolerance")
-    return U
 
 
 def propagator(m: CatMap, N: int) -> Operator:
@@ -374,16 +308,15 @@ def propagator(m: CatMap, N: int) -> Operator:
             matrix *= np.exp(2j * pi * expo / N)[None, :]
         else:
             matrix = matrix[:, -Q % N]
-    return _checked_operator(matrix, m, N, "propagator")
-
-
-def propagator_intertwiner(m: CatMap, N: int) -> Operator:
-    """Reference construction through group averaging alone (small N)."""
-    if N < 2:
-        raise ValueError("dimension must be at least 2")
-    if N > INTERTWINER_LIMIT:
-        raise BudgetExceeded(f"averaging construction capped at N={INTERTWINER_LIMIT}")
-    return _checked_operator(_averaged_intertwiner(m, N), m, N, "intertwiner")
+    defect = _generator_defect(matrix, m, N)
+    if defect > EGOROV_TOL:
+        raise ConstructionFailed(
+            f"generator intertwining defect {defect:.3e} at N={N}"
+        )
+    U = Operator(N, _fix_global_phase(matrix))
+    if not U.is_unitary():
+        raise NotUnitary(f"propagator at N={N} failed the unitarity tolerance")
+    return U
 
 
 def egorov_residual(U: Operator, m: CatMap, n_max: int) -> float:

@@ -574,6 +574,19 @@ def test_load_drops_partial_final_row_only(tmp_path):
     assert [r.p for r in loaded.records] == [3]
 
 
+def test_resume_point_rejects_a_stored_row_with_a_bad_key(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "#catmap-census v1; kind=primes\n"
+        "p,chi,ord,class,exceeds\n"
+        "3,-1,4,good,1\n"
+        "oops,-1,8,good,1\n"
+        "7,-1,8,good,1\n"
+    )
+    with pytest.raises(SchemaMismatch):
+        resume_point(path)
+
+
 def test_empty_stream_gives_loadable_header_only_file(tmp_path):
     path = tmp_path / "empty.csv"
     store_results([], path, kind="sweep", config={"f": "cos1"})

@@ -259,8 +259,68 @@ def test_cli_resume_reconstructs_bytes(tmp_path, capsys):
     assert main(["census-integers", "-x", "300", "--out", str(out), "--resume"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert out.read_bytes() == full
-    assert doc["summary"]["count"] == 299  # summary covers reloaded whole file
+    assert doc["summary"]["count"] == 299  # stored rows plus the new ones
     assert doc["rows_written"] < 299
+
+
+_CENSUS_ARGV = {
+    "primes": ["census-primes", "-x", "2000", "--eta", "0.52"],
+    "integers": ["census-integers", "-x", "600"],
+}
+
+
+@pytest.mark.parametrize("cut", [0.5, 7 / 1000], ids=["mid-row", "in-header"])
+@pytest.mark.parametrize("kind", sorted(_CENSUS_ARGV))
+def test_cli_resume_gives_uninterrupted_bytes_and_summary(kind, cut, tmp_path, capsys):
+    argv = _CENSUS_ARGV[kind] + ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    whole = json.loads(capsys.readouterr().out)
+    full = (tmp_path / "out.csv").read_bytes()
+    (tmp_path / "out.csv").write_bytes(full[: int(len(full) * cut)])
+    assert main(argv + ["--resume"]) == 0
+    resumed = json.loads(capsys.readouterr().out)
+    assert (tmp_path / "out.csv").read_bytes() == full
+    assert resumed["summary"] == whole["summary"]
+
+
+def test_cli_resume_parses_each_stored_row_once(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "ints.csv"
+    argv = ["census-integers", "-x", "600", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    full = out.read_bytes()
+    head = full[: len(full) // 2]
+    stored = head.count(b"\n") - 2  # complete lines past header and columns
+    out.write_bytes(head)
+    parsed = []
+
+    def counting_load(path):
+        loaded = load_results(path)
+        parsed.append(len(loaded.records))
+        return loaded
+
+    monkeypatch.setattr(cli, "load_results", counting_load)
+    assert main(argv + ["--resume"]) == 0
+    assert parsed == [stored]
+
+
+@pytest.mark.parametrize("cell", [0, 5], ids=["key", "order"])
+def test_cli_resume_of_corrupt_file_fails_before_work(cell, tmp_path, capsys):
+    out = tmp_path / "ints.csv"
+    argv = ["census-integers", "-x", "300", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    lines = out.read_bytes().split(b"\n")
+    row = lines[50].split(b",")
+    row[cell] = b"oops"
+    lines[50] = b",".join(row)
+    corrupt = b"\n".join(lines)
+    corrupt = corrupt[: int(len(corrupt) * 0.6)]  # and cut mid-row later on
+    assert not corrupt.endswith(b"\n")
+    out.write_bytes(corrupt)
+    assert main(argv + ["--resume"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert out.read_bytes() == corrupt
 
 
 def test_sweep_failures_reported(capsys):
