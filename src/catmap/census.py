@@ -15,8 +15,7 @@ is stored once its newline is written: every reader ignores a final line
 without one, the trace of an interrupted write.  So CSV files can be appended
 to and survive truncation mid-row: :func:`store_results` with ``append=True``
 drops that partial line before writing, and :func:`resume_point` reports the
-largest key already stored.  Serial and worker-pool runs of the censuses
-produce byte-identical files.
+largest key already stored.
 """
 
 from __future__ import annotations
@@ -27,13 +26,12 @@ import math
 import operator
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
-from .arith import CatMap, Factorization, _sieve_list, order_mod, primes_up_to
+from .arith import CatMap, Factorization, order_mod, primes_up_to
 from .errors import (
     CatmapError,
     DegenerateK,
@@ -41,7 +39,12 @@ from .errors import (
     FactorizationTimeout,
     SchemaMismatch,
 )
-from .quadorder import PrimeClass, PrimeMemo, small_order_modulus
+from .quadorder import (
+    PrimeClass,
+    PrimeMemo,
+    _smallest_prime_factors,
+    small_order_modulus,
+)
 from .quantum import (
     Observable,
     fourth_moment,
@@ -54,9 +57,6 @@ from .quantum import (
 FORMAT_TAG = "catmap-census v1"
 DEFAULT_DELTA_GRID = (0.05, 0.1, 0.2, 0.3)
 DENSE_DIMENSION_LIMIT = 300
-
-_INTEGER_SHARD = 50_000
-_PRIME_SHARD = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -209,99 +209,6 @@ def c_eta(eta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# shard workers
-
-
-def _factored_range(lo: int, hi: int):
-    """Factorizations of every N in [lo, hi) via a segmented sieve.
-
-    Returns the factor tuples in order of N and the sorted int64 array of
-    the distinct primes dividing some N in the range.
-    """
-    count = hi - lo
-    remain = np.arange(lo, hi, dtype=np.int64)
-    factors: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-    hits = []
-    for p in _sieve_list(math.isqrt(max(hi - 1, 1))):
-        start = ((lo + p - 1) // p) * p
-        if start >= hi:
-            continue
-        hits.append(p)
-        idx = np.arange(start - lo, count, p, dtype=np.int64)
-        sub = remain[idx]
-        exps = np.zeros(idx.size, dtype=np.int64)
-        while True:
-            mask = sub % p == 0
-            if not mask.any():
-                break
-            sub[mask] //= p
-            exps[mask] += 1
-        remain[idx] = sub
-        for i, e in zip(idx.tolist(), exps.tolist()):
-            factors[i].append((p, e))
-    left = np.flatnonzero(remain > 1)  # a prime above the sieve bound is left
-    for i in left.tolist():
-        factors[i].append((int(remain[i]), 1))
-    primes = np.concatenate([np.array(hits, dtype=np.int64), np.unique(remain[left])])
-    return [tuple(f) for f in factors], primes
-
-
-def _integer_shard_worker(args):
-    abcd, eta, lo, hi = args
-    memo = PrimeMemo(CatMap(*abcd), eta)
-    factored, primes = _factored_range(lo, hi)
-    memo.seed(primes)
-    records = []
-    for N, fac in enumerate(factored, start=lo):
-        prof = memo.profile(N, fac)
-        records.append(
-            IntegerRecord(
-                N,
-                prof.d,
-                prof.s,
-                prof.d0,
-                prof.L,
-                prof.ord,
-                prof.lower_bound,
-                *memo.class_parts(fac),
-                prof.in_s,
-            )
-        )
-    return records
-
-
-def _prime_shard_worker(args):
-    abcd, eta, threshold, primes = args
-    memo = PrimeMemo(CatMap(*abcd), eta)
-    memo.seed(primes)
-    records = []
-    failures = []
-    for p in primes.tolist():
-        try:
-            o = memo.order(p)
-            cls = memo.prime_class(p)
-            records.append(PrimeRecord(p, memo.chi(p), o, cls, o > threshold))
-        except FactorizationTimeout:
-            failures.append(p)
-    return records, failures
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get("CATMAP_WORKERS", "1"))
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
-def _run_shards(worker, shard_args, workers: int):
-    if workers <= 1 or len(shard_args) <= 1:
-        return [worker(a) for a in shard_args]
-    with ProcessPoolExecutor(max_workers=min(workers, len(shard_args))) as pool:
-        return list(pool.map(worker, shard_args))
-
-
-# ---------------------------------------------------------------------------
 # censuses
 
 
@@ -311,27 +218,26 @@ def compute_prime_records(
     eta: float,
     *,
     lo: int = 2,
-    workers: int | None = None,
 ) -> tuple[list[PrimeRecord], list[int]]:
     """Order records for all primes in [lo, x]; factoring failures are listed,
     not fatal."""
     if x < 100:
         raise ValueError(f"cutoff x must be >= 100, got {x}")
     c_eta(eta)  # validates the range
-    workers = _resolve_workers(workers)
     threshold = float(x) ** eta
     primes = primes_up_to(x)
     primes = primes[primes >= lo]
-    abcd = (m.a, m.b, m.c, m.d)
-    shards = [
-        (abcd, eta, threshold, primes[i : i + _PRIME_SHARD])
-        for i in range(0, len(primes), _PRIME_SHARD)
-    ]
+    memo = PrimeMemo(m, eta)
+    memo.seed(primes)
     records: list[PrimeRecord] = []
     failures: list[int] = []
-    for recs, fails in _run_shards(_prime_shard_worker, shards, workers):
-        records.extend(recs)
-        failures.extend(fails)
+    for p in primes.tolist():
+        try:
+            o = memo.order(p)
+            cls = memo.prime_class(p)
+            records.append(PrimeRecord(p, memo.chi(p), o, cls, o > threshold))
+        except FactorizationTimeout:
+            failures.append(p)
     return records, failures
 
 
@@ -363,10 +269,10 @@ def summarize_prime_records(
 
 
 def prime_census(
-    m: CatMap, x: int, eta: float, *, workers: int | None = None
+    m: CatMap, x: int, eta: float
 ) -> tuple[list[PrimeRecord], PrimeCensusSummary]:
     """Classify every prime up to x and compare the Good fraction with c(eta)."""
-    records, failures = compute_prime_records(m, x, eta, workers=workers)
+    records, failures = compute_prime_records(m, x, eta)
     return records, summarize_prime_records(records, x, eta, failures)
 
 
@@ -376,24 +282,51 @@ def compute_integer_records(
     eta: float,
     *,
     lo: int = 2,
-    workers: int | None = None,
 ) -> list[IntegerRecord]:
-    """Order profiles for every modulus in [max(lo, 2), x], in order."""
+    """Order profiles for every modulus in [max(lo, 2), x], in order.
+
+    One serial pass: a smallest-prime-factor sieve up to x factors each N by
+    walking spf[N], spf[N / spf[N]], ... down to 1, and one PrimeMemo, seeded
+    with the sieve's primes that divide some N in range, supplies the orders.
+    The sieve is int32, 4 bytes per integer, so x must be below 2**31.
+    """
     if x < 2:
         raise ValueError(f"cutoff x must be >= 2, got {x}")
+    if x >= 1 << 31:
+        raise ValueError(f"cutoff x must be below 2**31 for the int32 sieve, got {x}")
     c_eta(eta)
-    workers = _resolve_workers(workers)
     lo = max(lo, 2)
-    abcd = (m.a, m.b, m.c, m.d)
-    shards = []
-    start = lo
-    while start <= x:
-        stop = min(start + _INTEGER_SHARD, x + 1)
-        shards.append((abcd, eta, start, stop))
-        start = stop
+    spf = _smallest_prime_factors(x)
+    primes = np.flatnonzero(spf[2:] == np.arange(2, x + 1, dtype=np.int32)) + 2
+    memo = PrimeMemo(m, eta)
+    memo.seed(primes[x // primes * primes >= lo])
+    spf = spf.tolist()
     records: list[IntegerRecord] = []
-    for chunk in _run_shards(_integer_shard_worker, shards, workers):
-        records.extend(chunk)
+    for N in range(lo, x + 1):
+        factors = []
+        n = N
+        while n > 1:
+            p = spf[n]
+            n //= p
+            e = 1
+            while spf[n] == p:  # p is the least prime of N, so of n too
+                n //= p
+                e += 1
+            factors.append((p, e))
+        prof = memo.profile(N, factors)
+        records.append(
+            IntegerRecord(
+                N,
+                prof.d,
+                prof.s,
+                prof.d0,
+                prof.L,
+                prof.ord,
+                prof.lower_bound,
+                *memo.class_parts(factors),
+                prof.in_s,
+            )
+        )
     return records
 
 
@@ -477,11 +410,10 @@ def integer_census(
     x: int,
     eta: float,
     *,
-    workers: int | None = None,
     delta_grid=DEFAULT_DELTA_GRID,
 ) -> tuple[list[IntegerRecord], IntegerCensusSummary]:
     """Profile every modulus 2..x (N = 1 is skipped and flagged)."""
-    records = compute_integer_records(m, x, eta, workers=workers)
+    records = compute_integer_records(m, x, eta)
     summary = summarize_integer_records(
         records, x, eta, delta_grid=delta_grid, unit_skipped=True
     )
@@ -732,6 +664,31 @@ def _trim_partial_tail(path) -> None:
         fh.truncate(0)
 
 
+def can_append(path, kind: str, config=None) -> bool:
+    """Whether the CSV at path has stored its header and column line, so rows
+    of this kind and config can be appended after its stored rows.
+
+    False for a missing file or one cut off before the column line's newline,
+    which a CSV append rewrites from scratch.  A stored header or column line
+    that differs raises SchemaMismatch; the file is only read.
+    """
+    try:
+        with open(path, "rb") as fh:
+            stored = [fh.readline() for _ in range(2)]
+    except FileNotFoundError:
+        return False
+    if not stored[1].endswith(b"\n"):
+        return False
+    for what, line, want in (
+        ("header", stored[0], _header_line(kind, config)),
+        ("columns", stored[1], ",".join(_LAYOUTS[kind].columns)),
+    ):
+        got = line[:-1].decode()
+        if got != want:
+            raise SchemaMismatch(f"cannot append: {what} {got!r} != {want!r}")
+    return True
+
+
 @dataclass(frozen=True)
 class LoadedResults:
     kind: str
@@ -757,8 +714,9 @@ def store_results(
     """Write records to path as CSV (default) or JSON; returns rows written.
 
     CSV appending is resume-safe: an existing file is checked for a matching
-    header, a partially written final line is discarded, and new rows are
-    added after the surviving ones.  JSON is whole-document only.
+    header and column line before it is touched (see `can_append`), a
+    partially written final line is discarded, and new rows are added after
+    the surviving ones.  JSON is whole-document only.
     """
     records = list(records)
     kind = _infer_kind(records, kind)
@@ -780,31 +738,15 @@ def store_results(
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}")
 
-    header = _header_line(kind, config)
     layout = _LAYOUTS[kind]
-    columns = ",".join(layout.columns)
-    fresh = True
-    if append and os.path.exists(path) and os.path.getsize(path) > 0:
+    # a mismatched file raises before the tail trim touches it
+    fresh = not (append and can_append(path, kind, config))
+    if not fresh:
         _trim_partial_tail(path)
-        with open(path, "r", newline="\n") as fh:
-            old_header = fh.readline().rstrip("\n")
-            old_columns = fh.readline().rstrip("\n")
-        if old_columns:
-            if old_header != header:
-                raise SchemaMismatch(
-                    f"cannot append: header {old_header!r} != {header!r}"
-                )
-            if old_columns != columns:
-                raise SchemaMismatch(
-                    f"cannot append: columns {old_columns!r} != {columns!r}"
-                )
-            fresh = False
-        # else: truncation ate the data; rewrite from scratch
-    mode = "a" if not fresh else "w"
-    with open(path, mode, newline="\n") as fh:
+    with open(path, "w" if fresh else "a", newline="\n") as fh:
         if fresh:
-            fh.write(header + "\n")
-            fh.write(columns + "\n")
+            fh.write(_header_line(kind, config) + "\n")
+            fh.write(",".join(layout.columns) + "\n")
         for rec in records:
             fh.write(layout.csv_line(rec))
     return len(records)

@@ -32,7 +32,6 @@ from .arith import (
 )
 from .census import (
     compute_integer_records,
-    compute_prime_records,
     load_results,
     prime_census,
     quantum_sweep,
@@ -90,7 +89,6 @@ class _Scale:
     spectrum_max: int
     moment_prime_max: int
     census_x: int
-    parallel_x: int
     density_x: int
 
 
@@ -110,7 +108,6 @@ QUICK = _Scale(
     spectrum_max=21,
     moment_prime_max=23,
     census_x=400,
-    parallel_x=1_500,
     density_x=10_000,
 )
 
@@ -130,7 +127,6 @@ FULL = _Scale(
     spectrum_max=101,
     moment_prime_max=47,
     census_x=2_000,
-    parallel_x=6_000,
     density_x=100_000,
 )
 
@@ -419,17 +415,6 @@ def _check_census_round_trip(s: _Scale, rng) -> str:
     return f"round trip + resume + brute-force spot checks at x={s.census_x}"
 
 
-def _check_census_parallel_identical(s: _Scale, rng) -> str:
-    m = DEFAULT_MAP
-    serial = compute_integer_records(m, s.parallel_x, ETA, workers=1)
-    pooled = compute_integer_records(m, s.parallel_x, ETA, workers=2)
-    assert serial == pooled
-    ps, _ = compute_prime_records(m, s.parallel_x, ETA, workers=1)
-    pp, _ = compute_prime_records(m, s.parallel_x, ETA, workers=2)
-    assert ps == pp
-    return f"serial == 2-worker pool at x={s.parallel_x} (integers and primes)"
-
-
 def _check_prime_density(s: _Scale, rng) -> str:
     m = DEFAULT_MAP
     _, summary = prime_census(m, s.density_x, 0.52)
@@ -461,7 +446,6 @@ _CHECKS = (
     ("sweep-invariants", _check_sweep_invariants),
     ("weyl-hermitian", _check_weyl_hermitian),
     ("census-round-trip", _check_census_round_trip),
-    ("census-parallel-identical", _check_census_parallel_identical),
     ("prime-density", _check_prime_density),
 )
 

@@ -20,6 +20,7 @@ from dataclasses import asdict
 from .arith import CatMap, order_mod
 from .census import (
     _json_value,
+    can_append,
     compute_integer_records,
     compute_prime_records,
     load_results,
@@ -150,7 +151,6 @@ _FLAG_OF = {
     "sizes": "--sizes",
     "fmt": "--fmt",
     "matrix": "--matrix",
-    "workers": "--workers",
     "dense_limit": "--dense-limit",
     "seed": "--seed",
 }
@@ -257,31 +257,24 @@ def _cmd_small_order(args, m: CatMap) -> int:
 
 def _cmd_census(args, m: CatMap) -> int:
     primes = args.command == "census-primes"
+    kind = "primes" if primes else "integers"
     config = _config(args, "x", "eta", "fmt")
+    resuming = bool(args.resume and args.out and args.fmt == "csv")
+    # the stored header is checked and the stored rows are read once, before
+    # any work, so a mismatched or corrupt file fails here and is left as it was
     last = None
-    if args.resume and args.out and args.fmt == "csv":
+    if resuming and can_append(args.out, kind, config):
         last = resume_point(args.out)
-    # the stored rows are read once, before any work, so a corrupt file
-    # fails here and is left as it was
     stored = () if last is None else load_results(args.out).records
     lo = 2 if last is None else last + 1
     if primes:
-        records, failures = compute_prime_records(
-            m, args.x, args.eta, lo=lo, workers=args.workers
-        )
+        records, failures = compute_prime_records(m, args.x, args.eta, lo=lo)
     else:
-        records = compute_integer_records(
-            m, args.x, args.eta, lo=lo, workers=args.workers
-        )
+        records = compute_integer_records(m, args.x, args.eta, lo=lo)
         failures = ()
     if args.out:
         store_results(
-            records,
-            args.out,
-            kind="primes" if primes else "integers",
-            config=config,
-            fmt=args.fmt,
-            append=args.resume and args.fmt == "csv",
+            records, args.out, kind=kind, config=config, fmt=args.fmt, append=resuming
         )
     summarize = summarize_prime_records if primes else summarize_integer_records
     everything = [*stored, *records] if stored else records
@@ -414,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta", type=float, default=DEFAULT_ETA)
         p.add_argument("--fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--resume", action="store_true")
-        p.add_argument("--workers", type=int, default=None)
 
     p = add("propagator", _cmd_propagator, help="unitary propagator matrix")
     p.add_argument("-N", type=int, required=True)

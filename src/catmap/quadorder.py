@@ -266,8 +266,8 @@ class PrimeMemo:
     """ord(A, p^e), chi(p) and the class of p at one eta, memoized for one map.
 
     The one implementation behind `order_profile`, `classify_prime` and
-    `split_by_class`, which build a fresh memo per call; a census shard builds
-    one and keeps it for all its records.  A miss goes through the scalar
+    `split_by_class`, which build a fresh memo per call; a census builds one
+    and keeps it for all its records.  A miss goes through the scalar
     route, `_order_mod_prime_power` and `_legendre`.  `seed` fills chi(p) and
     ord(A, p) for a whole array of primes at once with the int64 kernel
     `_prime_orders`; primes it does not take (p = 2, p dividing the

@@ -323,6 +323,28 @@ def test_cli_resume_of_corrupt_file_fails_before_work(cell, tmp_path, capsys):
     assert out.read_bytes() == corrupt
 
 
+@pytest.mark.parametrize("command", ["census-integers", "census-primes"])
+def test_cli_resume_with_another_config_fails_before_work(
+    command, tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "census.csv"
+    assert main([command, "-x", "600", "--out", str(out)]) == 0
+    capsys.readouterr()
+    full = out.read_bytes()
+    head = full[: len(full) // 2]
+    assert not head.endswith(b"\n")
+    out.write_bytes(head)
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the header was checked")
+
+    monkeypatch.setattr(cli, "compute_integer_records", no_compute)
+    monkeypatch.setattr(cli, "compute_prime_records", no_compute)
+    assert main([command, "-x", "1200", "--out", str(out), "--resume"]) == 1
+    assert "cannot append: header" in capsys.readouterr().err
+    assert out.read_bytes() == head
+
+
 def test_sweep_failures_reported(capsys):
     assert main(["sweep", "--sizes", "7,5,350", "-n", "7,0"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -348,6 +370,17 @@ def test_argv_from_config_round_trip():
     assert argv_from_config({**config, "timing": "1"}).count("--timing") == 1
     with pytest.raises(ValueError):
         argv_from_config({"command": "sweep", "mystery": "3"})
+
+
+def test_flag_tables_name_only_options_the_parser_defines():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    flags = {}  # dest -> every option string defined for it
+    for sub in commands.choices.values():
+        for action in sub._actions:
+            flags.setdefault(action.dest, set()).update(action.option_strings)
+    for key, flag in {**cli._FLAG_OF, **cli._BOOL_FLAGS}.items():
+        assert flag in flags.get(key, ()), (key, flag)
 
 
 # ---------------------------------------------------------------------------
