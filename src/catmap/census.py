@@ -186,7 +186,7 @@ class IntegerCensusSummary:
     decades: tuple[DecadeFractions, ...]
     l_distribution: tuple[tuple[int, int], ...]
     growth_fractions: tuple[tuple[float, float], ...]
-    unit_skipped: bool
+    unit_skipped: bool  # always True: records start at N = 2
     failures: tuple[int, ...]
 
 
@@ -344,7 +344,6 @@ def summarize_integer_records(
     eta: float,
     *,
     delta_grid=DEFAULT_DELTA_GRID,
-    unit_skipped: bool = True,
     failures=(),
 ) -> IntegerCensusSummary:
     """Decade fractions of the five smallness statistics plus growth fractions.
@@ -400,24 +399,17 @@ def summarize_integer_records(
         decades=tuple(decades),
         l_distribution=tuple(sorted(l_counter.items())),
         growth_fractions=tuple(growth),
-        unit_skipped=unit_skipped,
+        unit_skipped=True,
         failures=tuple(failures),
     )
 
 
 def integer_census(
-    m: CatMap,
-    x: int,
-    eta: float,
-    *,
-    delta_grid=DEFAULT_DELTA_GRID,
+    m: CatMap, x: int, eta: float
 ) -> tuple[list[IntegerRecord], IntegerCensusSummary]:
     """Profile every modulus 2..x (N = 1 is skipped and flagged)."""
     records = compute_integer_records(m, x, eta)
-    summary = summarize_integer_records(
-        records, x, eta, delta_grid=delta_grid, unit_skipped=True
-    )
-    return records, summary
+    return records, summarize_integer_records(records, x, eta)
 
 
 def small_order_report(
@@ -470,10 +462,10 @@ def quantum_sweep(
     the fourth moment at frequency n with its ceiling, the variance of the
     observable f, and the largest diagonal element of the pure harmonic at n.
     The ratio s4/bound never exceeds 1 and max_dev**4 <= bound is re-checked
-    per record.  Dimensions that fail (no construction path, beyond the dense
-    cutoff, degenerate frequency) are reported in the failure list and do not
-    abort the sweep.  ``ms`` stays 0 unless ``timing`` is set, so default
-    sweeps are deterministic byte-for-byte.
+    per record.  Dimensions that fail (beyond the dense cutoff, degenerate
+    frequency, a construction or spectrum check) are reported in the failure
+    list and do not abort the sweep.  ``ms`` stays 0 unless ``timing`` is
+    set, so default sweeps are deterministic byte-for-byte.
     """
     n1, n2 = int(n[0]), int(n[1])
     probe = Observable.harmonic((n1, n2))

@@ -312,12 +312,14 @@ def _check_trace_dichotomy(s: _Scale, rng) -> str:
     for N in s.trace_dims:
         for n1 in range(-2 * N, 2 * N + 1):
             for n2 in range(-2 * N, 2 * N + 1):
-                tr = abs(translation_trace(N, (n1, n2)))
+                dense = complex(np.trace(translation(N, (n1, n2)).matrix))
+                closed = translation_trace(N, (n1, n2))
+                assert abs(closed - dense) <= 1e-8, f"closed form at {n1, n2} mod {N}"
                 if n1 % N == 0 and n2 % N == 0:
-                    assert abs(tr - N) <= 1e-8, f"trace at lattice point {n1, n2}"
+                    assert abs(abs(dense) - N) <= 1e-8, f"trace at lattice point {n1, n2}"
                 else:
-                    assert tr <= 1e-8, f"trace not tiny at {n1, n2} mod {N}"
-    return f"full grid |n|inf <= 2N for N in {s.trace_dims}"
+                    assert abs(dense) <= 1e-8, f"trace not tiny at {n1, n2} mod {N}"
+    return f"closed form = dense trace on |n|inf <= 2N for N in {s.trace_dims}"
 
 
 def _check_egorov(s: _Scale, rng) -> str:

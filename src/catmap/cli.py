@@ -19,6 +19,7 @@ from dataclasses import asdict
 
 from .arith import CatMap, order_mod
 from .census import (
+    DENSE_DIMENSION_LIMIT,
     _json_value,
     can_append,
     compute_integer_records,
@@ -424,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", default="1,0")
     p.add_argument("--fmt", choices=("csv", "json"), default="csv")
     p.add_argument("--timing", action="store_true")
-    p.add_argument("--dense-limit", type=int, default=300, dest="dense_limit")
+    p.add_argument("--dense-limit", type=int, default=DENSE_DIMENSION_LIMIT)
 
     p = add("check", _cmd_check, help="run the library invariant suite")
     p.add_argument("--quick", action="store_true")

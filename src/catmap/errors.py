@@ -59,7 +59,8 @@ class DegenerateK(CatmapError):
 # --- quantum engine -------------------------------------------------------
 
 class ConstructionFailed(CatmapError):
-    """Propagator intertwining system did not have a one-dimensional solution."""
+    """`propagator` (intertwining defect, zero leading column) or `spectrum`
+    (eigenvalue off every r*-th root, eigenvector residual, Gram) check failed."""
 
 
 class NotUnitary(CatmapError):

@@ -194,36 +194,44 @@ class Observable:
         return iter(sorted(self.coefficients.items()))
 
 
-def translation(N: int, n) -> Operator:
-    """Phase-space translation operator for the lattice vector n.
+def _apply_weyl(N: int, f: Observable, X: np.ndarray) -> np.ndarray:
+    """Op_f @ X for an N-row matrix X, without forming Op_f.
 
-    Acts by (T psi)(Q) = exp(i*pi*n1*n2/N) * exp(2*pi*i*n2*Q/N) * psi(Q + n1).
-    All phase arguments are reduced as exact integers, so the matrix depends
-    on n only through n mod 2N.
+    Each term (n, c) of f adds c * T(n) @ X, where
+    (T(n) X)[Q] = exp(i*pi*n1*n2/N) * exp(2*pi*i*n2*Q/N) * X[(Q + n1) mod N]:
+    a cyclic row shift times a phase vector.  All phase arguments are reduced
+    as exact integers, so T(n) depends on n only through n mod 2N.
     """
-    if N < 1:
-        raise ValueError("dimension must be positive")
-    n1, n2 = int(n[0]), int(n[1])
     Q = np.arange(N)
-    half = (n1 * n2) % (2 * N)
-    ramp = ((n2 % N) * Q) % N
-    phase = np.exp(1j * pi * half / N) * np.exp(2j * pi * ramp / N)
-    matrix = np.zeros((N, N), dtype=np.complex128)
-    matrix[Q, (Q + n1) % N] = phase
-    return Operator(N, matrix)
-
-
-def translation_trace(N: int, n) -> complex:
-    """Trace of the translation operator at n (N when n vanishes mod N)."""
-    return translation(N, n).trace()
+    out = np.zeros(X.shape, dtype=np.complex128)
+    for (n1, n2), coeff in f.items():
+        half = (n1 * n2) % (2 * N)
+        ramp = ((n2 % N) * Q) % N
+        phase = np.exp(1j * pi * half / N) * np.exp(2j * pi * ramp / N)
+        out += (coeff * phase)[:, None] * X[(Q + n1 % N) % N]
+    return out
 
 
 def weyl_quantize(N: int, f: Observable) -> Operator:
     """Operator sum of translations weighted by the Fourier coefficients."""
-    matrix = np.zeros((N, N), dtype=np.complex128)
-    for n, coeff in f.items():
-        matrix += coeff * translation(N, n).matrix
-    return Operator(N, matrix)
+    if N < 1:
+        raise ValueError("dimension must be positive")
+    return Operator(N, _apply_weyl(N, f, np.eye(N, dtype=np.complex128)))
+
+
+def translation(N: int, n) -> Operator:
+    """Phase-space translation operator T(n) for the lattice vector n."""
+    return weyl_quantize(N, Observable.harmonic(n))
+
+
+def translation_trace(N: int, n) -> complex:
+    """Trace of T(n): N * exp(i*pi*n1*n2/N) = +-N when n vanishes mod N, else 0."""
+    if N < 1:
+        raise ValueError("dimension must be positive")
+    n1, n2 = int(n[0]), int(n[1])
+    if n1 % N or n2 % N:
+        return 0j
+    return complex(-N if (n1 * n2 // N) % 2 else N)
 
 
 def _row_times(m: CatMap, n) -> tuple:
@@ -262,11 +270,21 @@ def _theta_word(a: int, b: int, c: int, d: int) -> tuple:
     return tuple(word)
 
 
-def _generator_defect(matrix: np.ndarray, m: CatMap, N: int) -> float:
+def _intertwining_defect(U: np.ndarray, m: CatMap, vectors) -> float:
+    """Largest entry of T(n) U - U T(nA) over the lattice vectors n (0.0 if none).
+
+    For unitary U this matrix is U (U* T(n) U - T(nA)): it vanishes exactly
+    when conjugation by U takes T(n) to T(nA), it has the same operator norm,
+    and its largest entry is within a factor sqrt(N) of the other's.
+    U T(v) is computed as (T(-v) U^H)^H, so no translation matrix is formed.
+    """
+    N = len(U)
+    Uh = U.conj().T
     worst = 0.0
-    for g in ((1, 0), (0, 1)):
-        lhs = translation(N, g).matrix @ matrix
-        rhs = matrix @ translation(N, _row_times(m, g)).matrix
+    for n in vectors:
+        v = _row_times(m, n)
+        lhs = _apply_weyl(N, Observable.harmonic(n), U)
+        rhs = _apply_weyl(N, Observable.harmonic((-v[0], -v[1])), Uh).conj().T
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
@@ -308,7 +326,7 @@ def propagator(m: CatMap, N: int) -> Operator:
             matrix *= np.exp(2j * pi * expo / N)[None, :]
         else:
             matrix = matrix[:, -Q % N]
-    defect = _generator_defect(matrix, m, N)
+    defect = _intertwining_defect(matrix, m, ((1, 0), (0, 1)))
     if defect > EGOROV_TOL:
         raise ConstructionFailed(
             f"generator intertwining defect {defect:.3e} at N={N}"
@@ -320,22 +338,11 @@ def propagator(m: CatMap, N: int) -> Operator:
 
 
 def egorov_residual(U: Operator, m: CatMap, n_max: int) -> float:
-    """Worst conjugation error over lattice vectors with |n|_inf <= n_max.
-
-    Compares U* T(n) U against the translation at the exact integer image
-    n*A; the vector n = (0, 0) is skipped, so n_max = 0 gives 0.0.
-    """
-    N = U.N
-    Uh = U.matrix.conj().T
-    worst = 0.0
-    for n1 in range(-n_max, n_max + 1):
-        for n2 in range(-n_max, n_max + 1):
-            if n1 == 0 and n2 == 0:
-                continue
-            lhs = Uh @ translation(N, (n1, n2)).matrix @ U.matrix
-            rhs = translation(N, _row_times(m, (n1, n2))).matrix
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    """`_intertwining_defect` of U over 0 < |n|_inf <= n_max (0.0 at n_max = 0):
+    the largest entry of T(n) U - U T(nA), with nA in exact integers."""
+    box = range(-n_max, n_max + 1)
+    vectors = [(n1, n2) for n1 in box for n2 in box if (n1, n2) != (0, 0)]
+    return _intertwining_defect(U.matrix, m, vectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,14 +477,12 @@ def expectation(op: Operator, psi: StateVector, *, norm_tol: float = 1e-12) -> c
     return complex(np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes)) / psi.N
 
 
-def _diagonal_elements(op_matrix: np.ndarray, basis: np.ndarray, N: int) -> np.ndarray:
-    return (np.conj(basis) * (op_matrix @ basis)).sum(axis=0) / N
-
-
-def _eigensystem(m: CatMap, N: int, eigsys):
-    if eigsys is not None:
-        return eigsys
-    return spectrum(propagator(m, N), order_mod(m, N))
+def _eigen_expectations(m: CatMap, N: int, f: Observable, eigsys) -> np.ndarray:
+    """<Op_f psi, psi> for every column psi of the canonical eigenbasis."""
+    if eigsys is None:
+        eigsys = spectrum(propagator(m, N), order_mod(m, N))
+    basis = eigsys.eigenbasis()
+    return (np.conj(basis) * _apply_weyl(N, f, basis)).sum(axis=0) / N
 
 
 def variance_stat(m: CatMap, N: int, f: Observable, *, eigsys: Spectrum | None = None) -> float:
@@ -487,17 +492,13 @@ def variance_stat(m: CatMap, N: int, f: Observable, *, eigsys: Spectrum | None =
     to the canonical basis of spectrum(), built from each level's projector
     by greedy pivoted Gram-Schmidt with ties broken to the smallest index.
     """
-    eigsys = _eigensystem(m, N, eigsys)
-    op = weyl_quantize(N, f)
-    vals = _diagonal_elements(op.matrix, eigsys.eigenbasis(), N)
+    vals = _eigen_expectations(m, N, f, eigsys)
     return float(np.mean(np.abs(vals - f.mean) ** 2))
 
 
 def max_deviation(m: CatMap, N: int, f: Observable, *, eigsys: Spectrum | None = None) -> float:
     """Largest deviation of an eigenbasis expectation from the average."""
-    eigsys = _eigensystem(m, N, eigsys)
-    op = weyl_quantize(N, f)
-    vals = _diagonal_elements(op.matrix, eigsys.eigenbasis(), N)
+    vals = _eigen_expectations(m, N, f, eigsys)
     return float(np.abs(vals - f.mean).max())
 
 
@@ -529,8 +530,7 @@ def fourth_moment(
         raise ZeroVector("the frequency vector vanishes mod N")
     if count is None:
         count = congruence_count(m, N, n)
-    eigsys = _eigensystem(m, N, eigsys)
-    vals = _diagonal_elements(translation(N, n).matrix, eigsys.eigenbasis(), N)
+    vals = _eigen_expectations(m, N, Observable.harmonic(n), eigsys)
     s4 = float(np.sum(np.abs(vals) ** 4))
     r = count.r
     bound = N * count.count / r**4

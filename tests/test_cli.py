@@ -9,7 +9,12 @@ import pytest
 
 from catmap import cli
 from catmap.arith import DEFAULT_MAP
-from catmap.census import load_results, summarize_integer_records, summarize_prime_records
+from catmap.census import (
+    DENSE_DIMENSION_LIMIT,
+    load_results,
+    summarize_integer_records,
+    summarize_prime_records,
+)
 from catmap.checks import CheckResult
 from catmap.cli import (
     argv_from_config,
@@ -237,6 +242,15 @@ def test_sweep_artifact_and_reproduction(tmp_path, capsys):
     assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_dense_limit_default_is_the_census_constant(tmp_path, capsys):
+    args = cli.build_parser().parse_args(["sweep", "--sizes", "5"])
+    assert args.dense_limit == DENSE_DIMENSION_LIMIT
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--sizes", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert load_results(out).config["dense_limit"] == str(DENSE_DIMENSION_LIMIT)
 
 
 def test_census_artifact_reproduction(tmp_path, capsys):

@@ -18,6 +18,8 @@ from catmap.quantum import (
     Observable,
     Operator,
     StateVector,
+    _apply_weyl,
+    _intertwining_defect,
     egorov_residual,
     expectation,
     fourth_moment,
@@ -132,6 +134,20 @@ def test_trace_dichotomy_examples():
     assert abs(translation_trace(5, (1, 3))) <= 1e-8
 
 
+def test_trace_closed_form_matches_dense_trace():
+    for N in range(1, 13):
+        for n1 in range(-2 * N, 2 * N + 1):
+            for n2 in range(-2 * N, 2 * N + 1):
+                want = np.trace(naive_translation(N, (n1, n2)))
+                assert abs(translation_trace(N, (n1, n2)) - want) <= 1e-9, (N, n1, n2)
+
+
+def test_trace_rejects_nonpositive_dimension():
+    for N in (0, -3):
+        with pytest.raises(ValueError):
+            translation_trace(N, (0, 0))
+
+
 def test_trace_dichotomy_sweep():
     for N in (4, 7):
         for n1 in range(-2 * N, 2 * N + 1):
@@ -194,6 +210,40 @@ def test_weyl_random_real_observable_hermitian(data):
     f = Observable(coeffs)
     assert f.is_real_valued(1e-9)
     assert weyl_quantize(N, f).hermiticity_defect() <= 1e-10
+
+
+def test_weyl_kernel_matches_dense_translation_sum():
+    rng = np.random.default_rng(7)
+    for N in (1, 2, 3, 7, 16, 31):
+        # two terms sharing a shift (as in cos2), negative components and
+        # components beyond +-2N
+        fixed = {(0, 1): 0.5, (0, -1): 0.5 - 0.25j, (-2, 3): 1j}
+        fixed[(3 * N + 1, -2 * N - 3)] = -1.5
+        for trial in range(4):
+            coeffs = dict(fixed)
+            for _ in range(3):
+                n = tuple(int(v) for v in rng.integers(-3 * N - 2, 3 * N + 3, size=2))
+                coeffs[n] = complex(*rng.normal(size=2))
+            f = Observable(coeffs)
+            for cols in (1, N):
+                X = rng.normal(size=(N, cols)) + 1j * rng.normal(size=(N, cols))
+                want = sum(c * naive_translation(N, n) @ X for n, c in f.items())
+                assert np.abs(_apply_weyl(N, f, X) - want).max() <= 1e-12, (N, trial, cols)
+
+
+def test_intertwining_defect_matches_dense_defect():
+    rng = np.random.default_rng(11)
+    vectors = [(1, 0), (0, 1), (-2, 3), (3, -1)]
+    for N in (7, 12):
+        U = propagator(A, N).matrix + 1e-3 * rng.normal(size=(N, N))
+        want = 0.0
+        for n in vectors:
+            lhs = naive_translation(N, n) @ U
+            rhs = U @ naive_translation(N, row_times(A, n))
+            want = max(want, np.abs(lhs - rhs).max())
+        got = _intertwining_defect(U, A, vectors)
+        assert want > 1e-4
+        assert abs(got - want) <= 1e-12, N
 
 
 # ----------------------------------------------------------------- propagator
