@@ -35,13 +35,13 @@ from .arith import CatMap, Factorization, order_mod, primes_up_to
 from .errors import (
     CatmapError,
     DegenerateK,
-    EtaOutOfRange,
     FactorizationTimeout,
     SchemaMismatch,
 )
 from .quadorder import (
     PrimeClass,
     PrimeMemo,
+    _check_eta,
     _smallest_prime_factors,
     small_order_modulus,
 )
@@ -63,7 +63,7 @@ DENSE_DIMENSION_LIMIT = 300
 # records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeRecord:
     """Order data for a single prime: chi(p), ord(A, p), class, threshold flag."""
 
@@ -78,7 +78,7 @@ class PrimeRecord:
         return self.p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegerRecord:
     """Order profile of one modulus N = d * s**2 plus its class decomposition.
 
@@ -108,7 +108,7 @@ class IntegerRecord:
         return self.order / math.sqrt(self.N)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRecord:
     """Spectral statistics of the dimension-N propagator at one frequency.
 
@@ -203,8 +203,7 @@ class SmallOrderRow:
 
 def c_eta(eta: float) -> float:
     """Asymptotic lower density (3 - 5*eta) / (2 - 2*eta) of exceeding primes."""
-    if not 0.5 < eta < 0.6:
-        raise EtaOutOfRange(f"eta must lie in (0.5, 0.6), got {eta}")
+    _check_eta(eta)
     return (3 - 5 * eta) / (2 * (1 - eta))
 
 
@@ -330,12 +329,12 @@ def compute_integer_records(
     return records
 
 
-def _omega_sieve(limit: int) -> list[int]:
+def _omega_sieve(limit: int) -> np.ndarray:
     """omega(n), the number of distinct prime factors, for 0 <= n <= limit."""
     omega = np.zeros(max(limit, 0) + 1, dtype=np.int8)
     for p in primes_up_to(limit).tolist():
         omega[p::p] += 1
-    return omega.tolist()
+    return omega
 
 
 def summarize_integer_records(
@@ -353,51 +352,50 @@ def summarize_integer_records(
     Good prime factor, and lying in the small set.  The L distribution is
     tabulated over the full range, and the growth fractions count moduli with
     ord >= sqrt(N) * exp((log N)**delta) for each delta in the grid.
+
+    Each field is read once into a numpy column: N, s, L and good_part as int32,
+    exact for N < 2**31 (the census bound; larger values raise OverflowError),
+    and the order as float64, exact below 2**53.  So ord**2 > N is exact (an
+    order >= 2**16 squares to >= 2**32 > N) and so is ord >= the float bound.
     """
     recs = list(records)
-    omega = _omega_sieve(min(x, max((r.N for r in recs), default=0)))
+    count = len(recs)
+
+    def column(name, dtype):
+        return np.fromiter(map(operator.attrgetter(name), recs), dtype, count)
+
+    N = column("N", np.int32)
+    order = column("order", np.float64)
+    log_n = np.log(N)
+    limit = min(x, int(N.max(initial=0)))
+    omega = _omega_sieve(limit)
+    stats = (
+        order * order > N,
+        column("s", np.int32) > log_n,
+        # moduli beyond x lie in no decade, so their clipped omega is unused
+        omega[np.minimum(N, limit)] >= 1.5 * np.log(log_n),
+        column("good_part", np.int32) == 1,
+        column("in_s", bool),
+    )
     decades = []
     for bound in (x, x // 10, x // 100):
         if bound < 2:
             continue
-        sub = [r for r in recs if r.N <= bound]
-        total = len(sub)
-        if total == 0:
-            decades.append(DecadeFractions(bound, 0, 0.0, 0.0, 0.0, 0.0, 0.0))
-            continue
-        big = sum(1 for r in sub if r.order * r.order > r.N)
-        square = sum(1 for r in sub if r.s > math.log(r.N))
-        many = sum(
-            1 for r in sub if omega[r.N] >= 1.5 * math.log(math.log(r.N))
-        )
-        allbad = sum(1 for r in sub if r.good_part == 1)
-        small = sum(1 for r in sub if r.in_s)
-        decades.append(
-            DecadeFractions(
-                bound,
-                total,
-                big / total,
-                square / total,
-                many / total,
-                allbad / total,
-                small / total,
-            )
-        )
-    l_counter = Counter(r.L for r in recs)
+        sub = N <= bound
+        total = int(np.count_nonzero(sub))
+        hits = [int(np.count_nonzero(stat & sub)) for stat in stats]
+        decades.append(DecadeFractions(bound, total, *(h / max(total, 1) for h in hits)))
+    ls, l_counts = np.unique(column("L", np.int32), return_counts=True)
     growth = []
-    for delta in delta_grid:
-        hits = sum(
-            1
-            for r in recs
-            if r.order >= math.sqrt(r.N) * math.exp(math.log(r.N) ** delta)
-        )
-        growth.append((float(delta), hits / len(recs) if recs else 0.0))
+    for d in delta_grid:
+        hits = np.count_nonzero(order >= np.exp(log_n**d) * np.sqrt(N))
+        growth.append((float(d), int(hits) / max(count, 1)))
     return IntegerCensusSummary(
         x=x,
         eta=eta,
-        count=len(recs),
+        count=count,
         decades=tuple(decades),
-        l_distribution=tuple(sorted(l_counter.items())),
+        l_distribution=tuple(zip(ls.tolist(), l_counts.tolist())),
         growth_fractions=tuple(growth),
         unit_skipped=True,
         failures=tuple(failures),
@@ -412,9 +410,7 @@ def integer_census(
     return records, summarize_integer_records(records, x, eta)
 
 
-def small_order_report(
-    m: CatMap, k_max: int, *, factor_budget: int | None = None
-) -> tuple[list[SmallOrderRow], list[int]]:
+def small_order_report(m: CatMap, k_max: int) -> tuple[list[SmallOrderRow], list[int]]:
     """Moduli N_k with ord(A, N_k) <= k, for k = 2..k_max.
 
     N_k is extracted from the k-th power of the map; rows with N_k = 1 are
@@ -426,7 +422,7 @@ def small_order_report(
     failures: list[int] = []
     for k in range(2, k_max + 1):
         try:
-            sof = small_order_modulus(m, k, factor_budget=factor_budget)
+            sof = small_order_modulus(m, k)
         except (FactorizationTimeout, DegenerateK):
             failures.append(k)
             continue

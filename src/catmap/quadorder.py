@@ -100,17 +100,17 @@ def splitting_character(m: CatMap, p: int) -> int:
     return PrimeMemo(m).chi(p)
 
 
-def norm_one_count(m: CatMap, modulus: int, *, limit: int = NORM_COUNT_LIMIT) -> int:
+def norm_one_count(m: CatMap, modulus: int) -> int:
     """Count pairs (x, y) mod M with x^2 + tr*x*y + y^2 = 1 mod M.
 
     This is the number of norm-one elements of the quadratic order reduced
     mod M, because det(x*I + y*A) equals that quadratic form.  Brute force,
-    O(M^2); guarded by `limit`.
+    O(M^2); refused beyond NORM_COUNT_LIMIT.
     """
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
-    if modulus > limit:
-        raise BudgetExceeded(f"norm_one_count is O(M^2); M={modulus} > limit={limit}")
+    if modulus > NORM_COUNT_LIMIT:
+        raise BudgetExceeded(f"norm_one_count is O(M^2); M={modulus} > limit={NORM_COUNT_LIMIT}")
     t = m.trace % modulus
     y = np.arange(modulus, dtype=np.int64)
     total = 0
@@ -435,9 +435,7 @@ class SmallOrderFactorization:
         return self.N_k == 1
 
 
-def small_order_modulus(
-    m: CatMap, k: int, *, factor_budget: int | None = None
-) -> SmallOrderFactorization:
+def small_order_modulus(m: CatMap, k: int) -> SmallOrderFactorization:
     """Build the modulus N_k <= sqrt-ish of |det(A^k - I)| with A^k = I mod N_k.
 
     Split and inert primes contribute half their (always even) exponent in
@@ -451,7 +449,7 @@ def small_order_modulus(
     det = (u - 1 + v * m.a) * (u - 1 + v * m.d) - v * v * m.b * m.c
     if det == 0:
         raise DegenerateK(f"A^{k} = I over the integers")
-    fac = factorize(abs(det), budget=factor_budget)
+    fac = factorize(abs(det))
     entries = []
     n_k = 1
     shrunk = False

@@ -422,13 +422,13 @@ def _level_basis(Zj: np.ndarray) -> np.ndarray:
     return Zj @ coords
 
 
-def spectrum(U: Operator, r_hint: int, *, tol: float = SPECTRAL_TOL) -> Spectrum:
+def spectrum(U: Operator, r_hint: int) -> Spectrum:
     """Eigen-decomposition from one complex Schur decomposition U = Z T Z^H.
 
     r* is the least k <= 2*r_hint with the k-th powers of diag(T) within tol
-    of their mean, whose angle in (-pi + tol, pi + tol] is the global phase.
-    Each eigenvalue joins the r*-th root of that scalar nearest in angle (so
-    nearest), which must lie within ROOT_TOL; a level's basis is
+    = SPECTRAL_TOL of their mean, whose angle in (-pi + tol, pi + tol] is the
+    global phase.  Each eigenvalue joins the r*-th root of that scalar nearest
+    in angle (so nearest), which must lie within ROOT_TOL; a level's basis is
     `_level_basis` of its Schur columns, checked by residual (tol) and Gram.
     """
     if r_hint < 1:
@@ -440,12 +440,12 @@ def spectrum(U: Operator, r_hint: int, *, tol: float = SPECTRAL_TOL) -> Spectrum
     for r_star in range(1, 2 * r_hint + 1):
         power = power * lam
         scale = power.mean()
-        if float(np.abs(power - scale).max()) <= tol:
+        if float(np.abs(power - scale).max()) <= SPECTRAL_TOL:
             break
     else:
         raise NoScalarPower(f"no power up to {2 * r_hint} of the propagator is scalar")
     phase = float(np.angle(scale))
-    if phase < -pi + tol:
+    if phase < -pi + SPECTRAL_TOL:
         # a scalar at -1 gets the angle +pi whichever side rounding left it
         phase += 2 * pi
     roots = np.exp(1j * (phase + 2 * pi * np.arange(r_star)) / r_star)
@@ -460,7 +460,7 @@ def spectrum(U: Operator, r_hint: int, *, tol: float = SPECTRAL_TOL) -> Spectrum
         resid = U.matrix @ basis - roots[j] * basis
         residual = max(residual, float(np.sqrt((np.abs(resid) ** 2).sum(axis=0) / N).max()))
         gram = max(gram, float(np.abs(basis.conj().T @ basis / N - np.eye(mult)).max()))
-        if residual > tol or gram > UNITARY_TOL:
+        if residual > SPECTRAL_TOL or gram > UNITARY_TOL:
             raise ConstructionFailed(f"eigenvector residual {residual:.3e} or Gram defect "
                                      f"{gram:.3e} at or before eigenphase index {j}")
         levels.append(SpectralLevel(complex(roots[j]), mult, basis))
@@ -468,11 +468,11 @@ def spectrum(U: Operator, r_hint: int, *, tol: float = SPECTRAL_TOL) -> Spectrum
     return Spectrum(N, r_star, phase, tuple(levels), residual, gram, normality)
 
 
-def expectation(op: Operator, psi: StateVector, *, norm_tol: float = 1e-12) -> complex:
+def expectation(op: Operator, psi: StateVector) -> complex:
     """<Op psi, psi> for a normalized state."""
     if op.N != psi.N:
         raise ValueError("dimension mismatch")
-    if not psi.is_normalized(norm_tol):
+    if not psi.is_normalized():
         raise NotNormalized("expectation requires a normalized state")
     return complex(np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes)) / psi.N
 

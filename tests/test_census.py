@@ -1,8 +1,10 @@
 """Census records, summaries, resumable storage, and the spectral sweep."""
 
+import dataclasses
 import functools
 import math
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -180,6 +182,103 @@ def test_integer_summary_growth_fractions_decrease_in_delta():
     assert fracs == sorted(fracs, reverse=True)
 
 
+def _summary_oracle(records, x, eta, delta_grid=census.DEFAULT_DELTA_GRID):
+    """The record-by-record summary: 19 passes, omega by trial division."""
+    recs = list(records)
+    decades = []
+    for bound in (x, x // 10, x // 100):
+        if bound < 2:
+            continue
+        sub = [r for r in recs if r.N <= bound]
+        total = len(sub)
+        if total == 0:
+            decades.append(census.DecadeFractions(bound, 0, 0.0, 0.0, 0.0, 0.0, 0.0))
+            continue
+        big = sum(1 for r in sub if r.order * r.order > r.N)
+        square = sum(1 for r in sub if r.s > math.log(r.N))
+        many = sum(
+            1 for r in sub if len(_trial_factor(r.N)) >= 1.5 * math.log(math.log(r.N))
+        )
+        allbad = sum(1 for r in sub if r.good_part == 1)
+        small = sum(1 for r in sub if r.in_s)
+        decades.append(
+            census.DecadeFractions(
+                bound,
+                total,
+                big / total,
+                square / total,
+                many / total,
+                allbad / total,
+                small / total,
+            )
+        )
+    l_counter = Counter(r.L for r in recs)
+    growth = []
+    for delta in delta_grid:
+        hits = sum(
+            1
+            for r in recs
+            if r.order >= math.sqrt(r.N) * math.exp(math.log(r.N) ** delta)
+        )
+        growth.append((float(delta), hits / len(recs) if recs else 0.0))
+    return census.IntegerCensusSummary(
+        x=x,
+        eta=eta,
+        count=len(recs),
+        decades=tuple(decades),
+        l_distribution=tuple(sorted(l_counter.items())),
+        growth_fractions=tuple(growth),
+        unit_skipped=True,
+        failures=(),
+    )
+
+
+@functools.cache
+def _census_records(m, x):
+    return tuple(compute_integer_records(m, x, ETA))
+
+
+@pytest.mark.parametrize("m", [A, OTHER], ids=["default", "other"])
+@pytest.mark.parametrize("x", [2, 3, 150, 2000])
+def test_integer_summary_matches_record_by_record_oracle(m, x):
+    recs = _census_records(m, x)
+    for part in (recs, recs[len(recs) // 2 :]):
+        # repr, not ==, so a numpy scalar in place of a float shows
+        want = repr(_summary_oracle(part, x, ETA))
+        assert repr(summarize_integer_records(part, x, ETA)) == want
+        assert repr(summarize_integer_records(iter(part), x, ETA)) == want
+    grid = (0.05, 0.2, 0.4)
+    assert repr(summarize_integer_records(recs, x, ETA, delta_grid=grid)) == repr(
+        _summary_oracle(recs, x, ETA, grid)
+    )
+
+
+def test_integer_summary_of_no_records():
+    for x in (2, 150):
+        assert repr(summarize_integer_records([], x, ETA)) == repr(
+            _summary_oracle([], x, ETA)
+        )
+
+
+def test_integer_summary_at_square_boundaries():
+    # N = k**2 - 1, k**2, k**2 + 1 with ord = k - 1, k, k + 1 (ord**2 on both
+    # sides of N and equal to it) and 2**40 (beyond int32); k = 46340 puts N
+    # just below 2**31, beyond x and so in no decade
+    x = 10_001
+    recs = []
+    for k in (2, 3, 10, 31, 99, 100, 46_340):
+        for N in (k * k - 1, k * k, k * k + 1):
+            for order in (k - 1, k, k + 1, 1 << 40):
+                good = 1 if order % 2 else N
+                recs.append(
+                    IntegerRecord(N, N, k % 4, N, order % 5 + 1, order, 1, good, 1, 1, k < 50)
+                )
+    assert max(r.N for r in recs) > x
+    for grid in (census.DEFAULT_DELTA_GRID, (0.0, 0.5, 1.0)):
+        want = _summary_oracle(recs, x, ETA, grid)
+        assert repr(summarize_integer_records(recs, x, ETA, delta_grid=grid)) == repr(want)
+
+
 def test_integer_census_rejects_bad_eta():
     with pytest.raises(EtaOutOfRange):
         compute_integer_records(A, 100, 0.7)
@@ -269,8 +368,9 @@ def test_c_eta_values():
     assert math.isclose(c_eta(0.55), 0.2777777777777778, rel_tol=0, abs_tol=1e-15)
     assert math.isclose(c_eta(0.52), 0.41666666666666663, rel_tol=0, abs_tol=1e-15)
     for bad in (0.5, 0.6, 0.3):
-        with pytest.raises(EtaOutOfRange):
+        with pytest.raises(EtaOutOfRange) as info:
             c_eta(bad)
+        assert str(info.value) == f"eta must lie in (0.5, 0.6), got {bad}"
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +600,21 @@ def test_storage_golden_bytes(tmp_path, kind):
         loaded = load_results(path)
         assert loaded.kind == kind
         assert loaded.records == tuple(recs)
+
+
+@pytest.mark.parametrize("kind", sorted(_GOLDEN))
+def test_records_have_slots_and_still_compare_and_round_trip(tmp_path, kind):
+    recs = _GOLDEN[kind][0]
+    for rec in recs:
+        assert not hasattr(rec, "__dict__")
+        fields = [f.name for f in dataclasses.fields(rec)]
+        assert dataclasses.asdict(rec) == {name: getattr(rec, name) for name in fields}
+        assert dataclasses.replace(rec) == rec
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, fields[0], 0)
+    for name in ("r.csv", "r.json"):
+        store_results(recs, tmp_path / name)
+        assert load_results(tmp_path / name).records == tuple(recs)
 
 
 def test_truncation_then_resume_reconstructs_bytes(tmp_path):
