@@ -16,6 +16,11 @@ without one, the trace of an interrupted write.  So CSV files can be appended
 to and survive truncation mid-row: :func:`store_results` with ``append=True``
 drops that partial line before writing, and :func:`resume_point` reports the
 largest key already stored.
+
+The integer census is computed, stored, read back and summarized as one int64
+column table (:func:`_integer_columns`, :func:`load_integer_table`);
+``IntegerRecord`` objects are built from its columns only where the API
+returns records.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import operator
 import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import starmap
 from time import perf_counter
 
 import numpy as np
@@ -275,6 +281,142 @@ def prime_census(
     return records, summarize_prime_records(records, x, eta, failures)
 
 
+def _least_n(holds, x: int) -> int:
+    """Least N in [2, x] with holds(N), else x + 1; holds must be monotone."""
+    lo, hi = 2, x + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _in_s_thresholds(x: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n_s, n_w): s <= log N iff N >= n_s[s], and w <= 1.5 log log N iff
+    N >= n_w[w], for 2 <= N <= x, with the float rule of `OrderProfile.in_s`.
+
+    Each threshold is found once, by bisection on math.log, and the last
+    entry of each is x + 1: larger s or w hold at no N <= x.
+    """
+    log_x = math.log(x)
+    n_s = [_least_n(lambda n: k <= math.log(n), x) for k in range(int(log_x) + 2)]
+    n_w = [
+        _least_n(lambda n: k <= 1.5 * math.log(math.log(n)), x)
+        for k in range(int(1.5 * math.log(log_x)) + 2)
+    ]
+    return np.array(n_s, np.int64), np.array(n_w, np.int64)
+
+
+def _census_primes(m: CatMap, x: int, eta: float, lo: int):
+    """The primes dividing some N in [lo, x], with per-prime data as arrays.
+
+    Returns (primes, p - chi(p), ord(A, p), Good, Terrible, p not dividing D,
+    and for each p <= sqrt(x) the list of ord(A, p**e) for 0 <= e with
+    p**e <= x).  Each value comes once per prime from one PrimeMemo, seeded
+    through one smallest-prime-factor sieve up to x + 1 >= p - chi(p).
+    """
+    spf = _smallest_prime_factors(x + 1)
+    primes = np.flatnonzero(spf[2 : x + 1] == np.arange(2, x + 1, dtype=np.int32)) + 2
+    primes = primes[x // primes * primes >= lo]
+    memo = PrimeMemo(m, eta)
+    memo.seed(primes, spf)
+    plist = primes.tolist()
+    chi = np.array([memo.chi(p) for p in plist], np.int64)
+    classes = [memo.prime_class(p) for p in plist]
+    power_orders = []
+    for p in plist:
+        if p * p > x:
+            break
+        orders, q = [1], p
+        while q <= x:
+            orders.append(memo.order(p, len(orders)))
+            q *= p
+        power_orders.append(orders)
+    return (
+        primes,
+        primes - chi,
+        np.array([memo.order(p) for p in plist], np.int64),
+        np.array([c is PrimeClass.GOOD for c in classes]),
+        np.array([c is PrimeClass.TERRIBLE for c in classes]),
+        chi != 0,  # chi(p) = 0 exactly where p | D
+        power_orders,
+    )
+
+
+def _integer_columns(m: CatMap, x: int, eta: float, lo: int = 2) -> np.ndarray:
+    """The integer census over [max(lo, 2), x] as one int64 column table.
+
+    Row i of the table is modulus lo + i; its columns are the IntegerRecord
+    fields in order, in_s as 0/1.  Sieve slices fill it.  Each prime p <= sqrt(x)
+    takes the slice of its multiples, where the slices of its powers p^e give
+    v_p(N); then one step per p updates ord (lcm with ord(A, p^v)), s, d and
+    the class parts, and, where v_p is odd and p does not divide D, d0,
+    prod(p - chi), lcm(p - chi) and prod ord(A, p).  What is left of N after
+    that is 1 or one prime p > sqrt(x), and one vectorized step takes all of
+    those.  Per-prime data come from `_census_primes`.  Its sieve is int32,
+    so x < 2**31.
+    """
+    if x < 2:
+        raise ValueError(f"cutoff x must be >= 2, got {x}")
+    if x >= 1 << 31:
+        raise ValueError(f"cutoff x must be below 2**31 for the int32 sieve, got {x}")
+    c_eta(eta)
+    lo = max(lo, 2)
+    primes, cofactor, ords, good, terrible, in_d0, power_orders = _census_primes(
+        m, x, eta, lo
+    )
+    table = np.ones((11, max(x - lo + 1, 0)), np.int64).T
+    N, d, s, d0, L, order, lower_bound, ng, nb, nt, in_s = table.T
+    N[:] = np.arange(lo, x + 1)
+    # columns that hold running products until they are finished below
+    cof_prod, d0_orders, cof_lcm = L, lower_bound, in_s
+    omega = np.zeros(len(table), np.int8)
+
+    def fold(at, i, pv, half, odd, ord_pv):
+        """Multiply p**v into the N at `at`, where p = primes[i], pv = p**v,
+        half = p**(v // 2), odd = p**(v % 2) and ord_pv = ord(A, p**v)."""
+        order[at] = np.lcm(order[at], ord_pv)
+        s[at] *= half
+        d[at] *= odd
+        ng[at] *= np.where(good[i], pv, 1)
+        nb[at] *= np.where(good[i], 1, pv)
+        nt[at] *= np.where(terrible[i], pv, 1)
+        omega[at] += 1
+        odd = np.where(in_d0[i], odd, 1)  # p where p | d0, else 1
+        d0[at] *= odd
+        cof = np.where(odd > 1, cofactor[i], 1)
+        cof_prod[at] *= cof
+        cof_lcm[at] = np.lcm(cof_lcm[at], cof)
+        d0_orders[at] *= np.where(odd > 1, ords[i], 1)
+
+    for i, ord_pe in enumerate(power_orders):
+        p = int(primes[i])
+        first = -lo % p
+        at = slice(first, None, p)  # the N in range divisible by p
+        v = np.ones(len(N[at]), np.int64)  # v_p(N)
+        for e in range(2, len(ord_pe)):
+            v[(-lo % p**e - first) // p :: p ** (e - 1)] += 1
+        pe = p ** np.arange(len(ord_pe), dtype=np.int64)
+        fold(at, i, pe[v], pe[v // 2], pe[v % 2], np.array(ord_pe, np.int64)[v])
+    rest = ng * nb
+    np.floor_divide(N, rest, out=rest)  # 1 or one prime beyond sqrt(x)
+    at = np.flatnonzero(rest > 1)
+    i = np.searchsorted(primes, rest[at])
+    del rest  # lowers the peak memory of the fold below by 8 bytes per N
+    P = primes[i]
+    fold(at, i, P, 1, P, ords[i])
+
+    L //= cof_lcm
+    lower_bound //= L
+    n_s, n_w = _in_s_thresholds(x)
+    in_s[:] = (N >= n_s[np.minimum(s, len(n_s) - 1)]) & (
+        N >= n_w[np.minimum(omega, len(n_w) - 1)]
+    )
+    return table
+
+
 def compute_integer_records(
     m: CatMap,
     x: int,
@@ -284,49 +426,36 @@ def compute_integer_records(
 ) -> list[IntegerRecord]:
     """Order profiles for every modulus in [max(lo, 2), x], in order.
 
-    One serial pass: a smallest-prime-factor sieve up to x factors each N by
-    walking spf[N], spf[N / spf[N]], ... down to 1, and one PrimeMemo, seeded
-    with the sieve's primes that divide some N in range, supplies the orders.
-    The sieve is int32, 4 bytes per integer, so x must be below 2**31.
+    The column engine `_integer_columns` computes them as one int64 table;
+    the records are built here, at the API edge, from that table's columns.
+    x must be below 2**31.
     """
-    if x < 2:
-        raise ValueError(f"cutoff x must be >= 2, got {x}")
-    if x >= 1 << 31:
-        raise ValueError(f"cutoff x must be below 2**31 for the int32 sieve, got {x}")
-    c_eta(eta)
-    lo = max(lo, 2)
-    spf = _smallest_prime_factors(x)
-    primes = np.flatnonzero(spf[2:] == np.arange(2, x + 1, dtype=np.int32)) + 2
-    memo = PrimeMemo(m, eta)
-    memo.seed(primes[x // primes * primes >= lo])
-    spf = spf.tolist()
-    records: list[IntegerRecord] = []
-    for N in range(lo, x + 1):
-        factors = []
-        n = N
-        while n > 1:
-            p = spf[n]
-            n //= p
-            e = 1
-            while spf[n] == p:  # p is the least prime of N, so of n too
-                n //= p
-                e += 1
-            factors.append((p, e))
-        prof = memo.profile(N, factors)
-        records.append(
-            IntegerRecord(
-                N,
-                prof.d,
-                prof.s,
-                prof.d0,
-                prof.L,
-                prof.ord,
-                prof.lower_bound,
-                *memo.class_parts(factors),
-                prof.in_s,
-            )
-        )
-    return records
+    return _integer_records(_integer_columns(m, x, eta, lo))
+
+
+_CHUNK_ROWS = 1 << 16
+
+
+def _table_rows(table: np.ndarray):
+    """The rows of an integer column table as tuples of Python values (in_s
+    a bool), converted 65,536 rows at a time."""
+    for start in range(0, len(table), _CHUNK_ROWS):
+        chunk = table[start : start + _CHUNK_ROWS].T
+        yield from zip(*chunk[:-1].tolist(), (chunk[-1] != 0).tolist())
+
+
+def _integer_records(table: np.ndarray) -> list[IntegerRecord]:
+    return list(starmap(IntegerRecord, _table_rows(table)))
+
+
+def _integer_table(records) -> np.ndarray:
+    """The column table of IntegerRecords, with one read of each field."""
+    recs = list(records)
+    fields = dataclasses.fields(IntegerRecord)
+    table = np.empty((len(fields), len(recs)), np.int64)
+    for column, field in zip(table, fields):
+        column[:] = np.fromiter(map(operator.attrgetter(field.name), recs), np.int64, len(recs))
+    return table.T
 
 
 def _omega_sieve(limit: int) -> np.ndarray:
@@ -353,29 +482,29 @@ def summarize_integer_records(
     tabulated over the full range, and the growth fractions count moduli with
     ord >= sqrt(N) * exp((log N)**delta) for each delta in the grid.
 
-    Each field is read once into a numpy column: N, s, L and good_part as int32,
-    exact for N < 2**31 (the census bound; larger values raise OverflowError),
-    and the order as float64, exact below 2**53.  So ord**2 > N is exact (an
-    order >= 2**16 squares to >= 2**32 > N) and so is ord >= the float bound.
+    ``records`` is an iterable of IntegerRecord or an integer column table
+    (see `_integer_columns`); records are read once into such a table.  The
+    order is compared as float64, exact below 2**53, so ord**2 > N is exact
+    for N < 2**32 (an order >= 2**16 squares to >= 2**32 > N) and so is
+    ord >= the float bound; N beyond the census bound 2**31 raises
+    OverflowError.
     """
-    recs = list(records)
-    count = len(recs)
-
-    def column(name, dtype):
-        return np.fromiter(map(operator.attrgetter(name), recs), dtype, count)
-
-    N = column("N", np.int32)
-    order = column("order", np.float64)
+    table = records if isinstance(records, np.ndarray) else _integer_table(records)
+    count = len(table)
+    N, s, L, good_part, in_s = (table[:, k] for k in (0, 2, 4, 7, 10))
+    if N.max(initial=0) >= 1 << 31:
+        raise OverflowError("moduli must be below 2**31")
+    order = table[:, 5].astype(np.float64)
     log_n = np.log(N)
     limit = min(x, int(N.max(initial=0)))
     omega = _omega_sieve(limit)
     stats = (
         order * order > N,
-        column("s", np.int32) > log_n,
+        s > log_n,
         # moduli beyond x lie in no decade, so their clipped omega is unused
         omega[np.minimum(N, limit)] >= 1.5 * np.log(log_n),
-        column("good_part", np.int32) == 1,
-        column("in_s", bool),
+        good_part == 1,
+        in_s != 0,
     )
     decades = []
     for bound in (x, x // 10, x // 100):
@@ -385,7 +514,7 @@ def summarize_integer_records(
         total = int(np.count_nonzero(sub))
         hits = [int(np.count_nonzero(stat & sub)) for stat in stats]
         decades.append(DecadeFractions(bound, total, *(h / max(total, 1) for h in hits)))
-    ls, l_counts = np.unique(column("L", np.int32), return_counts=True)
+    ls, l_counts = np.unique(L, return_counts=True)
     growth = []
     for d in delta_grid:
         hits = np.count_nonzero(order >= np.exp(log_n**d) * np.sqrt(N))
@@ -406,8 +535,8 @@ def integer_census(
     m: CatMap, x: int, eta: float
 ) -> tuple[list[IntegerRecord], IntegerCensusSummary]:
     """Profile every modulus 2..x (N = 1 is skipped and flagged)."""
-    records = compute_integer_records(m, x, eta)
-    return records, summarize_integer_records(records, x, eta)
+    table = _integer_columns(m, x, eta)
+    return _integer_records(table), summarize_integer_records(table, x, eta)
 
 
 def small_order_report(m: CatMap, k_max: int) -> tuple[list[SmallOrderRow], list[int]]:
@@ -559,16 +688,18 @@ class _Layout:
         # the record's field values, in column order
         self.values = operator.attrgetter(*(f.name for f in dataclasses.fields(record)))
 
-    def csv_line(self, rec) -> str:
-        return self.row.format(*self.values(rec))
+    def rows(self, records):
+        """The field values of each record, or of each row of a column table."""
+        if isinstance(records, np.ndarray):
+            return _table_rows(records)
+        return map(self.values, records)
 
     def parse(self, cells: list[str]):
         return self.record(*[parse(c) for parse, c in zip(self.parsers, cells)])
 
-    def json_value(self, rec) -> dict:
+    def json_value(self, values) -> dict:
         return {
-            name: to_json(v)
-            for name, to_json, v in zip(self.columns, self.to_json, self.values(rec))
+            name: to_json(v) for name, to_json, v in zip(self.columns, self.to_json, values)
         }
 
 
@@ -576,8 +707,12 @@ _LAYOUTS = {kind: _Layout(*entry) for kind, entry in _SCHEMA.items()}
 _KIND_OF = {lay.record: kind for kind, lay in _LAYOUTS.items()}
 
 
-def _json_value(rec) -> dict:
-    return _LAYOUTS[_KIND_OF[type(rec)]].json_value(rec)
+def _json_records(records, kind: str | None = None) -> list[dict]:
+    """The JSON values of records, or of an integer column table, as stored."""
+    if not isinstance(records, np.ndarray):
+        records = list(records)
+    layout = _LAYOUTS[_infer_kind(records, kind)]
+    return [layout.json_value(values) for values in layout.rows(records)]
 
 
 def _from_json_value(kind: str, obj: dict):
@@ -598,6 +733,12 @@ def _from_json_value(kind: str, obj: dict):
 
 
 def _infer_kind(records, kind: str | None) -> str:
+    """The kind of a list of records or of an integer column table."""
+    if isinstance(records, np.ndarray):
+        width = len(_LAYOUTS["integers"].columns)
+        if kind not in (None, "integers") or records.shape[1:] != (width,):
+            raise TypeError(f"a column table of shape {records.shape} is not of kind {kind!r}")
+        return "integers"
     if kind is None:
         if not records:
             raise ValueError("cannot infer the record kind of an empty stream")
@@ -701,12 +842,15 @@ def store_results(
 ) -> int:
     """Write records to path as CSV (default) or JSON; returns rows written.
 
-    CSV appending is resume-safe: an existing file is checked for a matching
-    header and column line before it is touched (see `can_append`), a
-    partially written final line is discarded, and new rows are added after
-    the surviving ones.  JSON is whole-document only.
+    `records` is a list of one kind's records or an integer column table
+    (see `_integer_columns`); both are stored alike.  CSV appending is
+    resume-safe: an existing file is checked for a matching header and
+    column line before it is touched (see `can_append`), a partially written
+    final line is discarded, and new rows are added after the surviving ones.
+    JSON is whole-document only.
     """
-    records = list(records)
+    if not isinstance(records, np.ndarray):
+        records = list(records)
     kind = _infer_kind(records, kind)
     if fmt is None:
         fmt = "json" if str(path).endswith(".json") else "csv"
@@ -717,7 +861,7 @@ def store_results(
             "version": FORMAT_TAG,
             "kind": kind,
             "config": {str(k): str(v) for k, v in (config or {}).items()},
-            "records": [_json_value(r) for r in records],
+            "records": _json_records(records, kind),
         }
         with open(path, "w", newline="\n") as fh:
             json.dump(doc, fh, indent=1)
@@ -735,8 +879,7 @@ def store_results(
         if fresh:
             fh.write(_header_line(kind, config) + "\n")
             fh.write(",".join(layout.columns) + "\n")
-        for rec in records:
-            fh.write(layout.csv_line(rec))
+        fh.writelines(starmap(layout.row.format, layout.rows(records)))
     return len(records)
 
 
@@ -749,43 +892,48 @@ def _complete_lines(blob: bytes) -> list[str]:
     return blob[: blob.rfind(b"\n") + 1].decode().split("\n")[:-1]
 
 
-def load_results(path) -> LoadedResults:
-    """Read a stored census back; the inverse of store_results.
+def _load_json(blob: bytes) -> LoadedResults:
+    doc = json.loads(blob)
+    if doc.get("version") != FORMAT_TAG:
+        raise SchemaMismatch(f"unsupported format tag {doc.get('version')!r}")
+    kind = doc.get("kind")
+    if kind not in _LAYOUTS:
+        raise SchemaMismatch(f"unknown record kind {kind!r}")
+    records = tuple(_from_json_value(kind, obj) for obj in doc.get("records", ()))
+    return LoadedResults(kind, dict(doc.get("config", {})), records)
 
-    Only stored rows count: a final CSV line without its newline (cut off
-    mid-write) is left out, and any stored row that does not parse raises
-    SchemaMismatch.  JSON files are detected by their leading brace.
+
+def _split_csv(blob: bytes) -> tuple[str, dict, bytes]:
+    """(kind, config, stored rows) of a CSV's bytes, its header checked.
+
+    The rows are the complete lines after the column line, each with its
+    newline; a final line without one (cut off mid-write) is left out.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:1] == b"{":
-        doc = json.loads(blob)
-        if doc.get("version") != FORMAT_TAG:
-            raise SchemaMismatch(f"unsupported format tag {doc.get('version')!r}")
-        kind = doc.get("kind")
-        if kind not in _LAYOUTS:
-            raise SchemaMismatch(f"unknown record kind {kind!r}")
-        records = tuple(_from_json_value(kind, obj) for obj in doc.get("records", ()))
-        return LoadedResults(kind, dict(doc.get("config", {})), records)
-
-    lines = _complete_lines(blob)
-    if not lines:
+    stored = blob[: blob.rfind(b"\n") + 1]
+    if not stored:
         raise SchemaMismatch("empty file")
-    config = _parse_header(lines[0])
+    header, _, rest = stored.partition(b"\n")
+    config = _parse_header(header.decode())
     kind = config.pop("kind", None)
-    if len(lines) < 2:
+    if not rest:
         raise SchemaMismatch("missing column line")
+    columns, _, body = rest.partition(b"\n")
     by_columns = {",".join(v.columns): k for k, v in _LAYOUTS.items()}
-    col_kind = by_columns.get(lines[1])
+    col_kind = by_columns.get(columns.decode())
     if col_kind is None:
-        raise SchemaMismatch(f"unknown column set {lines[1]!r}")
+        raise SchemaMismatch(f"unknown column set {columns.decode()!r}")
     if kind is not None and kind != col_kind:
         raise SchemaMismatch(f"header kind {kind!r} does not match columns {col_kind!r}")
-    kind = col_kind
+    return col_kind, config, body
+
+
+def _parse_rows(kind: str, body: bytes) -> list:
+    """One record per stored row; a row that does not parse raises
+    SchemaMismatch naming its line number in the file."""
     layout = _LAYOUTS[kind]
     want = len(layout.columns)
     records = []
-    for i, line in enumerate(lines[2:], start=3):
+    for i, line in enumerate(body.decode().split("\n")[:-1], start=3):
         cells = line.split(",")
         try:
             if len(cells) != want:
@@ -793,7 +941,75 @@ def load_results(path) -> LoadedResults:
             records.append(layout.parse(cells))
         except (ValueError, IndexError) as exc:
             raise SchemaMismatch(f"bad row {i}: {line!r}: {exc}") from exc
+    return records
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _parse_integer_rows(body: bytes) -> np.ndarray | None:
+    """The stored integer rows as one int64 column table, parsed in one pass,
+    or None when some row needs `_parse_rows` (which raises on a bad row).
+
+    Only rows of digits and commas take this path.  Each newline becomes a
+    cell -1, which no such row holds, so the -1 cells land in the last column
+    exactly when every row has its 11 cells.  A number too large for int64,
+    which the parser clips to the int64 maximum, also goes the slow way.
+    """
+    width = len(_LAYOUTS["integers"].columns)
+    if body.translate(None, b"0123456789,\n"):
+        return None
+    try:
+        flat = np.fromstring(body.replace(b"\n", b",-1,"), np.int64, sep=",")
+    except ValueError:  # an empty cell
+        return None
+    rows = body.count(b"\n")
+    if flat.size != rows * (width + 1):
+        return None
+    table = flat.reshape(rows, width + 1)
+    if (table[:, width] != -1).any() or (table == _INT64_MAX).any():
+        return None
+    table = table[:, :width]
+    table[:, -1] = table[:, -1] != 0  # in_S: any nonzero cell reads as True
+    return table
+
+
+def load_results(path) -> LoadedResults:
+    """Read a stored census back; the inverse of store_results.
+
+    Only stored rows count: a final CSV line without its newline (cut off
+    mid-write) is left out, and any stored row that does not parse raises
+    SchemaMismatch.  JSON files are detected by their leading brace.  The
+    rows of an integer CSV are parsed into one column table, and the
+    records are built from its columns.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:1] == b"{":
+        return _load_json(blob)
+    kind, config, body = _split_csv(blob)
+    table = _parse_integer_rows(body) if kind == "integers" else None
+    records = _parse_rows(kind, body) if table is None else _integer_records(table)
     return LoadedResults(kind, config, tuple(records))
+
+
+def load_integer_table(path) -> np.ndarray:
+    """The stored rows of an integer census CSV as one int64 column table.
+
+    The same checks as `load_results`, but no record object is built: rows of
+    digits and commas are parsed straight into the table.
+    """
+    with open(path, "rb") as fh:
+        kind, _, body = _split_csv(fh.read())
+    if kind != "integers":
+        raise SchemaMismatch(f"not an integer census: {kind!r} rows")
+    table = _parse_integer_rows(body)
+    if table is None:
+        try:
+            table = _integer_table(_parse_rows(kind, body))
+        except OverflowError as exc:
+            raise SchemaMismatch(f"a stored value exceeds int64: {exc}") from exc
+    return table
 
 
 def resume_point(path) -> int | None:

@@ -17,16 +17,18 @@ import math
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from .arith import CatMap, order_mod
 from .census import (
     DENSE_DIMENSION_LIMIT,
-    _json_value,
+    _integer_columns,
     can_append,
-    compute_integer_records,
     compute_prime_records,
+    _json_records,
+    load_integer_table,
     load_results,
     quantum_sweep,
-    resume_point,
     small_order_report,
     store_results,
     summarize_integer_records,
@@ -262,29 +264,30 @@ def _cmd_census(args, m: CatMap) -> int:
     config = _config(args, "x", "eta", "fmt")
     resuming = bool(args.resume and args.out and args.fmt == "csv")
     # the stored header is checked and the stored rows are read once, before
-    # any work, so a mismatched or corrupt file fails here and is left as it was
-    last = None
-    if resuming and can_append(args.out, kind, config):
-        last = resume_point(args.out)
-    stored = () if last is None else load_results(args.out).records
-    lo = 2 if last is None else last + 1
+    # any work, so a mismatched or corrupt file fails here and is left as it
+    # was; the census resumes after the largest stored key
+    appendable = resuming and can_append(args.out, kind, config)
+    failures = ()
     if primes:
-        records, failures = compute_prime_records(m, args.x, args.eta, lo=lo)
+        stored = load_results(args.out).records if appendable else ()
+        lo = max((r.p for r in stored), default=1) + 1
+        rows, failures = compute_prime_records(m, args.x, args.eta, lo=lo)
+        everything = [*stored, *rows]
     else:
-        records = compute_integer_records(m, args.x, args.eta, lo=lo)
-        failures = ()
+        # an integer census stays one int64 column table throughout
+        stored = load_integer_table(args.out) if appendable else None
+        lo = 2 if stored is None else int(stored[:, 0].max(initial=1)) + 1
+        rows = _integer_columns(m, args.x, args.eta, lo)
+        everything = rows if stored is None else np.concatenate([stored, rows])
     if args.out:
-        store_results(
-            records, args.out, kind=kind, config=config, fmt=args.fmt, append=resuming
-        )
+        store_results(rows, args.out, kind=kind, config=config, fmt=args.fmt, append=resuming)
     summarize = summarize_prime_records if primes else summarize_integer_records
-    everything = [*stored, *records] if stored else records
     summary = summarize(everything, args.x, args.eta, failures=failures)
     doc = {"config": config, "summary": asdict(summary)}
     if args.out:
-        doc["rows_written"] = len(records)
+        doc["rows_written"] = len(rows)
     else:
-        doc["records"] = [_json_value(r) for r in records]
+        doc["records"] = _json_records(rows, kind)
     sys.stdout.write(_dump(doc))
     return 0
 
@@ -342,7 +345,7 @@ def _cmd_sweep(args, m: CatMap) -> int:
     else:
         doc = {
             "config": config,
-            "records": [_json_value(r) for r in records],
+            "records": _json_records(records, "sweep"),
             "failures": [[n, reason] for n, reason in failures],
         }
     sys.stdout.write(_dump(doc))

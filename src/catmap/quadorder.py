@@ -216,14 +216,15 @@ def _smallest_prime_factors(n: int) -> np.ndarray:
 
 
 def _prime_orders(
-    m: CatMap, primes: np.ndarray
+    m: CatMap, primes: np.ndarray, spf: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(kept primes, chi, ord(A, p)) for an int64 array of primes, batched.
 
     Keeps the odd primes below INT64_PRIME_BOUND that do not divide the
     discriminant.  chi comes from Euler's criterion; the order from stripping
     each prime q of M = p - chi while q | ord and A^(ord/q) = I, the same walk
-    as `order_dividing`, with M factored by a smallest-prime-factor sieve.
+    as `order_dividing`, with M factored by a smallest-prime-factor sieve:
+    `spf` if given (it must reach max(primes) + 1), else one built here.
     """
     t = m.trace
     p = primes[(primes > 2) & (primes < INT64_PRIME_BOUND)]
@@ -237,7 +238,8 @@ def _prime_orders(
     multiple = p - chi
     if not _batch_is_identity(tp, multiple, p).all():
         raise NotAMultiple("A^(p - chi(p)) != I mod p at some prime")
-    spf = _smallest_prime_factors(int(multiple.max()))
+    if spf is None:
+        spf = _smallest_prime_factors(int(multiple.max()))
     order = multiple.copy()
     rest = multiple.copy()  # M with the primes already walked divided out
     q = spf[rest].astype(np.int64)
@@ -284,14 +286,14 @@ class PrimeMemo:
         self._chi: dict[int, int] = {}
         self._classes: dict[int, PrimeClass] = {}
 
-    def seed(self, primes) -> None:
+    def seed(self, primes, spf: np.ndarray | None = None) -> None:
         """Fill chi(p) and ord(A, p) for an array of primes in one batch.
 
         Its smallest-prime-factor sieve takes 4 bytes per integer up to
         max(primes) + 1, so seed with the primes of one census range, not
-        with a few far-off ones.
+        with a few far-off ones, or pass a sieve `spf` that reaches that far.
         """
-        kept, chi, order = _prime_orders(self.m, np.asarray(primes, dtype=np.int64))
+        kept, chi, order = _prime_orders(self.m, np.asarray(primes, dtype=np.int64), spf)
         kept = kept.tolist()
         self._chi.update(zip(kept, chi.tolist()))
         self._orders.update(zip([(p, 1) for p in kept], order.tolist()))

@@ -6,11 +6,12 @@ import math
 import os
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catmap import census
+from catmap import census, quadorder
 from catmap.arith import DEFAULT_MAP, CatMap, factorize, mat_pow_mod, order_mod_brute
 from catmap.census import (
     IntegerRecord,
@@ -20,6 +21,7 @@ from catmap.census import (
     compute_integer_records,
     compute_prime_records,
     integer_census,
+    load_integer_table,
     load_results,
     prime_census,
     quantum_sweep,
@@ -29,7 +31,7 @@ from catmap.census import (
     summarize_integer_records,
 )
 from catmap.errors import EtaOutOfRange, SchemaMismatch
-from catmap.quadorder import PrimeClass
+from catmap.quadorder import PrimeClass, PrimeMemo, _smallest_prime_factors
 from catmap.quantum import Observable
 
 A = DEFAULT_MAP
@@ -300,6 +302,91 @@ def test_integer_census_rejects_x_beyond_the_sieve_before_building_it(monkeypatc
         compute_integer_records(A, 2**31, ETA)
     with pytest.raises(AssertionError):  # the largest x the int32 sieve takes
         compute_integer_records(A, 2**31 - 1, ETA)
+
+
+def _record_loop(m, x, eta, lo=2):
+    """The per-N record loop the column engine replaced, kept as its oracle:
+    factor each N by walking a smallest-prime-factor sieve, then take its
+    profile and class parts from one seeded PrimeMemo."""
+    lo = max(lo, 2)
+    spf = _smallest_prime_factors(x)
+    primes = np.flatnonzero(spf[2:] == np.arange(2, x + 1, dtype=np.int32)) + 2
+    memo = PrimeMemo(m, eta)
+    memo.seed(primes[x // primes * primes >= lo])
+    spf = spf.tolist()
+    rows = []
+    for N in range(lo, x + 1):
+        factors = []
+        n = N
+        while n > 1:
+            p = spf[n]
+            n //= p
+            e = 1
+            while spf[n] == p:
+                n //= p
+                e += 1
+            factors.append((p, e))
+        prof = memo.profile(N, factors)
+        rows.append(
+            (N, prof.d, prof.s, prof.d0, prof.L, prof.ord, prof.lower_bound)
+            + memo.class_parts(factors)
+            + (prof.in_s,)
+        )
+    return rows
+
+
+_FIELDS = [f.name for f in dataclasses.fields(IntegerRecord)]
+
+
+@pytest.mark.parametrize("m", [A, OTHER, CatMap(4, 1, -1, 0)], ids=["default", "other", "4,1,-1,0"])
+@pytest.mark.parametrize(
+    "x, lo",
+    [
+        (3000, 2),
+        (3481, 2),  # 59**2
+        (2401, 2),  # 7**4
+        (1024, 2),  # 2**10
+        (2401, 2401),  # lo = x
+        (3000, 55),  # lo just past sqrt(x)
+        (3000, 1213),  # a prime: mid-range, no small prime divides lo
+    ],
+)
+def test_integer_columns_match_the_record_loop_field_by_field(m, x, lo):
+    table = census._integer_columns(m, x, ETA, lo)
+    want = _record_loop(m, x, ETA, lo)
+    assert table.shape == (len(want), len(_FIELDS)) and table.dtype == np.int64
+    for row, expect in zip(table.tolist(), want):
+        for name, got, value in zip(_FIELDS, row, expect):
+            assert got == value, (row[0], name, got, value)
+    assert compute_integer_records(m, x, ETA, lo=lo) == [IntegerRecord(*r) for r in want]
+
+
+@pytest.mark.parametrize("x", [2, 3, 7, 8, 44, 45, 1618, 1619, 60_000, 2**31 - 1])
+def test_in_s_thresholds_are_the_least_moduli(x):
+    n_s, n_w = census._in_s_thresholds(x)
+    for thresholds, holds in (
+        (n_s, lambda k, n: k <= math.log(n)),
+        (n_w, lambda k, n: k <= 1.5 * math.log(math.log(n))),
+    ):
+        assert thresholds[-1] == x + 1  # the clipped last entry holds nowhere
+        for k, n in enumerate(thresholds.tolist()):
+            assert 2 <= n <= x + 1
+            assert n == x + 1 or holds(k, n), (k, n)
+            assert n == 2 or not holds(k, n - 1), (k, n)
+
+
+def test_integer_census_builds_one_sieve(monkeypatch):
+    built = []
+
+    def counting(n):
+        built.append(n)
+        return _smallest_prime_factors(n)
+
+    monkeypatch.setattr(census, "_smallest_prime_factors", counting)
+    monkeypatch.setattr(quadorder, "_smallest_prime_factors", counting)
+    records = compute_integer_records(A, 6000, ETA)
+    assert built == [6001]  # p - chi(p) <= x + 1
+    assert records == [IntegerRecord(*r) for r in _record_loop(A, 6000, ETA)]
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +687,94 @@ def test_storage_golden_bytes(tmp_path, kind):
         loaded = load_results(path)
         assert loaded.kind == kind
         assert loaded.records == tuple(recs)
+
+
+def test_golden_integers_parse_into_the_table_of_their_records(tmp_path, monkeypatch):
+    recs = _GOLDEN["integers"][0]
+    path = tmp_path / "r.csv"
+    store_results(recs, path, config={"x": 200})
+    monkeypatch.setattr(census, "_parse_rows", None)  # rows of digits take one pass
+    table = load_integer_table(path)
+    assert table.dtype == np.int64
+    assert table.tolist() == [list(census._LAYOUTS["integers"].values(r)) for r in recs]
+    assert census._integer_records(table) == list(load_results(path).records) == recs
+
+
+def _integers_file(tmp_path, x=300):
+    path = tmp_path / "ints.csv"
+    store_results(_int_records(x), path, config={"x": x})
+    return path, path.read_bytes().split(b"\n")
+
+
+@pytest.mark.parametrize(
+    "change",
+    ["key", "order", "short", "long", "empty"],
+)
+def test_bad_stored_integer_row_raises_naming_its_row(tmp_path, change):
+    path, lines = _integers_file(tmp_path)
+    cells = lines[50].split(b",")  # line 51 of the file
+    if change == "key":
+        cells[0] = b"oops"
+    elif change == "order":
+        cells[5] = b"oops"
+    elif change == "short":
+        cells.pop()
+    elif change == "long":
+        cells.append(b"7")
+    lines[50] = b"" if change == "empty" else b",".join(cells)
+    path.write_bytes(b"\n".join(lines))
+    for load in (load_results, load_integer_table):
+        with pytest.raises(SchemaMismatch, match="bad row 51:"):
+            load(path)
+
+
+def test_integer_rows_off_the_digit_path_parse_as_records_do(tmp_path):
+    # cells int() takes but that are not plain digits, and an in_S cell of 2,
+    # read the same by the table and by the per-row parser
+    path, lines = _integers_file(tmp_path)
+    for i, cell in ((10, b" 12"), (11, b"+12"), (12, b"0012"), (13, b"12\t")):
+        cells = lines[i].split(b",")
+        cells[1] = cell
+        lines[i] = b",".join(cells)
+    lines[14] = lines[14][:-1] + b"2"
+    path.write_bytes(b"\n".join(lines))
+    records = load_results(path).records
+    assert [records[i - 2].d for i in (10, 11, 12, 13)] == [12] * 4
+    assert records[12].in_s is True
+    assert load_integer_table(path).tolist() == census._integer_table(records).tolist()
+    # a cell beyond int64 still loads as a record, but not into a table
+    cells = lines[20].split(b",")
+    cells[5] = str(1 << 70).encode()
+    lines[20] = b",".join(cells)
+    path.write_bytes(b"\n".join(lines))
+    assert load_results(path).records[18].order == 1 << 70
+    with pytest.raises(SchemaMismatch, match="int64"):
+        load_integer_table(path)
+
+
+def test_load_integer_table_takes_only_integer_csvs(tmp_path):
+    recs, _ = compute_prime_records(A, 300, ETA)
+    store_results(recs, tmp_path / "p.csv")
+    with pytest.raises(SchemaMismatch, match="primes"):
+        load_integer_table(tmp_path / "p.csv")
+    path, lines = _integers_file(tmp_path)
+    path.write_bytes(b"\n".join(lines)[:-9])  # cut mid-row: that row is not stored
+    assert load_integer_table(path).tolist() == census._integer_table(
+        load_results(path).records
+    ).tolist()
+
+
+@pytest.mark.parametrize("x, lo", [(2500, 2), (2500, 1201), (2500, 2501)])
+def test_a_column_table_is_stored_as_its_records_are(tmp_path, x, lo):
+    table = census._integer_columns(A, x, ETA, lo)
+    recs = compute_integer_records(A, x, ETA, lo=lo)
+    for name in ("t.csv", "t.json"):
+        store_results(table, tmp_path / name, kind="integers", config={"x": x})
+        store_results(recs, tmp_path / f"r{name}", kind="integers", config={"x": x})
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"r{name}").read_bytes()
+    assert census._json_records(table) == census._json_records(recs, "integers")
+    with pytest.raises(TypeError):
+        store_results(table, tmp_path / "x.csv", kind="primes")
 
 
 @pytest.mark.parametrize("kind", sorted(_GOLDEN))

@@ -11,6 +11,7 @@ from catmap import cli
 from catmap.arith import DEFAULT_MAP
 from catmap.census import (
     DENSE_DIMENSION_LIMIT,
+    load_integer_table,
     load_results,
     summarize_integer_records,
     summarize_prime_records,
@@ -226,6 +227,7 @@ def test_fresh_census_summary_needs_no_read_back(
     out = tmp_path / f"artifact.{fmt}"
     with monkeypatch.context() as patched:
         patched.setattr(cli, "load_results", None)  # nothing was resumed
+        patched.setattr(cli, "load_integer_table", None)
         assert main(argv + ["--fmt", fmt, "--out", str(out)]) == 0
     assert json.loads(capsys.readouterr().out)["summary"] == printed
     x, eta = int(argv[2]), float(argv[4])
@@ -309,11 +311,12 @@ def test_cli_resume_parses_each_stored_row_once(tmp_path, capsys, monkeypatch):
     parsed = []
 
     def counting_load(path):
-        loaded = load_results(path)
-        parsed.append(len(loaded.records))
-        return loaded
+        table = load_integer_table(path)
+        parsed.append(len(table))
+        return table
 
-    monkeypatch.setattr(cli, "load_results", counting_load)
+    monkeypatch.setattr(cli, "load_integer_table", counting_load)
+    monkeypatch.setattr(cli, "load_results", None)  # no second read of the rows
     assert main(argv + ["--resume"]) == 0
     assert parsed == [stored]
 
@@ -352,7 +355,7 @@ def test_cli_resume_with_another_config_fails_before_work(
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before the header was checked")
 
-    monkeypatch.setattr(cli, "compute_integer_records", no_compute)
+    monkeypatch.setattr(cli, "_integer_columns", no_compute)
     monkeypatch.setattr(cli, "compute_prime_records", no_compute)
     assert main([command, "-x", "1200", "--out", str(out), "--resume"]) == 1
     assert "cannot append: header" in capsys.readouterr().err
