@@ -17,10 +17,11 @@ to and survive truncation mid-row: :func:`store_results` with ``append=True``
 drops that partial line before writing, and :func:`resume_point` reports the
 largest key already stored.
 
-The integer census is computed, stored, read back and summarized as one int64
-column table (:func:`_integer_columns`, :func:`load_integer_table`);
-``IntegerRecord`` objects are built from its columns only where the API
-returns records.
+Both censuses are computed, stored, read back and summarized as int64 column
+tables (:func:`_prime_columns`, :func:`_integer_columns`, :func:`_load_table`):
+one row per record, one column per field, the prime class as a code and flags
+as 0/1.  ``PrimeRecord`` and ``IntegerRecord`` objects are built from the
+columns only where the API returns records.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ import json
 import math
 import operator
 import os
-from collections import Counter
 from dataclasses import dataclass
 from itertools import starmap
 from time import perf_counter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,8 @@ from .quadorder import (
     PrimeClass,
     PrimeMemo,
     _check_eta,
+    _order_class,
+    _prime_orders,
     _smallest_prime_factors,
     small_order_modulus,
 )
@@ -217,6 +220,82 @@ def c_eta(eta: float) -> float:
 # censuses
 
 
+# the PrimeClass of each class code in a prime column table
+_CLASSES = (PrimeClass.GOOD, PrimeClass.BAD, PrimeClass.TERRIBLE)
+_GOOD, _BAD, _TERRIBLE = range(3)
+
+
+def _class_codes(p: np.ndarray, order: np.ndarray, eta: float) -> np.ndarray:
+    """The class codes of primes p not dividing D from their orders, by the
+    rule of `_order_class`, exactly.
+
+    Vectorized thresholds decide every order more than 1e-9 (relative) away
+    from both; the float rule itself decides the rest.  The orders are at
+    most p + 1 <= 2**31 here, so they convert to float64 exactly.
+    """
+    of, pf = order.astype(np.float64), p.astype(np.float64)
+    low = np.sqrt(pf)
+    low /= np.log(pf)
+    high = np.power(pf, eta, out=pf)
+    codes = np.full(len(p), _BAD, np.int64)
+    codes[of >= high] = _GOOD
+    codes[of < low] = _TERRIBLE
+    near = np.isclose(of, low, rtol=1e-9, atol=0) | np.isclose(of, high, rtol=1e-9, atol=0)
+    for i in np.flatnonzero(near).tolist():
+        codes[i] = _CLASSES.index(_order_class(int(p[i]), int(order[i]), eta))
+    return codes
+
+
+def _prime_table(
+    m: CatMap, x: int, eta: float, primes, spf=None
+) -> tuple[np.ndarray, list[int]]:
+    """The prime column table of an ascending array of primes <= x, and the
+    primes left out because factoring timed out.
+
+    chi and ord come from the batched kernel `_prime_orders` (with `spf` as
+    there) and the class from `_class_codes`; the primes the kernel leaves
+    (p = 2, p | D, p >= INT64_PRIME_BOUND) take the scalar route of a
+    PrimeMemo.  The table is written column by column in place, so that the
+    peak memory after the kernel stays below the kernel's own.
+    """
+    kept, chi, order = _prime_orders(m, primes, spf)
+    memo = PrimeMemo(m, eta)
+    scalar, failures = [], []
+    for p in np.setdiff1d(primes, kept, assume_unique=True).tolist():
+        try:
+            cls = memo.prime_class(p)
+            scalar.append((p, memo.chi(p), memo.order(p), _CLASSES.index(cls)))
+        except FactorizationTimeout:
+            failures.append(p)
+    table = np.empty((len(primes) - len(failures), 5), np.int64)
+    table[:, 0] = np.setdiff1d(primes, failures, assume_unique=True) if failures else primes
+    at = np.searchsorted(table[:, 0], kept)
+    table[at, 1] = chi
+    table[at, 2] = order
+    table[at, 3] = _class_codes(kept, order, eta)
+    if scalar:
+        rows = np.array(scalar, np.int64)
+        table[np.searchsorted(table[:, 0], rows[:, 0]), :4] = rows
+    table[:, 4] = table[:, 2] > float(x) ** eta
+    return table, failures
+
+
+def _prime_columns(m: CatMap, x: int, eta: float, lo: int = 2) -> tuple[np.ndarray, list[int]]:
+    """The prime census over [lo, x] as one int64 column table, with the
+    primes whose factoring timed out.
+
+    Row i holds the PrimeRecord fields of the i-th prime in order: p, chi,
+    ord(A, p), the class as its index in `_CLASSES`, and exceeds
+    (ord > x**eta) as 0/1.
+    """
+    if x < 100:
+        raise ValueError(f"cutoff x must be >= 100, got {x}")
+    c_eta(eta)  # validates the range
+    primes = primes_up_to(x)
+    primes = primes[primes >= lo]  # the full array is freed before the kernel runs
+    return _prime_table(m, x, eta, primes)
+
+
 def compute_prime_records(
     m: CatMap,
     x: int,
@@ -225,39 +304,33 @@ def compute_prime_records(
     lo: int = 2,
 ) -> tuple[list[PrimeRecord], list[int]]:
     """Order records for all primes in [lo, x]; factoring failures are listed,
-    not fatal."""
-    if x < 100:
-        raise ValueError(f"cutoff x must be >= 100, got {x}")
-    c_eta(eta)  # validates the range
-    threshold = float(x) ** eta
-    primes = primes_up_to(x)
-    primes = primes[primes >= lo]
-    memo = PrimeMemo(m, eta)
-    memo.seed(primes)
-    records: list[PrimeRecord] = []
-    failures: list[int] = []
-    for p in primes.tolist():
-        try:
-            o = memo.order(p)
-            cls = memo.prime_class(p)
-            records.append(PrimeRecord(p, memo.chi(p), o, cls, o > threshold))
-        except FactorizationTimeout:
-            failures.append(p)
-    return records, failures
+    not fatal.
+
+    The column engine `_prime_columns` computes them as one int64 table; the
+    records are built here, at the API edge, from that table's columns.
+    """
+    table, failures = _prime_columns(m, x, eta, lo)
+    return _records(table, "primes"), failures
 
 
 def summarize_prime_records(
     records, x: int, eta: float, failures=()
 ) -> PrimeCensusSummary:
-    """Exceedance fraction vs c(eta), class counts, and small-order tails."""
-    orders = np.array([r.order for r in records], dtype=np.float64)
-    exceed = sum(1 for r in records if r.exceeds)
-    classes = Counter(r.prime_class for r in records)
+    """Exceedance fraction vs c(eta), class counts, and small-order tails.
+
+    ``records`` is an iterable of PrimeRecord or a prime column table (see
+    `_prime_columns`); records are read once into such a table.  Each count
+    is one boolean mask or one bincount over its column.
+    """
+    table = records if isinstance(records, np.ndarray) else _records_table(records, "primes")
+    total = len(table)
+    order = table[:, 2]
+    exceed = int(np.count_nonzero(table[:, 4]))
+    good, bad, terrible = np.bincount(table[:, 3], minlength=len(_CLASSES)).tolist()
     tails = []
     for expo in (0.2, 0.3, 0.4):
         y = float(x) ** expo
-        tails.append(TailCount(y, int(np.count_nonzero(orders <= y)), y * y))
-    total = len(records)
+        tails.append(TailCount(y, int(np.count_nonzero(order <= y)), y * y))
     return PrimeCensusSummary(
         x=x,
         eta=eta,
@@ -265,9 +338,9 @@ def summarize_prime_records(
         exceed_count=exceed,
         fraction=exceed / total if total else 0.0,
         c_eta=c_eta(eta),
-        good_count=classes.get(PrimeClass.GOOD, 0),
-        bad_count=classes.get(PrimeClass.BAD, 0),
-        terrible_count=classes.get(PrimeClass.TERRIBLE, 0),
+        good_count=good,
+        bad_count=bad,
+        terrible_count=terrible,
         tails=tuple(tails),
         failures=tuple(failures),
     )
@@ -277,8 +350,8 @@ def prime_census(
     m: CatMap, x: int, eta: float
 ) -> tuple[list[PrimeRecord], PrimeCensusSummary]:
     """Classify every prime up to x and compare the Good fraction with c(eta)."""
-    records, failures = compute_prime_records(m, x, eta)
-    return records, summarize_prime_records(records, x, eta, failures)
+    table, failures = _prime_columns(m, x, eta)
+    return _records(table, "primes"), summarize_prime_records(table, x, eta, failures)
 
 
 def _least_n(holds, x: int) -> int:
@@ -314,22 +387,22 @@ def _census_primes(m: CatMap, x: int, eta: float, lo: int):
 
     Returns (primes, p - chi(p), ord(A, p), Good, Terrible, p not dividing D,
     and for each p <= sqrt(x) the list of ord(A, p**e) for 0 <= e with
-    p**e <= x).  Each value comes once per prime from one PrimeMemo, seeded
-    through one smallest-prime-factor sieve up to x + 1 >= p - chi(p).
+    p**e <= x).  The per-prime columns come from one prime column table over
+    one smallest-prime-factor sieve; only the orders for e >= 2 are lifted
+    one prime power at a time, by a PrimeMemo.
     """
     spf = _smallest_prime_factors(x + 1)
     primes = np.flatnonzero(spf[2 : x + 1] == np.arange(2, x + 1, dtype=np.int32)) + 2
-    primes = primes[x // primes * primes >= lo]
-    memo = PrimeMemo(m, eta)
-    memo.seed(primes, spf)
-    plist = primes.tolist()
-    chi = np.array([memo.chi(p) for p in plist], np.int64)
-    classes = [memo.prime_class(p) for p in plist]
+    table, failures = _prime_table(m, x, eta, primes[x // primes * primes >= lo], spf)
+    if failures:
+        raise FactorizationTimeout(f"factoring p - chi(p) timed out at p = {failures[0]}")
+    primes, chi, ords, code, _ = table.T
+    memo = PrimeMemo(m)
     power_orders = []
-    for p in plist:
+    for p, o in zip(primes.tolist(), ords.tolist()):
         if p * p > x:
             break
-        orders, q = [1], p
+        orders, q = [1, o], p * p
         while q <= x:
             orders.append(memo.order(p, len(orders)))
             q *= p
@@ -337,9 +410,9 @@ def _census_primes(m: CatMap, x: int, eta: float, lo: int):
     return (
         primes,
         primes - chi,
-        np.array([memo.order(p) for p in plist], np.int64),
-        np.array([c is PrimeClass.GOOD for c in classes]),
-        np.array([c is PrimeClass.TERRIBLE for c in classes]),
+        ords,
+        code == _GOOD,
+        code == _TERRIBLE,
         chi != 0,  # chi(p) = 0 exactly where p | D
         power_orders,
     )
@@ -430,32 +503,7 @@ def compute_integer_records(
     the records are built here, at the API edge, from that table's columns.
     x must be below 2**31.
     """
-    return _integer_records(_integer_columns(m, x, eta, lo))
-
-
-_CHUNK_ROWS = 1 << 16
-
-
-def _table_rows(table: np.ndarray):
-    """The rows of an integer column table as tuples of Python values (in_s
-    a bool), converted 65,536 rows at a time."""
-    for start in range(0, len(table), _CHUNK_ROWS):
-        chunk = table[start : start + _CHUNK_ROWS].T
-        yield from zip(*chunk[:-1].tolist(), (chunk[-1] != 0).tolist())
-
-
-def _integer_records(table: np.ndarray) -> list[IntegerRecord]:
-    return list(starmap(IntegerRecord, _table_rows(table)))
-
-
-def _integer_table(records) -> np.ndarray:
-    """The column table of IntegerRecords, with one read of each field."""
-    recs = list(records)
-    fields = dataclasses.fields(IntegerRecord)
-    table = np.empty((len(fields), len(recs)), np.int64)
-    for column, field in zip(table, fields):
-        column[:] = np.fromiter(map(operator.attrgetter(field.name), recs), np.int64, len(recs))
-    return table.T
+    return _records(_integer_columns(m, x, eta, lo), "integers")
 
 
 def _omega_sieve(limit: int) -> np.ndarray:
@@ -489,7 +537,7 @@ def summarize_integer_records(
     ord >= the float bound; N beyond the census bound 2**31 raises
     OverflowError.
     """
-    table = records if isinstance(records, np.ndarray) else _integer_table(records)
+    table = records if isinstance(records, np.ndarray) else _records_table(records, "integers")
     count = len(table)
     N, s, L, good_part, in_s = (table[:, k] for k in (0, 2, 4, 7, 10))
     if N.max(initial=0) >= 1 << 31:
@@ -536,7 +584,7 @@ def integer_census(
 ) -> tuple[list[IntegerRecord], IntegerCensusSummary]:
     """Profile every modulus 2..x (N = 1 is skipped and flagged)."""
     table = _integer_columns(m, x, eta)
-    return _integer_records(table), summarize_integer_records(table, x, eta)
+    return _records(table, "integers"), summarize_integer_records(table, x, eta)
 
 
 def small_order_report(m: CatMap, k_max: int) -> tuple[list[SmallOrderRow], list[int]]:
@@ -665,13 +713,36 @@ _SCHEMA = {
     ),
 }
 
-# cell type -> (CSV format field, CSV cell parser, JSON value); floats keep 17
-# significant digits in CSV, so they read back bit-exact
+class _Cell(NamedTuple):
+    """How one cell type is stored: CSV template and parser, JSON value, and,
+    for the types a column table holds, its int64 column as stored cells and
+    as record fields, and a stored cell as its int64 code (None: the cell)."""
+
+    template: str
+    parse: Callable
+    to_json: Callable
+    table_cells: Callable | None = None
+    table_fields: Callable | None = None
+    code: Callable | None = None
+
+
+_CLASS_VALUES = np.array([c.value for c in _CLASSES], dtype=object)
+_CLASS_OBJECTS = np.array(_CLASSES, dtype=object)
+
+# A class is stored as its value string, a flag as 0/1; floats keep 17
+# significant digits in CSV, so they read back bit-exact.
 _CELL_TYPES = {
-    int: ("{}", int, int),
-    float: ("{:.17g}", float, float),
-    bool: ("{:d}", lambda cell: bool(int(cell)), bool),
-    PrimeClass: ("{.value}", PrimeClass, lambda v: v.value),
+    int: _Cell("%d", int, int, np.ndarray.tolist, np.ndarray.tolist),
+    float: _Cell("%.17g", float, float),
+    bool: _Cell(
+        "%d", lambda cell: bool(int(cell)), bool,
+        np.ndarray.tolist, lambda col: (col != 0).tolist(),
+    ),
+    PrimeClass: _Cell(
+        "%s", PrimeClass, str,
+        lambda col: _CLASS_VALUES[col].tolist(), lambda col: _CLASS_OBJECTS[col].tolist(),
+        {c.value: i for i, c in enumerate(_CLASSES)}.__getitem__,
+    ),
 }
 
 
@@ -681,17 +752,26 @@ class _Layout:
     def __init__(self, record: type, spec):
         self.record = record
         self.columns = tuple(name for name, _ in spec)
-        cell_types = [_CELL_TYPES[t] for _, t in spec]
-        self.row = ",".join(fmt for fmt, _, _ in cell_types) + "\n"
-        self.parsers = tuple(parse for _, parse, _ in cell_types)
-        self.to_json = tuple(to_json for _, _, to_json in cell_types)
-        # the record's field values, in column order
-        self.values = operator.attrgetter(*(f.name for f in dataclasses.fields(record)))
+        cells = [_CELL_TYPES[t] for _, t in spec]
+        self.row = ",".join(c.template for c in cells) + "\n"
+        self.parsers = tuple(c.parse for c in cells)
+        self.to_json = tuple(c.to_json for c in cells)
+        self.table_cells = tuple(c.table_cells for c in cells)
+        self.table_fields = tuple(c.table_fields for c in cells)
+        self.codes = tuple(c.code for c in cells)
+        # a record's stored cells: its field values in column order, a class
+        # as its value string
+        self.values = operator.attrgetter(
+            *(
+                f.name + (".value" if t is PrimeClass else "")
+                for f, (_, t) in zip(dataclasses.fields(record), spec)
+            )
+        )
 
     def rows(self, records):
-        """The field values of each record, or of each row of a column table."""
+        """The stored cells of each record, or of each row of a column table."""
         if isinstance(records, np.ndarray):
-            return _table_rows(records)
+            return _table_rows(records, self.table_cells)
         return map(self.values, records)
 
     def parse(self, cells: list[str]):
@@ -705,10 +785,43 @@ class _Layout:
 
 _LAYOUTS = {kind: _Layout(*entry) for kind, entry in _SCHEMA.items()}
 _KIND_OF = {lay.record: kind for kind, lay in _LAYOUTS.items()}
+# the kinds a column table can hold, by table width
+_TABLE_KINDS = {
+    len(lay.columns): kind for kind, lay in _LAYOUTS.items() if None not in lay.table_cells
+}
+
+_CHUNK_ROWS = 1 << 16
+
+
+def _table_rows(table: np.ndarray, convert):
+    """The rows of a column table as tuples, each column converted to Python
+    values by its function in `convert`, 65,536 rows at a time."""
+    for start in range(0, len(table), _CHUNK_ROWS):
+        chunk = table[start : start + _CHUNK_ROWS].T
+        yield from zip(*(f(column) for f, column in zip(convert, chunk)))
+
+
+def _records(table: np.ndarray, kind: str) -> list:
+    """The records of a column table of this kind."""
+    layout = _LAYOUTS[kind]
+    return list(starmap(layout.record, _table_rows(table, layout.table_fields)))
+
+
+def _records_table(records, kind: str) -> np.ndarray:
+    """The column table of one kind's records, with one read of each record.
+
+    A value beyond int64 raises OverflowError.
+    """
+    layout = _LAYOUTS[kind]
+    recs = list(records)
+    table = np.empty((len(layout.columns), len(recs)), np.int64)
+    for column, cells, code in zip(table, zip(*map(layout.values, recs)), layout.codes):
+        column[:] = np.fromiter(cells if code is None else map(code, cells), np.int64, len(recs))
+    return table.T
 
 
 def _json_records(records, kind: str | None = None) -> list[dict]:
-    """The JSON values of records, or of an integer column table, as stored."""
+    """The JSON values of records, or of a column table, as stored."""
     if not isinstance(records, np.ndarray):
         records = list(records)
     layout = _LAYOUTS[_infer_kind(records, kind)]
@@ -733,12 +846,12 @@ def _from_json_value(kind: str, obj: dict):
 
 
 def _infer_kind(records, kind: str | None) -> str:
-    """The kind of a list of records or of an integer column table."""
+    """The kind of a list of records or of a column table."""
     if isinstance(records, np.ndarray):
-        width = len(_LAYOUTS["integers"].columns)
-        if kind not in (None, "integers") or records.shape[1:] != (width,):
+        got = _TABLE_KINDS.get(records.shape[1]) if records.ndim == 2 else None
+        if got is None or kind not in (None, got):
             raise TypeError(f"a column table of shape {records.shape} is not of kind {kind!r}")
-        return "integers"
+        return got
     if kind is None:
         if not records:
             raise ValueError("cannot infer the record kind of an empty stream")
@@ -842,8 +955,8 @@ def store_results(
 ) -> int:
     """Write records to path as CSV (default) or JSON; returns rows written.
 
-    `records` is a list of one kind's records or an integer column table
-    (see `_integer_columns`); both are stored alike.  CSV appending is
+    `records` is a list of one kind's records or a prime or integer column
+    table (see `_prime_columns`, `_integer_columns`); both are stored alike.  CSV appending is
     resume-safe: an existing file is checked for a matching header and
     column line before it is touched (see `can_append`), a partially written
     final line is discarded, and new rows are added after the surviving ones.
@@ -879,7 +992,7 @@ def store_results(
         if fresh:
             fh.write(_header_line(kind, config) + "\n")
             fh.write(",".join(layout.columns) + "\n")
-        fh.writelines(starmap(layout.row.format, layout.rows(records)))
+        fh.writelines(map(layout.row.__mod__, layout.rows(records)))
     return len(records)
 
 
@@ -989,27 +1102,33 @@ def load_results(path) -> LoadedResults:
         return _load_json(blob)
     kind, config, body = _split_csv(blob)
     table = _parse_integer_rows(body) if kind == "integers" else None
-    records = _parse_rows(kind, body) if table is None else _integer_records(table)
+    records = _parse_rows(kind, body) if table is None else _records(table, kind)
     return LoadedResults(kind, config, tuple(records))
 
 
-def load_integer_table(path) -> np.ndarray:
-    """The stored rows of an integer census CSV as one int64 column table.
+def _load_table(path, kind: str) -> np.ndarray:
+    """The stored rows of a CSV of this kind as one int64 column table.
 
-    The same checks as `load_results`, but no record object is built: rows of
-    digits and commas are parsed straight into the table.
+    The same checks as `load_results`.  Integer rows of digits and commas are
+    parsed straight into the table; other rows go through the row parser.
     """
     with open(path, "rb") as fh:
-        kind, _, body = _split_csv(fh.read())
-    if kind != "integers":
-        raise SchemaMismatch(f"not an integer census: {kind!r} rows")
-    table = _parse_integer_rows(body)
+        stored, _, body = _split_csv(fh.read())
+    if stored != kind:
+        raise SchemaMismatch(f"not a census of {kind}: {stored!r} rows")
+    table = _parse_integer_rows(body) if kind == "integers" else None
     if table is None:
         try:
-            table = _integer_table(_parse_rows(kind, body))
+            table = _records_table(_parse_rows(kind, body), kind)
         except OverflowError as exc:
             raise SchemaMismatch(f"a stored value exceeds int64: {exc}") from exc
     return table
+
+
+def load_integer_table(path) -> np.ndarray:
+    """The stored rows of an integer census CSV as one int64 column table,
+    without building a record: see `_load_table`."""
+    return _load_table(path, "integers")
 
 
 def resume_point(path) -> int | None:

@@ -23,11 +23,10 @@ from .arith import CatMap, order_mod
 from .census import (
     DENSE_DIMENSION_LIMIT,
     _integer_columns,
-    can_append,
-    compute_prime_records,
     _json_records,
-    load_integer_table,
-    load_results,
+    _load_table,
+    _prime_columns,
+    can_append,
     quantum_sweep,
     small_order_report,
     store_results,
@@ -267,18 +266,14 @@ def _cmd_census(args, m: CatMap) -> int:
     # any work, so a mismatched or corrupt file fails here and is left as it
     # was; the census resumes after the largest stored key
     appendable = resuming and can_append(args.out, kind, config)
-    failures = ()
+    # a census stays one int64 column table throughout
+    stored = _load_table(args.out, kind) if appendable else None
+    lo = 2 if stored is None else int(stored[:, 0].max(initial=1)) + 1
     if primes:
-        stored = load_results(args.out).records if appendable else ()
-        lo = max((r.p for r in stored), default=1) + 1
-        rows, failures = compute_prime_records(m, args.x, args.eta, lo=lo)
-        everything = [*stored, *rows]
+        rows, failures = _prime_columns(m, args.x, args.eta, lo)
     else:
-        # an integer census stays one int64 column table throughout
-        stored = load_integer_table(args.out) if appendable else None
-        lo = 2 if stored is None else int(stored[:, 0].max(initial=1)) + 1
-        rows = _integer_columns(m, args.x, args.eta, lo)
-        everything = rows if stored is None else np.concatenate([stored, rows])
+        rows, failures = _integer_columns(m, args.x, args.eta, lo), ()
+    everything = rows if stored is None else np.concatenate([stored, rows])
     if args.out:
         store_results(rows, args.out, kind=kind, config=config, fmt=args.fmt, append=resuming)
     summarize = summarize_prime_records if primes else summarize_integer_records

@@ -4,18 +4,19 @@ Splitting character, norm-one counts on residue rings, order profiles built
 from the squarefree decomposition, good/bad/terrible prime classification,
 the small-order modulus sequence, and the quartic congruence counter that
 controls fourth moments of matrix elements.  Profiles, characters and
-classes all come from one per-prime memo, `PrimeMemo`, which the censuses
-share.  A census seeds the memo for all its primes at once with a batched
-int64 kernel (Euler's criterion for chi, a smallest-prime-factor sieve for
-p - chi, vectorized prime stripping for the order).  The kernel is exact for
-p < INT64_PRIME_BOUND = 2^31; larger primes, primes dividing the
-discriminant and prime powers take the scalar route of `arith`, which is
-also the kernel's oracle.
+classes all come from one per-prime memo, `PrimeMemo`.  The censuses take
+chi(p) and ord(A, p) for all their primes at once from a batched int64
+kernel, `_prime_orders` (Euler's criterion for chi, a smallest-prime-factor
+sieve for p - chi, vectorized prime stripping for the order).  The kernel is
+exact for p < INT64_PRIME_BOUND = 2^31; larger primes, primes dividing the
+discriminant and prime powers take the memo's scalar route through `arith`,
+which is also the kernel's oracle.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -264,18 +265,27 @@ def _prime_orders(
     return p, chi, order
 
 
+def _order_class(p: int, order: int, eta: float) -> PrimeClass:
+    """The class of a prime p not dividing the discriminant, from its order:
+    Terrible below sqrt(p)/log(p), else Good from p**eta on, else Bad.
+
+    These float expressions are the rule; a vectorized classifier must agree
+    with them exactly.
+    """
+    if order < math.sqrt(p) / math.log(p):
+        return PrimeClass.TERRIBLE
+    return PrimeClass.GOOD if order >= p**eta else PrimeClass.BAD
+
+
 class PrimeMemo:
     """ord(A, p^e), chi(p) and the class of p at one eta, memoized for one map.
 
     The one implementation behind `order_profile`, `classify_prime` and
     `split_by_class`, which build a fresh memo per call; a census builds one
     and keeps it for all its records.  A miss goes through the scalar
-    route, `_order_mod_prime_power` and `_legendre`.  `seed` fills chi(p) and
-    ord(A, p) for a whole array of primes at once with the int64 kernel
-    `_prime_orders`; primes it does not take (p = 2, p dividing the
-    discriminant, p >= INT64_PRIME_BOUND) and every exponent e >= 2 are left
-    to the scalar route.  Nothing is validated here: p must be prime,
-    factorizations complete, and `eta` in range once a class is asked.
+    route, `_order_mod_prime_power` and `_legendre`.  Nothing is validated
+    here: p must be prime, factorizations complete, and `eta` in range once a
+    class is asked.
     """
 
     def __init__(self, m: CatMap, eta: float | None = None):
@@ -285,18 +295,6 @@ class PrimeMemo:
         self._orders: dict[tuple[int, int], int] = {}
         self._chi: dict[int, int] = {}
         self._classes: dict[int, PrimeClass] = {}
-
-    def seed(self, primes, spf: np.ndarray | None = None) -> None:
-        """Fill chi(p) and ord(A, p) for an array of primes in one batch.
-
-        Its smallest-prime-factor sieve takes 4 bytes per integer up to
-        max(primes) + 1, so seed with the primes of one census range, not
-        with a few far-off ones, or pass a sieve `spf` that reaches that far.
-        """
-        kept, chi, order = _prime_orders(self.m, np.asarray(primes, dtype=np.int64), spf)
-        kept = kept.tolist()
-        self._chi.update(zip(kept, chi.tolist()))
-        self._orders.update(zip([(p, 1) for p in kept], order.tolist()))
 
     def order(self, p: int, e: int = 1) -> int:
         got = self._orders.get((p, e))
@@ -318,13 +316,7 @@ class PrimeMemo:
             if self._disc % p == 0:
                 got = PrimeClass.TERRIBLE
             else:
-                o = self.order(p)
-                if o < math.sqrt(p) / math.log(p):
-                    got = PrimeClass.TERRIBLE
-                elif o >= p**self.eta:
-                    got = PrimeClass.GOOD
-                else:
-                    got = PrimeClass.BAD
+                got = _order_class(p, self.order(p), self.eta)
             self._classes[p] = got
         return got
 
@@ -527,26 +519,54 @@ def _orbit(m: CatMap, modulus: int, n: tuple[int, int], r: int) -> list[tuple[in
     return rows
 
 
+# keys x*N + y of the orbit differences stay below N**2 <= 2**63 - 1 up to this
+# modulus; beyond it they are Python ints
+_INT64_KEY_MODULUS = math.isqrt(1 << 63)
+# keys per chunk of orbit rows i (at least one row a chunk): 8 MB of int64 each
+_DIFFERENCE_CHUNK = 1 << 20
+# counts c(v) <= r**2, so c(v) * c(-v) and their sum are <= r**4 < 2**63 below this r
+_INT64_COUNT_ORDER = 55_108
+
+
+def _difference_counts(orbit: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, counts): the multiset of n(A^i - A^j) mod N over all i, j, each
+    difference (x, y) keyed x*N + y, keys ascending."""
+    xs, ys = orbit[:, 0], orbit[:, 1]
+    rows = max(1, _DIFFERENCE_CHUNK // len(orbit))
+    parts = []
+    for lo in range(0, len(orbit), rows):
+        dx = (xs[lo : lo + rows, None] - xs) % modulus
+        dy = (ys[lo : lo + rows, None] - ys) % modulus
+        parts.append(np.unique((dx * modulus + dy).ravel(), return_counts=True))
+    if len(parts) == 1:
+        return parts[0]
+    keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    counts = np.zeros(len(keys), np.int64)
+    np.add.at(counts, where, np.concatenate([c for _, c in parts]))
+    return keys, counts
+
+
 def congruence_count(m: CatMap, modulus: int, n: tuple[int, int]) -> CongruenceCount:
     """Count quadruples (i,j,k,l) with n(A^i - A^j + A^k - A^l) = 0 mod N.
 
-    O(r^2): tabulate the multiset {n(A^i - A^j) mod N} and pair each value v
-    with -v.  The count controls the fourth moment of matrix elements of the
-    quantized translation by n.
+    O(r^2): tabulate the multiset {n(A^i - A^j) mod N} as numpy keys and pair
+    each value v with -v.  The count controls the fourth moment of matrix
+    elements of the quantized translation by n.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     _reduced_vector(n, modulus)
     r = order_mod(m, modulus)
-    rows = _orbit(m, modulus, n, r)
-    table: dict[tuple[int, int], int] = {}
-    for xi, yi in rows:
-        for xj, yj in rows:
-            key = ((xi - xj) % modulus, (yi - yj) % modulus)
-            table[key] = table.get(key, 0) + 1
-    total = 0
-    for (x, y), cnt in table.items():
-        total += cnt * table.get(((-x) % modulus, (-y) % modulus), 0)
+    dtype = np.int64 if modulus <= _INT64_KEY_MODULUS else object
+    keys, counts = _difference_counts(np.array(_orbit(m, modulus, n, r), dtype), modulus)
+    x, y = keys // modulus, keys % modulus
+    minus = (-x % modulus) * modulus + (-y % modulus)
+    at = np.minimum(np.searchsorted(keys, minus), len(keys) - 1)
+    paired = np.where(keys[at] == minus, counts[at], 0)
+    if r < _INT64_COUNT_ORDER:
+        total = int(np.dot(counts, paired))
+    else:
+        total = sum(map(operator.mul, counts.tolist(), paired.tolist()))
     t = _minus_one_exponent(m, modulus, r)
     return CongruenceCount(
         N=modulus,

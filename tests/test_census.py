@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import json
 import math
 import os
 from collections import Counter
@@ -12,11 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catmap import census, quadorder
-from catmap.arith import DEFAULT_MAP, CatMap, factorize, mat_pow_mod, order_mod_brute
+from catmap.arith import (
+    DEFAULT_MAP,
+    CatMap,
+    _legendre,
+    _order_mod_prime_power,
+    factorize,
+    mat_pow_mod,
+    order_mod_brute,
+    primes_up_to,
+)
 from catmap.census import (
     IntegerRecord,
+    PrimeCensusSummary,
     PrimeRecord,
     SweepRecord,
+    TailCount,
     c_eta,
     compute_integer_records,
     compute_prime_records,
@@ -29,9 +41,11 @@ from catmap.census import (
     small_order_report,
     store_results,
     summarize_integer_records,
+    summarize_prime_records,
 )
+from catmap.cli import main as cli_main
 from catmap.errors import EtaOutOfRange, SchemaMismatch
-from catmap.quadorder import PrimeClass, PrimeMemo, _smallest_prime_factors
+from catmap.quadorder import PrimeClass, PrimeMemo, _smallest_prime_factors, classify_prime
 from catmap.quantum import Observable
 
 A = DEFAULT_MAP
@@ -307,13 +321,10 @@ def test_integer_census_rejects_x_beyond_the_sieve_before_building_it(monkeypatc
 def _record_loop(m, x, eta, lo=2):
     """The per-N record loop the column engine replaced, kept as its oracle:
     factor each N by walking a smallest-prime-factor sieve, then take its
-    profile and class parts from one seeded PrimeMemo."""
+    profile and class parts from one PrimeMemo on its scalar route."""
     lo = max(lo, 2)
-    spf = _smallest_prime_factors(x)
-    primes = np.flatnonzero(spf[2:] == np.arange(2, x + 1, dtype=np.int32)) + 2
+    spf = _smallest_prime_factors(x).tolist()
     memo = PrimeMemo(m, eta)
-    memo.seed(primes[x // primes * primes >= lo])
-    spf = spf.tolist()
     rows = []
     for N in range(lo, x + 1):
         factors = []
@@ -419,6 +430,117 @@ def test_prime_records_match_classifier_oracle():
             assert rec.chi == _chi_oracle(m, rec.p)
             assert rec.prime_class == _class_oracle(m, rec.p, ETA)
             assert rec.exceeds == (rec.order > max(2000, rec.p) ** ETA)
+
+
+# the batched kernel's maps, and one with a negative trace
+TABLE_MAPS = [A, OTHER, CatMap(4, 1, -1, 0), CatMap(20001, 2, 10000, 1), CatMap(-2, -1, -3, -2)]
+
+
+@functools.cache
+def _scalar_primes(m, x):
+    """(p, chi(p), ord(A, p)) for every prime up to x, by the scalar route."""
+    disc = m.discriminant
+    return [
+        (p, 0 if disc % p == 0 else _legendre(m.trace**2 - 4, p), _order_mod_prime_power(m, p, 1))
+        for p in primes_up_to(x).tolist()
+    ]
+
+
+@functools.cache
+def _scalar_memo(m, eta):
+    return PrimeMemo(m, eta)  # never seeded: every class comes from the scalar route
+
+
+def _prime_summary_oracle(records, x, eta, failures=()):
+    """The record-by-record summary the column summary replaced."""
+    classes = Counter(r.prime_class for r in records)
+    exceed = sum(1 for r in records if r.exceeds)
+    tails = tuple(
+        TailCount(y, sum(1 for r in records if r.order <= y), y * y)
+        for y in (float(x) ** expo for expo in (0.2, 0.3, 0.4))
+    )
+    total = len(records)
+    return PrimeCensusSummary(
+        x, eta, total, exceed, exceed / total if total else 0.0, c_eta(eta),
+        classes[PrimeClass.GOOD], classes[PrimeClass.BAD], classes[PrimeClass.TERRIBLE],
+        tails, tuple(failures),
+    )
+
+
+@pytest.mark.parametrize("eta", [0.501, 0.55, 0.599])
+@pytest.mark.parametrize("lo", [2, 10_007])  # 10,007: the least prime above x/2
+@pytest.mark.parametrize("m", TABLE_MAPS, ids=str)
+def test_prime_table_matches_the_scalar_route(m, lo, eta):
+    x = 20_000
+    table, failures = census._prime_columns(m, x, eta, lo)
+    assert failures == [] and table.dtype == np.int64
+    memo = _scalar_memo(m, eta)
+    want = [
+        [p, chi, o, census._CLASSES.index(memo.prime_class(p)), int(o > float(x) ** eta)]
+        for p, chi, o in _scalar_primes(m, x)
+        if p >= lo
+    ]
+    assert table.tolist() == want
+    if lo == 2:  # p = 2 and the primes dividing D, off the batched kernel, are rows too
+        ramified = [p for p in primes_up_to(x).tolist() if m.discriminant % p == 0]
+        assert [row[0] for row in want if row[1] == 0] == ramified and ramified[0] == 2
+    records, failures = compute_prime_records(m, x, eta, lo=lo)
+    assert records == [
+        PrimeRecord(p, chi, o, census._CLASSES[k], bool(e)) for p, chi, o, k, e in want
+    ]
+    summary = _prime_summary_oracle(records, x, eta)
+    assert summarize_prime_records(table, x, eta) == summary
+    assert summarize_prime_records(records, x, eta) == summary
+
+
+@pytest.mark.parametrize(
+    "m, p, order, cls",
+    [
+        (A, 3691, 13, PrimeClass.BAD),
+        (A, 191861, 19, PrimeClass.TERRIBLE),
+        (OTHER, 15607, 17, PrimeClass.BAD),
+    ],
+)
+def test_prime_table_small_orders_near_terrible_threshold(m, p, order, cls):
+    # sqrt(p)/log(p) is 7.40, 36.0 and 12.9 here: the orders straddle it
+    table, _ = census._prime_columns(m, 200_000, 0.55)
+    (row,) = table[table[:, 0] == p].tolist()
+    assert row[2] == order
+    assert census._CLASSES[row[3]] is cls is classify_prime(m, p, 0.55)
+
+
+def test_prime_table_decides_near_ties_by_the_float_rule():
+    # eta with p**eta within an ulp or two of ord(A, p), so that a vectorized
+    # power may round either way and the float rule has to decide
+    table, _ = census._prime_columns(A, 20_000, 0.55)
+    ties = 0
+    for p, _, o, _, _ in table.tolist():
+        eta = math.log(o) / math.log(p)
+        if p < 100 or not 0.5 < eta < 0.6:
+            continue
+        for e in (math.nextafter(eta, 0), eta, math.nextafter(eta, 1)):
+            row = census._prime_columns(A, p, e, lo=p)[0][0].tolist()
+            assert census._CLASSES[row[3]] is PrimeMemo(A, e).prime_class(p), (p, e)
+        ties += 1
+        if ties == 20:
+            break
+    assert ties == 20
+
+
+@pytest.mark.parametrize("m", TABLE_MAPS, ids=str)
+def test_prime_census_resumed_mid_row_gives_the_uninterrupted_bytes(m, tmp_path, capsys):
+    out = tmp_path / "primes.csv"
+    matrix = f"--matrix={m.a},{m.b},{m.c},{m.d}"  # "=": a matrix may start with "-"
+    argv = ["census-primes", "-x", "20000", matrix, "--out", str(out)]
+    assert cli_main(argv) == 0
+    whole = json.loads(capsys.readouterr().out)
+    full = out.read_bytes()
+    head = full[: full.index(b"\n", len(full) // 2) - 3]  # cut mid-row near half
+    out.write_bytes(head)
+    assert cli_main(argv + ["--resume"]) == 0
+    resumed = json.loads(capsys.readouterr().out)
+    assert out.read_bytes() == full
+    assert resumed["summary"] == whole["summary"]
 
 
 def test_prime_census_summary():
@@ -697,7 +819,7 @@ def test_golden_integers_parse_into_the_table_of_their_records(tmp_path, monkeyp
     table = load_integer_table(path)
     assert table.dtype == np.int64
     assert table.tolist() == [list(census._LAYOUTS["integers"].values(r)) for r in recs]
-    assert census._integer_records(table) == list(load_results(path).records) == recs
+    assert census._records(table, "integers") == list(load_results(path).records) == recs
 
 
 def _integers_file(tmp_path, x=300):
@@ -741,7 +863,7 @@ def test_integer_rows_off_the_digit_path_parse_as_records_do(tmp_path):
     records = load_results(path).records
     assert [records[i - 2].d for i in (10, 11, 12, 13)] == [12] * 4
     assert records[12].in_s is True
-    assert load_integer_table(path).tolist() == census._integer_table(records).tolist()
+    assert load_integer_table(path).tolist() == census._records_table(records, "integers").tolist()
     # a cell beyond int64 still loads as a record, but not into a table
     cells = lines[20].split(b",")
     cells[5] = str(1 << 70).encode()
@@ -759,8 +881,8 @@ def test_load_integer_table_takes_only_integer_csvs(tmp_path):
         load_integer_table(tmp_path / "p.csv")
     path, lines = _integers_file(tmp_path)
     path.write_bytes(b"\n".join(lines)[:-9])  # cut mid-row: that row is not stored
-    assert load_integer_table(path).tolist() == census._integer_table(
-        load_results(path).records
+    assert load_integer_table(path).tolist() == census._records_table(
+        load_results(path).records, "integers"
     ).tolist()
 
 

@@ -7,11 +7,10 @@ from dataclasses import asdict
 
 import pytest
 
-from catmap import cli
+from catmap import census, cli
 from catmap.arith import DEFAULT_MAP
 from catmap.census import (
     DENSE_DIMENSION_LIMIT,
-    load_integer_table,
     load_results,
     summarize_integer_records,
     summarize_prime_records,
@@ -226,8 +225,7 @@ def test_fresh_census_summary_needs_no_read_back(
     printed = json.loads(capsys.readouterr().out)["summary"]
     out = tmp_path / f"artifact.{fmt}"
     with monkeypatch.context() as patched:
-        patched.setattr(cli, "load_results", None)  # nothing was resumed
-        patched.setattr(cli, "load_integer_table", None)
+        patched.setattr(cli, "_load_table", None)  # nothing was resumed
         assert main(argv + ["--fmt", fmt, "--out", str(out)]) == 0
     assert json.loads(capsys.readouterr().out)["summary"] == printed
     x, eta = int(argv[2]), float(argv[4])
@@ -310,13 +308,13 @@ def test_cli_resume_parses_each_stored_row_once(tmp_path, capsys, monkeypatch):
     out.write_bytes(head)
     parsed = []
 
-    def counting_load(path):
-        table = load_integer_table(path)
+    def counting_load(path, kind):
+        table = census._load_table(path, kind)
         parsed.append(len(table))
         return table
 
-    monkeypatch.setattr(cli, "load_integer_table", counting_load)
-    monkeypatch.setattr(cli, "load_results", None)  # no second read of the rows
+    monkeypatch.setattr(cli, "_load_table", counting_load)
+    monkeypatch.setattr(census, "load_results", None)  # no second read of the rows
     assert main(argv + ["--resume"]) == 0
     assert parsed == [stored]
 
@@ -356,7 +354,7 @@ def test_cli_resume_with_another_config_fails_before_work(
         raise AssertionError("computed before the header was checked")
 
     monkeypatch.setattr(cli, "_integer_columns", no_compute)
-    monkeypatch.setattr(cli, "compute_prime_records", no_compute)
+    monkeypatch.setattr(cli, "_prime_columns", no_compute)
     assert main([command, "-x", "1200", "--out", str(out), "--resume"]) == 1
     assert "cannot append: header" in capsys.readouterr().err
     assert out.read_bytes() == head

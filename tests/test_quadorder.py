@@ -262,8 +262,12 @@ KERNEL_MAPS = [A, CatMap(1, 2, 2, 5), CatMap(4, 1, -1, 0), CatMap(20001, 2, 1000
 
 
 def seeded(m: CatMap, primes, eta: float | None = None) -> PrimeMemo:
+    """A memo holding the batched kernel's chi(p) and ord(A, p) for the primes
+    it takes; the rest are left to the memo's scalar route."""
     memo = PrimeMemo(m, eta)
-    memo.seed(np.asarray(primes, dtype=np.int64))
+    kept, chi, order = _prime_orders(m, np.asarray(primes, dtype=np.int64))
+    memo._chi.update(zip(kept.tolist(), chi.tolist()))
+    memo._orders.update(((p, 1), o) for p, o in zip(kept.tolist(), order.tolist()))
     return memo
 
 
@@ -462,3 +466,37 @@ def test_nu_squarefree_composite_bound():
             continue
         c = congruence_count(A, N, (1, 0))
         assert c.count <= 3 ** len(fac.factors) * c.r**2, N
+
+
+POOL_MAPS = [CatMap(2, 1, 3, 2), CatMap(2, 3, 1, 2), CatMap(4, 1, -1, 0), CatMap(0, 1, -1, 4)]
+
+
+def dict_loop_nu(m: CatMap, N: int, n: tuple[int, int]) -> int:
+    """The dict loop the numpy count replaced, kept as its oracle: tabulate
+    the multiset {n(A^i - A^j) mod N} and pair each value v with -v."""
+    rows = quadorder._orbit(m, N, n, order_mod(m, N))
+    table: dict[tuple[int, int], int] = {}
+    for xi, yi in rows:
+        for xj, yj in rows:
+            key = ((xi - xj) % N, (yi - yj) % N)
+            table[key] = table.get(key, 0) + 1
+    return sum(c * table.get(((-x) % N, (-y) % N), 0) for (x, y), c in table.items())
+
+
+@pytest.mark.parametrize("m", POOL_MAPS, ids=str)
+def test_nu_matches_the_dict_loop_on_the_sweep_sizes(m):
+    sizes = [*range(3, 65), *range(65, 102, 2)]
+    for N in sizes:
+        for n in ((1, 0), (0, 1), (2, 1)):
+            assert congruence_count(m, N, n).count == dict_loop_nu(m, N, n), (N, n)
+
+
+def test_nu_across_chunk_boundaries_and_with_python_int_keys(monkeypatch):
+    cases = [(m, N, (1, 0)) for m in POOL_MAPS for N in (5, 7, 9, 10, 31, 64, 101)]
+    want = [dict_loop_nu(*case) for case in cases]
+    monkeypatch.setattr(quadorder, "_DIFFERENCE_CHUNK", 7)  # a chunk every row or two
+    assert [congruence_count(*case).count for case in cases] == want
+    monkeypatch.setattr(quadorder, "_INT64_KEY_MODULUS", 1)  # keys as Python ints
+    assert [congruence_count(*case).count for case in cases] == want
+    monkeypatch.setattr(quadorder, "_INT64_COUNT_ORDER", 1)  # the sum in Python ints
+    assert [congruence_count(*case).count for case in cases] == want
