@@ -385,7 +385,8 @@ def order_dividing(m: CatMap, modulus: int, multiple: int) -> int:
 
 
 def _legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for odd prime p."""
+    """Legendre symbol (a|p) for odd prime p; 0 at p = 2 for even a, so
+    chi(p) = _legendre(m.discriminant, p) at every p (D = 4*(tr^2 - 4))."""
     a %= p
     if a == 0:
         return 0
@@ -395,10 +396,10 @@ def _legendre(a: int, p: int) -> int:
 
 def _order_mod_prime_power(m: CatMap, p: int, e: int) -> int:
     if m.discriminant % p == 0:
-        o = order_mod_brute(m, p)
+        # tr = +-2 mod p: A = +-(I + nilpotent) mod p, so A^(2p) = I
+        o = order_dividing(m, p, 2 * p)
     else:
-        chi = _legendre(m.trace * m.trace - 4, p)
-        o = order_dividing(m, p, p - chi)
+        o = order_dividing(m, p, p - _legendre(m.discriminant, p))
     mod_j = p
     for _ in range(2, e + 1):
         mod_j *= p
@@ -417,7 +418,7 @@ def order_mod(m: CatMap, modulus: int, factors: Factorization | None = None) -> 
 
     Factors the modulus, computes the order at each prime power (reducing the
     divisibility bound p^(e-1)*(p - chi(p)) when p does not divide the
-    discriminant, brute force + lifting otherwise) and combines with lcm.
+    discriminant, the bound 2p + lifting otherwise) and combines with lcm.
     Agrees with `order_mod_brute` everywhere.
 
     Examples

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arith import CatMap, Factorization, order_mod, primes_up_to
+from .arith import CatMap, Factorization, _order_mod_prime_power, order_mod, primes_up_to
 from .errors import (
     CatmapError,
     DegenerateK,
@@ -47,9 +47,9 @@ from .errors import (
 )
 from .quadorder import (
     PrimeClass,
-    PrimeMemo,
     _check_eta,
     _order_class,
+    _prime_data,
     _prime_orders,
     _smallest_prime_factors,
     small_order_modulus,
@@ -254,17 +254,17 @@ def _prime_table(
 
     chi and ord come from the batched kernel `_prime_orders` (with `spf` as
     there) and the class from `_class_codes`; the primes the kernel leaves
-    (p = 2, p | D, p >= INT64_PRIME_BOUND) take the scalar route of a
-    PrimeMemo.  The table is written column by column in place, so that the
-    peak memory after the kernel stays below the kernel's own.
+    (p = 2, p | D, p >= INT64_PRIME_BOUND) take the scalar route,
+    `_prime_data`, one order each.  The table is written column by column in
+    place, so that the peak memory after the kernel stays below the kernel's
+    own.
     """
     kept, chi, order = _prime_orders(m, primes, spf)
-    memo = PrimeMemo(m, eta)
     scalar, failures = [], []
     for p in np.setdiff1d(primes, kept, assume_unique=True).tolist():
         try:
-            cls = memo.prime_class(p)
-            scalar.append((p, memo.chi(p), memo.order(p), _CLASSES.index(cls)))
+            chi_p, order_p, cls = _prime_data(m, p, eta)
+            scalar.append((p, chi_p, order_p, _CLASSES.index(cls)))
         except FactorizationTimeout:
             failures.append(p)
     table = np.empty((len(primes) - len(failures), 5), np.int64)
@@ -389,7 +389,7 @@ def _census_primes(m: CatMap, x: int, eta: float, lo: int):
     and for each p <= sqrt(x) the list of ord(A, p**e) for 0 <= e with
     p**e <= x).  The per-prime columns come from one prime column table over
     one smallest-prime-factor sieve; only the orders for e >= 2 are lifted
-    one prime power at a time, by a PrimeMemo.
+    one prime power at a time, by `_order_mod_prime_power`.
     """
     spf = _smallest_prime_factors(x + 1)
     primes = np.flatnonzero(spf[2 : x + 1] == np.arange(2, x + 1, dtype=np.int32)) + 2
@@ -397,14 +397,13 @@ def _census_primes(m: CatMap, x: int, eta: float, lo: int):
     if failures:
         raise FactorizationTimeout(f"factoring p - chi(p) timed out at p = {failures[0]}")
     primes, chi, ords, code, _ = table.T
-    memo = PrimeMemo(m)
     power_orders = []
     for p, o in zip(primes.tolist(), ords.tolist()):
         if p * p > x:
             break
         orders, q = [1, o], p * p
         while q <= x:
-            orders.append(memo.order(p, len(orders)))
+            orders.append(_order_mod_prime_power(m, p, len(orders)))
             q *= p
         power_orders.append(orders)
     return (
@@ -873,6 +872,14 @@ def _header_line(kind: str, config) -> str:
     return f"#{FORMAT_TAG}; {joined}"
 
 
+def _text(raw: bytes) -> str:
+    """Stored bytes as UTF-8 text; bytes that are not raise SchemaMismatch."""
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatch(f"stored bytes are not UTF-8 text: {exc}") from exc
+
+
 def _parse_header(line: str) -> dict[str, str]:
     if not line.startswith("#"):
         raise SchemaMismatch(f"missing header comment, got {line[:40]!r}")
@@ -925,7 +932,7 @@ def can_append(path, kind: str, config=None) -> bool:
         ("header", stored[0], _header_line(kind, config)),
         ("columns", stored[1], ",".join(_LAYOUTS[kind].columns)),
     ):
-        got = line[:-1].decode()
+        got = _text(line[:-1])
         if got != want:
             raise SchemaMismatch(f"cannot append: {what} {got!r} != {want!r}")
     return True
@@ -1002,18 +1009,23 @@ def _complete_lines(blob: bytes) -> list[str]:
     A row is stored once its newline is written, so a final line without one
     is an interrupted write and is left out.
     """
-    return blob[: blob.rfind(b"\n") + 1].decode().split("\n")[:-1]
+    return _text(blob[: blob.rfind(b"\n") + 1]).split("\n")[:-1]
 
 
 def _load_json(blob: bytes) -> LoadedResults:
-    doc = json.loads(blob)
+    try:
+        doc = json.loads(blob)
+    except ValueError as exc:  # bytes that are not UTF-8, or not one JSON document
+        raise SchemaMismatch(f"not a JSON document: {exc}") from exc
     if doc.get("version") != FORMAT_TAG:
         raise SchemaMismatch(f"unsupported format tag {doc.get('version')!r}")
     kind = doc.get("kind")
     if kind not in _LAYOUTS:
         raise SchemaMismatch(f"unknown record kind {kind!r}")
-    records = tuple(_from_json_value(kind, obj) for obj in doc.get("records", ()))
-    return LoadedResults(kind, dict(doc.get("config", {})), records)
+    records, config = doc.get("records", []), doc.get("config", {})
+    if not isinstance(records, list) or not isinstance(config, dict):
+        raise SchemaMismatch("a JSON document needs a list of records and a config object")
+    return LoadedResults(kind, config, tuple(_from_json_value(kind, obj) for obj in records))
 
 
 def _split_csv(blob: bytes) -> tuple[str, dict, bytes]:
@@ -1026,15 +1038,16 @@ def _split_csv(blob: bytes) -> tuple[str, dict, bytes]:
     if not stored:
         raise SchemaMismatch("empty file")
     header, _, rest = stored.partition(b"\n")
-    config = _parse_header(header.decode())
+    config = _parse_header(_text(header))
     kind = config.pop("kind", None)
     if not rest:
         raise SchemaMismatch("missing column line")
     columns, _, body = rest.partition(b"\n")
     by_columns = {",".join(v.columns): k for k, v in _LAYOUTS.items()}
-    col_kind = by_columns.get(columns.decode())
+    columns = _text(columns)
+    col_kind = by_columns.get(columns)
     if col_kind is None:
-        raise SchemaMismatch(f"unknown column set {columns.decode()!r}")
+        raise SchemaMismatch(f"unknown column set {columns!r}")
     if kind is not None and kind != col_kind:
         raise SchemaMismatch(f"header kind {kind!r} does not match columns {col_kind!r}")
     return col_kind, config, body
@@ -1046,7 +1059,7 @@ def _parse_rows(kind: str, body: bytes) -> list:
     layout = _LAYOUTS[kind]
     want = len(layout.columns)
     records = []
-    for i, line in enumerate(body.decode().split("\n")[:-1], start=3):
+    for i, line in enumerate(_text(body).split("\n")[:-1], start=3):
         cells = line.split(",")
         try:
             if len(cells) != want:
@@ -1123,12 +1136,6 @@ def _load_table(path, kind: str) -> np.ndarray:
         except OverflowError as exc:
             raise SchemaMismatch(f"a stored value exceeds int64: {exc}") from exc
     return table
-
-
-def load_integer_table(path) -> np.ndarray:
-    """The stored rows of an integer census CSV as one int64 column table,
-    without building a record: see `_load_table`."""
-    return _load_table(path, "integers")
 
 
 def resume_point(path) -> int | None:

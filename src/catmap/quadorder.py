@@ -3,14 +3,16 @@
 Splitting character, norm-one counts on residue rings, order profiles built
 from the squarefree decomposition, good/bad/terrible prime classification,
 the small-order modulus sequence, and the quartic congruence counter that
-controls fourth moments of matrix elements.  Profiles, characters and
-classes all come from one per-prime memo, `PrimeMemo`.  The censuses take
-chi(p) and ord(A, p) for all their primes at once from a batched int64
-kernel, `_prime_orders` (Euler's criterion for chi, a smallest-prime-factor
-sieve for p - chi, vectorized prime stripping for the order).  The kernel is
-exact for p < INT64_PRIME_BOUND = 2^31; larger primes, primes dividing the
-discriminant and prime powers take the memo's scalar route through `arith`,
-which is also the kernel's oracle.
+controls fourth moments of matrix elements.  One prime at a time, chi(p) is
+the Legendre symbol of the discriminant, ord(A, p^e) comes from
+`arith._order_mod_prime_power` and the class of p from `_prime_data`; these
+scalar functions serve profiles, characters and classes alike.  The censuses
+take chi(p) and ord(A, p) for all their primes at once from a batched int64
+kernel, `_prime_orders` (one Frobenius power A^p for chi, a smallest-prime-
+factor sieve for p - chi, vectorized prime stripping for the order).  The
+kernel is exact for p < INT64_PRIME_BOUND = 2^31; larger primes, primes
+dividing the discriminant and prime powers take the scalar route, which is
+also the kernel's oracle.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "PrimeClass",
     "OrderProfile",
     "ClassSplit",
-    "PrimeMemo",
     "SmallOrderEntry",
     "SmallOrderFactorization",
     "CongruenceCount",
@@ -98,7 +99,7 @@ def _check_eta(eta: float) -> None:
 def splitting_character(m: CatMap, p: int) -> int:
     """chi(p): 0 if p divides the discriminant, else Legendre of tr^2 - 4."""
     _check_prime(p)
-    return PrimeMemo(m).chi(p)
+    return _legendre(m.discriminant, p)
 
 
 def norm_one_count(m: CatMap, modulus: int) -> int:
@@ -163,18 +164,6 @@ class OrderProfile:
 INT64_PRIME_BOUND = 1 << 31
 
 
-def _batch_modpow(a: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a^k mod p elementwise, one exponent per element."""
-    r = np.ones_like(a)
-    k = k.copy()
-    while k.any():
-        odd = (k & 1).astype(bool)
-        r = np.where(odd, r * a % p, r)
-        a = a * a % p
-        k >>= 1
-    return r
-
-
 def _batch_pair_pow(
     t: np.ndarray, k: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -195,16 +184,6 @@ def _batch_pair_pow(
     return ru, rv
 
 
-def _batch_is_identity(t: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Whether A^k = I mod p elementwise, for p not dividing the discriminant.
-
-    A is not scalar mod such p, so I and A are independent and A^k = I iff
-    A^k = 1*I + 0*A.
-    """
-    u, v = _batch_pair_pow(t, k, p)
-    return (u == 1) & (v == 0)
-
-
 def _smallest_prime_factors(n: int) -> np.ndarray:
     """spf[k], the smallest prime factor of k, for 2 <= k <= n (int32)."""
     spf = np.zeros(n + 1, dtype=np.int32)
@@ -222,23 +201,27 @@ def _prime_orders(
     """(kept primes, chi, ord(A, p)) for an int64 array of primes, batched.
 
     Keeps the odd primes below INT64_PRIME_BOUND that do not divide the
-    discriminant.  chi comes from Euler's criterion; the order from stripping
-    each prime q of M = p - chi while q | ord and A^(ord/q) = I, the same walk
-    as `order_dividing`, with M factored by a smallest-prime-factor sieve:
-    `spf` if given (it must reach max(primes) + 1), else one built here.
+    discriminant, where A is not scalar: A^k = u*I + v*A for one pair (u, v).
+    chi comes from the Frobenius: A^p = A, (u, v) = (0, 1), where p splits,
+    and A^p = A^-1 = t*I - A, (u, v) = (t, p - 1), where p is inert; either
+    way A^(p - chi) = I, and any other A^p raises NotAMultiple.  The order comes from stripping each prime q of M = p - chi
+    while q | ord and A^(ord/q) = I, the same walk as `order_dividing`, with M
+    factored by a smallest-prime-factor sieve: `spf` if given (it must reach
+    max(primes) + 1), else one built here.
     """
     t = m.trace
     p = primes[(primes > 2) & (primes < INT64_PRIME_BOUND)]
     tp = np.array([t % q for q in p.tolist()], dtype=np.int64)
-    disc = (tp * tp - 4) % p
-    keep = disc != 0
-    p, tp, disc = p[keep], tp[keep], disc[keep]
+    keep = (tp * tp - 4) % p != 0
+    p, tp = p[keep], tp[keep]
     if not p.size:
         return p, p.copy(), p.copy()
-    chi = np.where(_batch_modpow(disc, (p - 1) // 2, p) == 1, 1, -1)
+    u, v = _batch_pair_pow(tp, p, p)
+    split = (u == 0) & (v == 1)
+    if not (split | ((u == tp) & (v == p - 1))).all():
+        raise NotAMultiple("A^p is neither A nor A^-1 mod p at some prime")
+    chi = np.where(split, 1, -1)
     multiple = p - chi
-    if not _batch_is_identity(tp, multiple, p).all():
-        raise NotAMultiple("A^(p - chi(p)) != I mod p at some prime")
     if spf is None:
         spf = _smallest_prime_factors(int(multiple.max()))
     order = multiple.copy()
@@ -248,7 +231,8 @@ def _prime_orders(
     while active.size:
         divides = order[active] % q[active] == 0
         tried = active[divides]
-        hit = _batch_is_identity(tp[tried], order[tried] // q[tried], p[tried])
+        u, v = _batch_pair_pow(tp[tried], order[tried] // q[tried], p[tried])
+        hit = (u == 1) & (v == 0)
         order[tried[hit]] //= q[tried[hit]]
         # the rest are done with their current q and move on to their next one
         moving = np.concatenate([active[~divides], tried[~hit]])
@@ -277,81 +261,15 @@ def _order_class(p: int, order: int, eta: float) -> PrimeClass:
     return PrimeClass.GOOD if order >= p**eta else PrimeClass.BAD
 
 
-class PrimeMemo:
-    """ord(A, p^e), chi(p) and the class of p at one eta, memoized for one map.
+def _prime_data(m: CatMap, p: int, eta: float) -> tuple[int, int, PrimeClass]:
+    """(chi(p), ord(A, p), class of p at eta) for one prime, by the scalar
+    route: Terrible where p divides the discriminant, else `_order_class`.
 
-    The one implementation behind `order_profile`, `classify_prime` and
-    `split_by_class`, which build a fresh memo per call; a census builds one
-    and keeps it for all its records.  A miss goes through the scalar
-    route, `_order_mod_prime_power` and `_legendre`.  Nothing is validated
-    here: p must be prime, factorizations complete, and `eta` in range once a
-    class is asked.
+    Nothing is validated here: p must be prime and eta in range.
     """
-
-    def __init__(self, m: CatMap, eta: float | None = None):
-        self.m = m
-        self.eta = eta
-        self._disc = m.discriminant
-        self._orders: dict[tuple[int, int], int] = {}
-        self._chi: dict[int, int] = {}
-        self._classes: dict[int, PrimeClass] = {}
-
-    def order(self, p: int, e: int = 1) -> int:
-        got = self._orders.get((p, e))
-        if got is None:
-            got = self._orders[p, e] = _order_mod_prime_power(self.m, p, e)
-        return got
-
-    def chi(self, p: int) -> int:
-        got = self._chi.get(p)
-        if got is None:
-            t = self.m.trace
-            got = 0 if self._disc % p == 0 else _legendre(t * t - 4, p)
-            self._chi[p] = got
-        return got
-
-    def prime_class(self, p: int) -> PrimeClass:
-        got = self._classes.get(p)
-        if got is None:
-            if self._disc % p == 0:
-                got = PrimeClass.TERRIBLE
-            else:
-                got = _order_class(p, self.order(p), self.eta)
-            self._classes[p] = got
-        return got
-
-    def profile(self, N: int, factors: tuple[tuple[int, int], ...]) -> OrderProfile:
-        """Profile of N from its prime factors (p, e), in increasing p."""
-        disc = self._disc
-        d = s = d0 = order = d0_orders = 1
-        d0_cofactors = []
-        for p, e in factors:
-            s *= p ** (e // 2)
-            if e % 2:
-                d *= p
-                # d is squarefree, so p | d0 = d/gcd(d, D) iff p does not divide D
-                if disc % p:
-                    d0 *= p
-                    d0_cofactors.append(p - self.chi(p))
-                    d0_orders *= self.order(p)
-            order = math.lcm(order, self.order(p, e))
-        # lcm_defect without its check: every cofactor p - chi(p) is >= 2
-        L = math.prod(d0_cofactors) // math.lcm(*d0_cofactors)
-        return OrderProfile(N, d, s, d0, L, order, d0_orders // L, len(factors))
-
-    def class_parts(self, factors: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
-        """(N_G, N_B, N_T): the prime powers of N grouped by the class of p."""
-        ng = nb = nt = 1
-        for p, e in factors:
-            cls = self.prime_class(p)
-            q = p**e
-            if cls is PrimeClass.GOOD:
-                ng *= q
-            else:
-                nb *= q
-                if cls is PrimeClass.TERRIBLE:
-                    nt *= q
-        return ng, nb, nt
+    chi = _legendre(m.discriminant, p)
+    order = _order_mod_prime_power(m, p, 1)
+    return chi, order, _order_class(p, order, eta) if chi else PrimeClass.TERRIBLE
 
 
 def order_profile(m: CatMap, N: int, factors: Factorization | None = None) -> OrderProfile:
@@ -363,7 +281,23 @@ def order_profile(m: CatMap, N: int, factors: Factorization | None = None) -> Or
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     fac = factors if factors is not None else factorize(N)
-    return PrimeMemo(m).profile(N, fac.factors)
+    disc = m.discriminant
+    d = s = d0 = order = d0_orders = 1
+    d0_cofactors = []
+    for p, e in fac.factors:
+        ord_pe = _order_mod_prime_power(m, p, e)
+        s *= p ** (e // 2)
+        if e % 2:
+            d *= p
+            # d is squarefree, so p | d0 = d/gcd(d, D) iff p does not divide D
+            if disc % p:
+                d0 *= p
+                d0_cofactors.append(p - _legendre(disc, p))
+                d0_orders *= ord_pe if e == 1 else _order_mod_prime_power(m, p, 1)
+        order = math.lcm(order, ord_pe)
+    # lcm_defect without its check: every cofactor p - chi(p) is >= 2
+    L = math.prod(d0_cofactors) // math.lcm(*d0_cofactors)
+    return OrderProfile(N, d, s, d0, L, order, d0_orders // L, len(fac.factors))
 
 
 def classify_prime(m: CatMap, p: int, eta: float) -> PrimeClass:
@@ -376,7 +310,7 @@ def classify_prime(m: CatMap, p: int, eta: float) -> PrimeClass:
     """
     _check_eta(eta)
     _check_prime(p)
-    return PrimeMemo(m, eta).prime_class(p)
+    return _prime_data(m, p, eta)[2]
 
 
 @dataclass(frozen=True)
@@ -394,7 +328,16 @@ def split_by_class(m: CatMap, N: int, eta: float) -> ClassSplit:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     _check_eta(eta)
-    ng, nb, nt = PrimeMemo(m, eta).class_parts(factorize(N).factors)
+    ng = nb = nt = 1
+    for p, e in factorize(N).factors:
+        cls = _prime_data(m, p, eta)[2]
+        q = p**e
+        if cls is PrimeClass.GOOD:
+            ng *= q
+        else:
+            nb *= q
+            if cls is PrimeClass.TERRIBLE:
+                nt *= q
     return ClassSplit(N_G=ng, N_B=nb, N_T=nt, eta=eta)
 
 
@@ -447,9 +390,8 @@ def small_order_modulus(m: CatMap, k: int) -> SmallOrderFactorization:
     entries = []
     n_k = 1
     shrunk = False
-    memo = PrimeMemo(m)
     for p, e in fac:
-        split = _SPLIT_OF_CHI[memo.chi(p)]
+        split = _SPLIT_OF_CHI[_legendre(m.discriminant, p)]
         if split is not SplitType.RAMIFIED and e % 2:
             raise RuntimeError(
                 f"odd exponent {e} at unramified prime {p} in det(A^{k} - I)"

@@ -16,6 +16,7 @@ from catmap import census, quadorder
 from catmap.arith import (
     DEFAULT_MAP,
     CatMap,
+    Factorization,
     _legendre,
     _order_mod_prime_power,
     factorize,
@@ -33,7 +34,6 @@ from catmap.census import (
     compute_integer_records,
     compute_prime_records,
     integer_census,
-    load_integer_table,
     load_results,
     prime_census,
     quantum_sweep,
@@ -45,7 +45,13 @@ from catmap.census import (
 )
 from catmap.cli import main as cli_main
 from catmap.errors import EtaOutOfRange, SchemaMismatch
-from catmap.quadorder import PrimeClass, PrimeMemo, _smallest_prime_factors, classify_prime
+from catmap.quadorder import (
+    PrimeClass,
+    _smallest_prime_factors,
+    classify_prime,
+    order_profile,
+    split_by_class,
+)
 from catmap.quantum import Observable
 
 A = DEFAULT_MAP
@@ -321,10 +327,10 @@ def test_integer_census_rejects_x_beyond_the_sieve_before_building_it(monkeypatc
 def _record_loop(m, x, eta, lo=2):
     """The per-N record loop the column engine replaced, kept as its oracle:
     factor each N by walking a smallest-prime-factor sieve, then take its
-    profile and class parts from one PrimeMemo on its scalar route."""
+    profile from `order_profile` and its class parts from `split_by_class`,
+    both on the scalar route."""
     lo = max(lo, 2)
     spf = _smallest_prime_factors(x).tolist()
-    memo = PrimeMemo(m, eta)
     rows = []
     for N in range(lo, x + 1):
         factors = []
@@ -337,10 +343,11 @@ def _record_loop(m, x, eta, lo=2):
                 n //= p
                 e += 1
             factors.append((p, e))
-        prof = memo.profile(N, factors)
+        prof = order_profile(m, N, Factorization(tuple(factors)))
+        parts = split_by_class(m, N, eta)
         rows.append(
             (N, prof.d, prof.s, prof.d0, prof.L, prof.ord, prof.lower_bound)
-            + memo.class_parts(factors)
+            + (parts.N_G, parts.N_B, parts.N_T)
             + (prof.in_s,)
         )
     return rows
@@ -446,9 +453,8 @@ def _scalar_primes(m, x):
     ]
 
 
-@functools.cache
-def _scalar_memo(m, eta):
-    return PrimeMemo(m, eta)  # never seeded: every class comes from the scalar route
+# every class by the scalar route, once per prime and eta
+_scalar_class = functools.cache(classify_prime)
 
 
 def _prime_summary_oracle(records, x, eta, failures=()):
@@ -474,9 +480,8 @@ def test_prime_table_matches_the_scalar_route(m, lo, eta):
     x = 20_000
     table, failures = census._prime_columns(m, x, eta, lo)
     assert failures == [] and table.dtype == np.int64
-    memo = _scalar_memo(m, eta)
     want = [
-        [p, chi, o, census._CLASSES.index(memo.prime_class(p)), int(o > float(x) ** eta)]
+        [p, chi, o, census._CLASSES.index(_scalar_class(m, p, eta)), int(o > float(x) ** eta)]
         for p, chi, o in _scalar_primes(m, x)
         if p >= lo
     ]
@@ -520,7 +525,7 @@ def test_prime_table_decides_near_ties_by_the_float_rule():
             continue
         for e in (math.nextafter(eta, 0), eta, math.nextafter(eta, 1)):
             row = census._prime_columns(A, p, e, lo=p)[0][0].tolist()
-            assert census._CLASSES[row[3]] is PrimeMemo(A, e).prime_class(p), (p, e)
+            assert census._CLASSES[row[3]] is classify_prime(A, p, e), (p, e)
         ties += 1
         if ties == 20:
             break
@@ -705,7 +710,9 @@ def test_json_round_trip(tmp_path):
     store_results(recs, path, config={"x": 200})
     loaded = load_results(path)
     assert loaded.kind == "integers"
+    assert loaded.config == {"x": "200"}
     assert loaded.records == tuple(recs)
+    assert resume_point(path) == 200
     sweep, _ = quantum_sweep(A, [5], Observable.cosine(1), (1, 0))
     spath = tmp_path / "sweep.json"
     store_results(sweep, spath)
@@ -816,7 +823,7 @@ def test_golden_integers_parse_into_the_table_of_their_records(tmp_path, monkeyp
     path = tmp_path / "r.csv"
     store_results(recs, path, config={"x": 200})
     monkeypatch.setattr(census, "_parse_rows", None)  # rows of digits take one pass
-    table = load_integer_table(path)
+    table = census._load_table(path, "integers")
     assert table.dtype == np.int64
     assert table.tolist() == [list(census._LAYOUTS["integers"].values(r)) for r in recs]
     assert census._records(table, "integers") == list(load_results(path).records) == recs
@@ -845,7 +852,7 @@ def test_bad_stored_integer_row_raises_naming_its_row(tmp_path, change):
         cells.append(b"7")
     lines[50] = b"" if change == "empty" else b",".join(cells)
     path.write_bytes(b"\n".join(lines))
-    for load in (load_results, load_integer_table):
+    for load in (load_results, lambda path: census._load_table(path, "integers")):
         with pytest.raises(SchemaMismatch, match="bad row 51:"):
             load(path)
 
@@ -863,7 +870,8 @@ def test_integer_rows_off_the_digit_path_parse_as_records_do(tmp_path):
     records = load_results(path).records
     assert [records[i - 2].d for i in (10, 11, 12, 13)] == [12] * 4
     assert records[12].in_s is True
-    assert load_integer_table(path).tolist() == census._records_table(records, "integers").tolist()
+    table = census._load_table(path, "integers")
+    assert table.tolist() == census._records_table(records, "integers").tolist()
     # a cell beyond int64 still loads as a record, but not into a table
     cells = lines[20].split(b",")
     cells[5] = str(1 << 70).encode()
@@ -871,17 +879,17 @@ def test_integer_rows_off_the_digit_path_parse_as_records_do(tmp_path):
     path.write_bytes(b"\n".join(lines))
     assert load_results(path).records[18].order == 1 << 70
     with pytest.raises(SchemaMismatch, match="int64"):
-        load_integer_table(path)
+        census._load_table(path, "integers")
 
 
 def test_load_integer_table_takes_only_integer_csvs(tmp_path):
     recs, _ = compute_prime_records(A, 300, ETA)
     store_results(recs, tmp_path / "p.csv")
     with pytest.raises(SchemaMismatch, match="primes"):
-        load_integer_table(tmp_path / "p.csv")
+        census._load_table(tmp_path / "p.csv", "integers")
     path, lines = _integers_file(tmp_path)
     path.write_bytes(b"\n".join(lines)[:-9])  # cut mid-row: that row is not stored
-    assert load_integer_table(path).tolist() == census._records_table(
+    assert census._load_table(path, "integers").tolist() == census._records_table(
         load_results(path).records, "integers"
     ).tolist()
 
@@ -994,6 +1002,50 @@ def test_load_rejects_alien_and_corrupt_files(tmp_path):
     )
     with pytest.raises(SchemaMismatch):
         load_results(path)
+
+
+@pytest.mark.parametrize("line", [0, 1, 5], ids=["header", "columns", "row"])
+@pytest.mark.parametrize("kind", ["primes", "integers"])
+def test_a_stored_byte_that_is_not_utf8_raises_schema_mismatch(tmp_path, kind, line):
+    path = tmp_path / "bad.csv"
+    recs = compute_prime_records(A, 300, ETA)[0] if kind == "primes" else _int_records(300)
+    store_results(recs, path, config={"x": 300})
+    lines = path.read_bytes().split(b"\n")
+    lines[line] = lines[line][:3] + b"\xff" + lines[line][3:]
+    path.write_bytes(b"\n".join(lines))
+    readers = [load_results, resume_point, lambda path: census._load_table(path, kind)]
+    if line < 2:  # an append reads only the header and the column line
+        readers.append(lambda path: census.can_append(path, kind, {"x": 300}))
+    else:
+        assert census.can_append(path, kind, {"x": 300})
+    for read in readers:
+        with pytest.raises(SchemaMismatch, match="UTF-8"):
+            read(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda blob: blob[: len(blob) // 2],
+        lambda blob: blob.replace(b'"x"', b'"\xff"'),
+        lambda blob: json.dumps({**json.loads(blob), "records": 5}).encode(),
+        lambda blob: json.dumps({**json.loads(blob), "records": {"N": 2}}).encode(),
+        lambda blob: json.dumps({**json.loads(blob), "config": 5}).encode(),
+        lambda blob: json.dumps({**json.loads(blob), "config": "x=120"}).encode(),
+        lambda blob: json.dumps({**json.loads(blob), "config": [["x", "120"]]}).encode(),
+    ],
+    ids=[
+        "truncated", "not-utf8", "records-int", "records-object", "config-int",
+        "config-string", "config-pairs",
+    ],
+)
+def test_a_malformed_json_document_raises_schema_mismatch(tmp_path, edit):
+    path = tmp_path / "r.json"
+    store_results(_int_records(120), path, config={"x": 120})
+    path.write_bytes(edit(path.read_bytes()))
+    for read in (load_results, resume_point):
+        with pytest.raises(SchemaMismatch):
+            read(path)
 
 
 def test_load_drops_partial_final_row_only(tmp_path):

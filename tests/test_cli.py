@@ -338,6 +338,21 @@ def test_cli_resume_of_corrupt_file_fails_before_work(cell, tmp_path, capsys):
     assert out.read_bytes() == corrupt
 
 
+@pytest.mark.parametrize("line", [0, 1, 50], ids=["header", "columns", "row"])
+def test_cli_resume_of_a_file_that_is_not_utf8_exits_1(line, tmp_path, capsys):
+    out = tmp_path / "ints.csv"
+    argv = ["census-integers", "-x", "300", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    lines = out.read_bytes().split(b"\n")
+    lines[line] += b"\xfe"
+    corrupt = b"\n".join(lines)
+    out.write_bytes(corrupt)
+    assert main(argv + ["--resume"]) == 1
+    assert "not UTF-8" in capsys.readouterr().err
+    assert out.read_bytes() == corrupt
+
+
 @pytest.mark.parametrize("command", ["census-integers", "census-primes"])
 def test_cli_resume_with_another_config_fails_before_work(
     command, tmp_path, capsys, monkeypatch

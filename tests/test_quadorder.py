@@ -16,6 +16,7 @@ from catmap.arith import _legendre, _order_mod_prime_power, _pair_pow, is_probab
 from catmap.errors import (
     BudgetExceeded,
     EtaOutOfRange,
+    NotAMultiple,
     NotPrime,
     ZeroVector,
 )
@@ -23,8 +24,8 @@ from catmap.quadorder import (
     ClassSplit,
     CongruenceCount,
     PrimeClass,
-    PrimeMemo,
     SplitType,
+    _order_class,
     _prime_orders,
     classify_prime,
     congruence_count,
@@ -256,19 +257,32 @@ def test_classify_not_prime():
         classify_prime(A, 9, 0.55)
 
 
+def test_a_large_prime_dividing_the_discriminant():
+    # tr - 2 = 4 * 1000003, so A = I + (A - I) mod p with A - I nilpotent and
+    # nonzero: ord(A, p) = p, which no walk over the powers of A should need
+    m, p = CatMap(1, 2, 2000006, 4000013), 1_000_003
+    assert (m.trace - 2) % p == 0 and m.b % p
+    assert order_mod(m, p) == order_profile(m, p).ord == p
+    assert splitting_character(m, p) == 0
+    assert classify_prime(m, p, 0.55) is PrimeClass.TERRIBLE
+    assert split_by_class(m, 2 * p, 0.55) == ClassSplit(1, 2 * p, 2 * p, 0.55)
+
+
 # --- the batched prime-order kernel ----------------------------------------
 
 KERNEL_MAPS = [A, CatMap(1, 2, 2, 5), CatMap(4, 1, -1, 0), CatMap(20001, 2, 10000, 1)]
 
 
-def seeded(m: CatMap, primes, eta: float | None = None) -> PrimeMemo:
-    """A memo holding the batched kernel's chi(p) and ord(A, p) for the primes
-    it takes; the rest are left to the memo's scalar route."""
-    memo = PrimeMemo(m, eta)
+def seeded(m: CatMap, primes) -> dict[int, tuple[int, int]]:
+    """(chi(p), ord(A, p)) for each prime: the batched kernel's for the primes
+    it takes, the scalar route's (`_legendre`, `_order_mod_prime_power`) for
+    the rest."""
     kept, chi, order = _prime_orders(m, np.asarray(primes, dtype=np.int64))
-    memo._chi.update(zip(kept.tolist(), chi.tolist()))
-    memo._orders.update(((p, 1), o) for p, o in zip(kept.tolist(), order.tolist()))
-    return memo
+    got = dict(zip(kept.tolist(), zip(chi.tolist(), order.tolist())))
+    for p in np.asarray(primes).tolist():
+        if p not in got:
+            got[p] = (_legendre(m.discriminant, p), _order_mod_prime_power(m, p, 1))
+    return got
 
 
 @pytest.mark.parametrize("m", KERNEL_MAPS, ids=str)
@@ -278,17 +292,17 @@ def test_seeded_memo_matches_scalar_route(m):
     assert kept.tolist() == [p for p in primes.tolist() if m.discriminant % p]
     for p, c, o in zip(kept.tolist(), chi.tolist(), order.tolist()):
         assert (c, o) == (_legendre(m.trace**2 - 4, p), _order_mod_prime_power(m, p, 1))
-    memo = seeded(m, primes)
-    assert [memo.order(p) for p in kept.tolist()] == order.tolist()
-    assert [memo.chi(p) for p in kept.tolist()] == chi.tolist()
+    got = seeded(m, primes)
+    assert [got[p][1] for p in kept.tolist()] == order.tolist()
+    assert [got[p][0] for p in kept.tolist()] == chi.tolist()
 
 
 @pytest.mark.parametrize("m", KERNEL_MAPS, ids=str)
 def test_seeded_memo_matches_brute_orders(m):
     primes = primes_up_to(2000)
-    memo = seeded(m, primes)
+    got = seeded(m, primes)
     for p in primes.tolist():
-        assert memo.order(p) == order_mod_brute(m, p)
+        assert got[p][1] == order_mod_brute(m, p)
 
 
 @pytest.mark.parametrize(
@@ -301,26 +315,56 @@ def test_seeded_memo_matches_brute_orders(m):
 )
 def test_seeded_small_orders_near_terrible_threshold(m, p, order, cls):
     # sqrt(p)/log(p) is 7.40, 36.0 and 12.9 here: the orders straddle it
-    memo = seeded(m, primes_up_to(200_000), 0.55)
-    assert memo.order(p) == order
-    assert memo.prime_class(p) is cls is classify_prime(m, p, 0.55)
+    got = seeded(m, primes_up_to(200_000))
+    assert got[p][1] == order
+    assert _order_class(p, got[p][1], 0.55) is cls is classify_prime(m, p, 0.55)
+
+
+# the primes where the kernel's exponent p is largest
+PRIMES_BELOW_BOUND = [
+    p
+    for p in range(quadorder.INT64_PRIME_BOUND - 400, quadorder.INT64_PRIME_BOUND)
+    if is_probable_prime(p)
+]
 
 
 def test_kernel_arithmetic_exact_just_below_int64_bound():
     # the largest residues the bound admits, where an unreduced sum overflows
-    bound = quadorder.INT64_PRIME_BOUND
-    primes = [p for p in range(bound - 400, bound) if is_probable_prime(p)]
     rng = random.Random(7)
-    p = np.array(primes * 8, dtype=np.int64)
+    p = np.array(PRIMES_BELOW_BOUND * 8, dtype=np.int64)
     t = np.array([q - 1 - rng.randrange(3) for q in p.tolist()], dtype=np.int64)
-    a = np.array([q - 1 - rng.randrange(q // 2) for q in p.tolist()], dtype=np.int64)
     k = np.array([rng.randrange(1, 1 << 40) for _ in p.tolist()], dtype=np.int64)
     u, v = quadorder._batch_pair_pow(t, k, p)
-    r = quadorder._batch_modpow(a, k, p)
-    for row in zip(*(z.tolist() for z in (p, t, a, k, u, v, r))):
-        q, tq, aq, kq, uq, vq, rq = row
+    for row in zip(*(z.tolist() for z in (p, t, k, u, v))):
+        q, tq, kq, uq, vq = row
         assert (uq, vq) == _pair_pow(tq, kq, q)
-        assert rq == pow(aq, kq, q)
+
+
+class FactoredSpf:
+    """Stands in for a smallest-prime-factor sieve up to 2^31, which would
+    take 8 GiB: looks up each entry by `factorize`."""
+
+    def __getitem__(self, n):
+        return np.array([factorize(k).factors[0][0] for k in n.tolist()], dtype=np.int64)
+
+
+@pytest.mark.parametrize("m", KERNEL_MAPS, ids=str)
+def test_kernel_chi_and_order_just_below_int64_bound(m):
+    primes = np.array(PRIMES_BELOW_BOUND, dtype=np.int64)
+    kept, chi, order = _prime_orders(m, primes, FactoredSpf())
+    assert kept.tolist() == [p for p in PRIMES_BELOW_BOUND if m.discriminant % p]
+    assert set(chi.tolist()) == {-1, 1}
+    for p, c, o in zip(kept.tolist(), chi.tolist(), order.tolist()):
+        assert (c, o) == (_legendre(m.discriminant, p), _order_mod_prime_power(m, p, 1))
+
+
+@pytest.mark.parametrize("m", KERNEL_MAPS, ids=str)
+@pytest.mark.parametrize("composite", [91, 341])
+def test_kernel_rejects_a_composite_among_primes(m, composite):
+    # 341 = 11 * 31 is a base-2 Fermat pseudoprime
+    primes = [p for p in primes_up_to(400).tolist() if p != 2] + [composite]
+    with pytest.raises(NotAMultiple):
+        _prime_orders(m, np.array(sorted(primes), dtype=np.int64))
 
 
 def test_kernel_bound_falls_back_to_scalar_route(monkeypatch):
@@ -331,21 +375,20 @@ def test_kernel_bound_falls_back_to_scalar_route(monkeypatch):
     assert kept.size and kept.max() < 1000
     cut = seeded(A, primes)
     for p in primes.tolist():
-        assert (cut.chi(p), cut.order(p)) == (full.chi(p), full.order(p))
+        assert cut[p] == full[p]
 
 
 def test_kernel_empty_and_discriminant_primes():
     empty = np.empty(0, dtype=np.int64)
     assert all(a.size == 0 for a in _prime_orders(A, empty))
-    seeded(A, empty)  # a no-op
+    assert seeded(A, empty) == {}
     ramified = [p for p in primes_up_to(100).tolist() if A.discriminant % p == 0]
     assert ramified == [2, 3]
     kept, _, _ = _prime_orders(A, np.array(ramified + [5, 7], dtype=np.int64))
     assert kept.tolist() == [5, 7]
-    memo = seeded(A, ramified)
+    got = seeded(A, ramified)
     for p in ramified:
-        assert memo.chi(p) == 0
-        assert memo.order(p) == order_mod_brute(A, p)
+        assert got[p] == (0, order_mod_brute(A, p))
 
 
 def test_split_by_class_examples():
