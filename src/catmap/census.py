@@ -247,13 +247,14 @@ def _class_codes(p: np.ndarray, order: np.ndarray, eta: float) -> np.ndarray:
 
 
 def _prime_table(
-    m: CatMap, x: int, eta: float, primes, spf=None
+    m: CatMap, x: int, eta: float, primes, spf
 ) -> tuple[np.ndarray, list[int]]:
     """The prime column table of an ascending array of primes <= x, and the
     primes left out because factoring timed out.
 
-    chi and ord come from the batched kernel `_prime_orders` (with `spf` as
-    there) and the class from `_class_codes`; the primes the kernel leaves
+    chi and ord come from the batched kernel `_prime_orders` over the
+    smallest-prime-factor sieve `spf` of `_sieved_primes`, and the class from
+    `_class_codes`; the primes the kernel leaves
     (p = 2, p | D, p >= INT64_PRIME_BOUND) take the scalar route,
     `_prime_data`, one order each.  The table is written column by column in
     place, so that the peak memory after the kernel stays below the kernel's
@@ -291,9 +292,16 @@ def _prime_columns(m: CatMap, x: int, eta: float, lo: int = 2) -> tuple[np.ndarr
     if x < 100:
         raise ValueError(f"cutoff x must be >= 100, got {x}")
     c_eta(eta)  # validates the range
-    primes = primes_up_to(x)
-    primes = primes[primes >= lo]  # the full array is freed before the kernel runs
-    return _prime_table(m, x, eta, primes)
+    spf, primes = _sieved_primes(x)
+    return _prime_table(m, x, eta, primes[primes >= lo], spf)
+
+
+def _sieved_primes(x: int) -> tuple[np.ndarray, np.ndarray]:
+    """A smallest-prime-factor sieve up to x + 1, which reaches p - chi(p) for
+    every prime p <= x, and the primes <= x read off it."""
+    spf = _smallest_prime_factors(x + 1)
+    primes = np.flatnonzero(spf[2 : x + 1] == np.arange(2, x + 1, dtype=np.int32)) + 2
+    return spf, primes
 
 
 def compute_prime_records(
@@ -391,8 +399,7 @@ def _census_primes(m: CatMap, x: int, eta: float, lo: int):
     one smallest-prime-factor sieve; only the orders for e >= 2 are lifted
     one prime power at a time, by `_order_mod_prime_power`.
     """
-    spf = _smallest_prime_factors(x + 1)
-    primes = np.flatnonzero(spf[2 : x + 1] == np.arange(2, x + 1, dtype=np.int32)) + 2
+    spf, primes = _sieved_primes(x)
     table, failures = _prime_table(m, x, eta, primes[x // primes * primes >= lo], spf)
     if failures:
         raise FactorizationTimeout(f"factoring p - chi(p) timed out at p = {failures[0]}")

@@ -69,7 +69,8 @@ def parse_vector(text: str) -> tuple[int, int]:
 
 
 def parse_sizes(text: str) -> list[int]:
-    """Comma-separated entries, each `a`, `a-b`, or `a-b:step` (inclusive)."""
+    """Comma-separated entries, each `a`, `a-b`, or `a-b:step` (inclusive);
+    a size listed twice is an error, as it would give two sweep rows."""
     sizes: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -91,6 +92,11 @@ def parse_sizes(text: str) -> list[int]:
             sizes.append(int(chunk))
     if not sizes:
         raise ValueError(f"no sizes in {text!r}")
+    seen: set[int] = set()
+    for N in sizes:
+        if N in seen:
+            raise ValueError(f"size {N} is listed twice in {text!r}")
+        seen.add(N)
     return sizes
 
 

@@ -60,7 +60,8 @@ class DegenerateK(CatmapError):
 
 class ConstructionFailed(CatmapError):
     """`propagator` (intertwining defect, zero leading column) or `spectrum`
-    (eigenvalue off every r*-th root, eigenvector residual, Gram) check failed."""
+    (Rayleigh quotient off the unit circle, off-diagonal entry of Z^H U Z,
+    eigenvalue off every r*-th root, eigenvector residual, Gram) check failed."""
 
 
 class NotUnitary(CatmapError):

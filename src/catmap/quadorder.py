@@ -196,7 +196,7 @@ def _smallest_prime_factors(n: int) -> np.ndarray:
 
 
 def _prime_orders(
-    m: CatMap, primes: np.ndarray, spf: np.ndarray | None = None
+    m: CatMap, primes: np.ndarray, spf: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(kept primes, chi, ord(A, p)) for an int64 array of primes, batched.
 
@@ -206,8 +206,8 @@ def _prime_orders(
     and A^p = A^-1 = t*I - A, (u, v) = (t, p - 1), where p is inert; either
     way A^(p - chi) = I, and any other A^p raises NotAMultiple.  The order comes from stripping each prime q of M = p - chi
     while q | ord and A^(ord/q) = I, the same walk as `order_dividing`, with M
-    factored by a smallest-prime-factor sieve: `spf` if given (it must reach
-    max(primes) + 1), else one built here.
+    factored by the smallest-prime-factor sieve `spf`, which must reach
+    max(primes) + 1: the caller builds it, as it knows the range it needs.
     """
     t = m.trace
     p = primes[(primes > 2) & (primes < INT64_PRIME_BOUND)]
@@ -222,8 +222,6 @@ def _prime_orders(
         raise NotAMultiple("A^p is neither A nor A^-1 mod p at some prime")
     chi = np.where(split, 1, -1)
     multiple = p - chi
-    if spf is None:
-        spf = _smallest_prime_factors(int(multiple.max()))
     order = multiple.copy()
     rest = multiple.copy()  # M with the primes already walked divided out
     q = spf[rest].astype(np.int64)

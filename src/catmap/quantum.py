@@ -12,21 +12,26 @@ S = [[0,-1],[1,0]], T^2 = [[1,2],[0,1]] and -I by an even-step Euclid, and
 their quantizations (unitary DFT, quadratic-phase diagonal, parity Q -> -Q)
 are multiplied in the same order.
 
-The spectrum comes from one complex Schur decomposition of U.  Inside a
-degenerate level the basis, on which the diagonal statistics depend, is the
-greedy pivoted Gram-Schmidt of the level projector's columns, with norms
-equal to a relative 1e-9 tied and ties going to the smallest index, so
-neither rounding nor the Schur basis LAPACK returns can change it.
+The spectrum comes from numpy's Hermitian eigensolver.  A periodic U has
+every eigenphase on the grid of r*-th roots of the scalar U^{r*}.  The
+Hermitian (e^{-i alpha} U + e^{i alpha} U^H)/2 commutes with U and takes
+r* distinct values on that grid when alpha lies a quarter step off it (no
+two grid points are then mirror images about alpha or alpha + pi), so its
+eigenvectors are U's.  Inside a degenerate level the basis, on which the
+diagonal statistics depend, is the greedy pivoted Gram-Schmidt of the level
+projector's columns, with norms equal to a relative 1e-9 tied and ties going
+to the smallest index, so neither rounding nor the eigenvectors LAPACK
+returns can change it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import pi, sqrt
 from typing import Iterator, Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .arith import CatMap, order_mod
 from .errors import (
@@ -45,6 +50,10 @@ SPECTRAL_TOL = 1e-8
 ROOT_TOL = 1e-6
 # entries within this relative distance of the largest one tie for a pivot
 _TIE_RTOL = 1e-9
+# the first pass's rotation, used before the grid of r*-th roots is known.
+# Two levels it mixes move the Rayleigh quotients off the unit circle or
+# their powers off a scalar, unless the mixing is too small to move r*.
+_ALPHA0 = pi * (sqrt(5) - 1) / 2
 
 
 def _as_complex_matrix(matrix, N: int) -> np.ndarray:
@@ -361,7 +370,8 @@ class SpectralLevel:
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Levels of a periodic unitary, with the worst eigenvector residual, the
-    worst level Gram defect and the largest off-diagonal Schur entry."""
+    worst level Gram defect and the largest off-diagonal entry of Z^H U Z over
+    the eigenvectors Z the levels were built from."""
 
     N: int
     scalar_period: int
@@ -371,9 +381,16 @@ class Spectrum:
     gram_defect: float
     normality_defect: float
 
+    @cached_property
+    def _eigenbasis(self) -> np.ndarray:
+        basis = np.hstack([level.basis for level in self.levels])
+        basis.flags.writeable = False
+        return basis
+
     def eigenbasis(self) -> np.ndarray:
-        """All basis columns side by side, N columns in level order."""
-        return np.hstack([level.basis for level in self.levels])
+        """All basis columns side by side, N columns in level order (read-only,
+        stacked once per spectrum)."""
+        return self._eigenbasis
 
     def eigenphases_per_vector(self) -> np.ndarray:
         reps = [np.full(level.multiplicity, level.eigenphase) for level in self.levels]
@@ -422,20 +439,39 @@ def _level_basis(Zj: np.ndarray) -> np.ndarray:
     return Zj @ coords
 
 
-def spectrum(U: Operator, r_hint: int) -> Spectrum:
-    """Eigen-decomposition from one complex Schur decomposition U = Z T Z^H.
+def _rotated_eigh(U: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, U Z) for the eigenvectors Z of (e^{-i alpha} U + e^{i alpha} U^H)/2.
 
-    r* is the least k <= 2*r_hint with the k-th powers of diag(T) within tol
-    = SPECTRAL_TOL of their mean, whose angle in (-pi + tol, pi + tol] is the
-    global phase.  Each eigenvalue joins the r*-th root of that scalar nearest
-    in angle (so nearest), which must lie within ROOT_TOL; a level's basis is
-    `_level_basis` of its Schur columns, checked by residual (tol) and Gram.
+    That Hermitian matrix commutes with a normal U, so Z diagonalizes U as
+    long as no two eigenvalues of U share a value of cos(theta - alpha).
+    """
+    turn = np.exp(-1j * alpha)
+    _, Z = np.linalg.eigh((turn * U + np.conj(turn) * U.conj().T) / 2)
+    return Z, U @ Z
+
+
+def spectrum(U: Operator, r_hint: int) -> Spectrum:
+    """Eigen-decomposition from two Hermitian eigensolves, see `_rotated_eigh`.
+
+    The first, at the fixed rotation _ALPHA0, gives Rayleigh quotients lam,
+    which must lie within ROOT_TOL of the unit circle.  r* is the least k <=
+    2*r_hint with the k-th powers of lam within tol = SPECTRAL_TOL of their
+    mean, whose angle in (-pi + tol, pi + tol] is the global phase.  The
+    second rotates by (phase + pi/2)/r*, where the r*-th roots take r*
+    distinct values of cos(theta - alpha), at least about pi^2/r*^2 apart;
+    its Z must make Z^H U Z diagonal within tol.  Each eigenvalue joins the
+    r*-th root of that scalar nearest in angle (so nearest), which must lie
+    within ROOT_TOL; a level's basis is `_level_basis` of its columns of Z,
+    checked by residual (tol) and Gram.
     """
     if r_hint < 1:
         raise ValueError("the order hint must be positive")
     N = U.N
-    T, Z = scipy.linalg.schur(U.matrix, output="complex")
-    lam = np.diag(T)
+    Z, UZ = _rotated_eigh(U.matrix, _ALPHA0)
+    lam = (Z.conj() * UZ).sum(axis=0)
+    drift = float(np.abs(np.abs(lam) - 1.0).max())
+    if drift > ROOT_TOL:
+        raise ConstructionFailed(f"a Rayleigh quotient lies {drift:.3e} off the unit circle")
     power = np.ones(N, dtype=np.complex128)
     for r_star in range(1, 2 * r_hint + 1):
         power = power * lam
@@ -448,6 +484,13 @@ def spectrum(U: Operator, r_hint: int) -> Spectrum:
     if phase < -pi + SPECTRAL_TOL:
         # a scalar at -1 gets the angle +pi whichever side rounding left it
         phase += 2 * pi
+    Z, UZ = _rotated_eigh(U.matrix, (phase + pi / 2) / r_star)
+    D = Z.conj().T @ UZ
+    lam = np.diag(D).copy()
+    np.fill_diagonal(D, 0.0)
+    normality = float(np.abs(D).max())
+    if normality > SPECTRAL_TOL:
+        raise ConstructionFailed(f"eigenvectors leave an off-diagonal entry {normality:.3e}")
     roots = np.exp(1j * (phase + 2 * pi * np.arange(r_star)) / r_star)
     nearest = np.rint((np.angle(lam) * r_star - phase) / (2 * pi)).astype(int) % r_star
     miss = float(np.abs(lam - roots[nearest]).max())
@@ -455,16 +498,17 @@ def spectrum(U: Operator, r_hint: int) -> Spectrum:
         raise ConstructionFailed(f"an eigenvalue lies {miss:.3e} from every r*-th root")
     levels, residual, gram = [], 0.0, 0.0
     for j in np.unique(nearest):
-        basis = _level_basis(Z[:, nearest == j]) * sqrt(N)
+        sel = nearest == j
+        basis = _level_basis(Z[:, sel])
         mult = basis.shape[1]
-        resid = U.matrix @ basis - roots[j] * basis
-        residual = max(residual, float(np.sqrt((np.abs(resid) ** 2).sum(axis=0) / N).max()))
-        gram = max(gram, float(np.abs(basis.conj().T @ basis / N - np.eye(mult)).max()))
+        # U basis from U Z: the basis is Z[:, sel] times Z[:, sel]^H basis
+        resid = UZ[:, sel] @ (Z[:, sel].conj().T @ basis) - roots[j] * basis
+        residual = max(residual, float(np.linalg.norm(resid, axis=0).max()))
+        gram = max(gram, float(np.abs(basis.conj().T @ basis - np.eye(mult)).max()))
         if residual > SPECTRAL_TOL or gram > UNITARY_TOL:
             raise ConstructionFailed(f"eigenvector residual {residual:.3e} or Gram defect "
                                      f"{gram:.3e} at or before eigenphase index {j}")
-        levels.append(SpectralLevel(complex(roots[j]), mult, basis))
-    normality = float(np.abs(np.triu(T, 1)).max())
+        levels.append(SpectralLevel(complex(roots[j]), mult, basis * sqrt(N)))
     return Spectrum(N, r_star, phase, tuple(levels), residual, gram, normality)
 
 

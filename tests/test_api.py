@@ -2,7 +2,10 @@
 
 import doctest
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -27,3 +30,20 @@ def test_every_module_passes_its_doctests():
         assert result.failed == 0, name
         attempted += result.attempted
     assert attempted >= 2  # the `factorize` and `order_mod` examples
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is a test dependency only; its import would double every CLI
+    # call's start-up time
+    src = os.path.dirname(os.path.dirname(catmap.__file__))
+    code = (
+        "import sys, catmap, catmap.cli\n"
+        "assert catmap.__file__.startswith(sys.argv[1]), catmap.__file__\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

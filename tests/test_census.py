@@ -407,6 +407,24 @@ def test_integer_census_builds_one_sieve(monkeypatch):
     assert records == [IntegerRecord(*r) for r in _record_loop(A, 6000, ETA)]
 
 
+def test_prime_census_builds_one_sieve(monkeypatch):
+    built = []
+
+    def counting(n):
+        built.append(n)
+        return _smallest_prime_factors(n)
+
+    def no_sieve(x):
+        raise AssertionError(f"second sieve up to {x}")
+
+    want, _ = compute_prime_records(A, 6000, ETA)
+    monkeypatch.setattr(census, "_smallest_prime_factors", counting)
+    monkeypatch.setattr(quadorder, "_smallest_prime_factors", counting)
+    monkeypatch.setattr(census, "primes_up_to", no_sieve)
+    assert compute_prime_records(A, 6000, ETA) == (want, [])
+    assert built == [6001]  # the primes and every p - chi(p) from one sieve
+
+
 # ---------------------------------------------------------------------------
 # prime census
 

@@ -60,6 +60,16 @@ def test_parse_sizes():
         parse_sizes("")
 
 
+@pytest.mark.parametrize("text, repeated", [("3,3,5", 3), ("3-6,5-7", 5)])
+def test_repeated_sweep_size_is_rejected(text, repeated, tmp_path, capsys):
+    with pytest.raises(ValueError, match=f"size {repeated} is listed twice"):
+        parse_sizes(text)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--sizes", text, "--out", str(out)]) == 1
+    assert f"error: size {repeated} is listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_observable_shorthands():
     assert parse_observable("cos1").coefficients == Observable.cosine(1).coefficients
     assert parse_observable("cos2").coefficients == Observable.cosine(2).coefficients

@@ -273,11 +273,18 @@ def test_a_large_prime_dividing_the_discriminant():
 KERNEL_MAPS = [A, CatMap(1, 2, 2, 5), CatMap(4, 1, -1, 0), CatMap(20001, 2, 10000, 1)]
 
 
+def sieve_to(primes) -> np.ndarray:
+    """The smallest-prime-factor sieve `_prime_orders` needs: up to
+    max(primes) + 1."""
+    return quadorder._smallest_prime_factors(int(np.max(primes, initial=2)) + 1)
+
+
 def seeded(m: CatMap, primes) -> dict[int, tuple[int, int]]:
     """(chi(p), ord(A, p)) for each prime: the batched kernel's for the primes
     it takes, the scalar route's (`_legendre`, `_order_mod_prime_power`) for
     the rest."""
-    kept, chi, order = _prime_orders(m, np.asarray(primes, dtype=np.int64))
+    primes = np.asarray(primes, dtype=np.int64)
+    kept, chi, order = _prime_orders(m, primes, sieve_to(primes))
     got = dict(zip(kept.tolist(), zip(chi.tolist(), order.tolist())))
     for p in np.asarray(primes).tolist():
         if p not in got:
@@ -288,7 +295,7 @@ def seeded(m: CatMap, primes) -> dict[int, tuple[int, int]]:
 @pytest.mark.parametrize("m", KERNEL_MAPS, ids=str)
 def test_seeded_memo_matches_scalar_route(m):
     primes = primes_up_to(200_000)
-    kept, chi, order = _prime_orders(m, primes)
+    kept, chi, order = _prime_orders(m, primes, sieve_to(primes))
     assert kept.tolist() == [p for p in primes.tolist() if m.discriminant % p]
     for p, c, o in zip(kept.tolist(), chi.tolist(), order.tolist()):
         assert (c, o) == (_legendre(m.trace**2 - 4, p), _order_mod_prime_power(m, p, 1))
@@ -364,14 +371,14 @@ def test_kernel_rejects_a_composite_among_primes(m, composite):
     # 341 = 11 * 31 is a base-2 Fermat pseudoprime
     primes = [p for p in primes_up_to(400).tolist() if p != 2] + [composite]
     with pytest.raises(NotAMultiple):
-        _prime_orders(m, np.array(sorted(primes), dtype=np.int64))
+        _prime_orders(m, np.array(sorted(primes), dtype=np.int64), sieve_to(primes))
 
 
 def test_kernel_bound_falls_back_to_scalar_route(monkeypatch):
     primes = primes_up_to(5000)
     full = seeded(A, primes)
     monkeypatch.setattr(quadorder, "INT64_PRIME_BOUND", 1000)
-    kept, _, _ = _prime_orders(A, primes)
+    kept, _, _ = _prime_orders(A, primes, sieve_to(primes))
     assert kept.size and kept.max() < 1000
     cut = seeded(A, primes)
     for p in primes.tolist():
@@ -380,11 +387,12 @@ def test_kernel_bound_falls_back_to_scalar_route(monkeypatch):
 
 def test_kernel_empty_and_discriminant_primes():
     empty = np.empty(0, dtype=np.int64)
-    assert all(a.size == 0 for a in _prime_orders(A, empty))
+    assert all(a.size == 0 for a in _prime_orders(A, empty, sieve_to(empty)))
     assert seeded(A, empty) == {}
     ramified = [p for p in primes_up_to(100).tolist() if A.discriminant % p == 0]
     assert ramified == [2, 3]
-    kept, _, _ = _prime_orders(A, np.array(ramified + [5, 7], dtype=np.int64))
+    primes = np.array(ramified + [5, 7], dtype=np.int64)
+    kept, _, _ = _prime_orders(A, primes, sieve_to(primes))
     assert kept.tolist() == [5, 7]
     got = seeded(A, ramified)
     for p in ramified:

@@ -7,7 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catmap import CatMap, DEFAULT_MAP, order_mod
+from catmap import CatMap, DEFAULT_MAP, order_mod, quantum
 from catmap.errors import (
     ConstructionFailed,
     NoScalarPower,
@@ -532,6 +532,92 @@ def test_spectrum_matches_dense_power_oracle(m):
             assert level.multiplicity == mult, (N, lam)
             P = level.basis @ level.basis.conj().T / N
             assert np.abs(P - proj).max() <= 1e-9, (N, lam)
+
+
+def schur_levels(U, r_hint):
+    """The Schur route spectrum() replaced, kept as its oracle: r*, the global
+    phase and the levels of one complex Schur decomposition U = Z T Z^H,
+    grouped by the nearest r*-th root of the scalar.  Returns (r*, phase,
+    [(eigenphase, projector, canonical basis)])."""
+    N = U.N
+    T, Z = scipy.linalg.schur(U.matrix, output="complex")
+    lam = np.diag(T)
+    power = np.ones(N, dtype=complex)
+    for r_star in range(1, 2 * r_hint + 1):
+        power = power * lam
+        scale = power.mean()
+        if np.abs(power - scale).max() <= 1e-8:
+            break
+    else:
+        raise AssertionError("the oracle found no scalar power")
+    phase = float(np.angle(scale))
+    if phase < -np.pi + 1e-8:
+        phase += 2 * np.pi
+    nearest = np.rint((np.angle(lam) * r_star - phase) / (2 * np.pi)).astype(int) % r_star
+    levels = []
+    for j in np.unique(nearest):
+        Zj = Z[:, nearest == j]
+        root = np.exp(1j * (phase + 2 * np.pi * j) / r_star)
+        levels.append((root, Zj @ Zj.conj().T, _level_basis(Zj) * np.sqrt(N)))
+    return r_star, phase, levels
+
+
+def assert_matches_schur(m, N):
+    U = propagator(m, N)
+    sp = spectrum(U, order_mod(m, N))
+    r_star, phase, want = schur_levels(U, order_mod(m, N))
+    assert sp.scalar_period == r_star, N
+    assert abs(np.exp(1j * sp.global_phase) - np.exp(1j * phase)) <= 1e-9, N
+    assert len(sp.levels) == len(want), N
+    for level, (root, proj, basis) in zip(sp.levels, want):
+        assert abs(level.eigenphase - root) <= 1e-9, N
+        P = level.basis @ level.basis.conj().T / N
+        assert np.abs(P - proj).max() <= 1e-9, (N, root)
+        assert np.abs(level.basis - basis).max() <= 1e-10, (N, root)
+
+
+@pytest.mark.parametrize("m", POOL_MAPS + [OTHER], ids=str)
+def test_spectrum_matches_schur_oracle(m):
+    for N in range(65, 161, 2):
+        assert_matches_schur(m, N)
+
+
+def test_spectrum_separates_levels_a_fixed_rotation_cannot():
+    # r* = 108: under the first pass's rotation alone two levels lie 2.4e-8
+    # apart, and the canonical basis of a level moves by 2.6 (0.17 sqrt(N))
+    # against Schur while the residual (2.8e-9) and the normality defect
+    # (2.9e-9) stay inside their 1e-8 gates
+    U = propagator(OTHER, 214)
+    assert spectrum(U, order_mod(OTHER, 214)).scalar_period == 108
+    assert_matches_schur(OTHER, 214)
+
+
+def test_spectrum_rejects_levels_that_collide_under_the_first_rotation():
+    # theta and 2*alpha0 - theta give the same cos(theta - alpha0): the
+    # Hermitian matrix of the first pass cannot tell those levels apart
+    alpha0 = quantum._ALPHA0
+    theta = alpha0 + np.pi / 4 + np.pi / 2 * np.array([0, 0, 1, 2, 3, 3])
+    assert np.allclose(np.cos(theta[[0, 2]] - alpha0), np.cos(theta[[5, 3]] - alpha0))
+    for seed in (3, 4):
+        V = scipy.stats.unitary_group.rvs(6, random_state=seed)
+        U = V @ np.diag(np.exp(1j * theta)) @ V.conj().T
+        assert np.abs(np.linalg.matrix_power(U, 4) - np.exp(4j * theta[0]) * np.eye(6)).max() <= 1e-12
+        with pytest.raises(ConstructionFailed):
+            spectrum(Operator(6, U), 4)
+
+
+def test_spectrum_every_dimension_to_300():
+    for N in range(2, 301):
+        sp = spectrum(propagator(A, N), order_mod(A, N))
+        assert sum(sp.multiplicities()) == N
+        assert sp.residual <= 1e-12 and sp.normality_defect <= 1e-12, N
+
+
+def test_eigenbasis_is_stacked_once():
+    sp = spectrum(propagator(A, 13), order_mod(A, 13))
+    basis = sp.eigenbasis()
+    assert sp.eigenbasis() is basis and not basis.flags.writeable
+    assert np.array_equal(basis, np.hstack([level.basis for level in sp.levels]))
 
 
 def test_level_basis_depends_on_the_projector_alone():
