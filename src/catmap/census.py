@@ -39,12 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .arith import CatMap, Factorization, _order_mod_prime_power, order_mod, primes_up_to
-from .errors import (
-    CatmapError,
-    DegenerateK,
-    FactorizationTimeout,
-    SchemaMismatch,
-)
+from .errors import CatmapError, FactorizationTimeout, SchemaMismatch
 from .quadorder import (
     PrimeClass,
     _check_eta,
@@ -171,7 +166,7 @@ class PrimeCensusSummary:
     bad_count: int
     terrible_count: int
     tails: tuple[TailCount, ...]
-    failures: tuple[int, ...]
+    failures: tuple[int, ...]  # always empty; kept for the stdout layout
 
 
 @dataclass(frozen=True)
@@ -196,7 +191,7 @@ class IntegerCensusSummary:
     l_distribution: tuple[tuple[int, int], ...]
     growth_fractions: tuple[tuple[float, float], ...]
     unit_skipped: bool  # always True: records start at N = 2
-    failures: tuple[int, ...]
+    failures: tuple[int, ...]  # always empty; kept for the stdout layout
 
 
 @dataclass(frozen=True)
@@ -246,44 +241,38 @@ def _class_codes(p: np.ndarray, order: np.ndarray, eta: float) -> np.ndarray:
     return codes
 
 
-def _prime_table(
-    m: CatMap, x: int, eta: float, primes, spf
-) -> tuple[np.ndarray, list[int]]:
-    """The prime column table of an ascending array of primes <= x, and the
-    primes left out because factoring timed out.
+def _prime_table(m: CatMap, x: int, eta: float, primes, spf) -> np.ndarray:
+    """The prime column table of an ascending array of primes <= x < 2**31.
 
     chi and ord come from the batched kernel `_prime_orders` over the
     smallest-prime-factor sieve `spf` of `_sieved_primes`, and the class from
-    `_class_codes`; the primes the kernel leaves
-    (p = 2, p | D, p >= INT64_PRIME_BOUND) take the scalar route,
-    `_prime_data`, one order each.  The table is written column by column in
+    `_class_codes`; the primes the kernel leaves (p = 2, p | D) take the
+    scalar route, `_prime_data`, one order each.  Every number factored on
+    either route is p - chi(p) or 2p < 2**32, which trial division settles,
+    so no factoring can time out.  The table is written column by column in
     place, so that the peak memory after the kernel stays below the kernel's
     own.
     """
     kept, chi, order = _prime_orders(m, primes, spf)
-    scalar, failures = [], []
+    scalar = []
     for p in np.setdiff1d(primes, kept, assume_unique=True).tolist():
-        try:
-            chi_p, order_p, cls = _prime_data(m, p, eta)
-            scalar.append((p, chi_p, order_p, _CLASSES.index(cls)))
-        except FactorizationTimeout:
-            failures.append(p)
-    table = np.empty((len(primes) - len(failures), 5), np.int64)
-    table[:, 0] = np.setdiff1d(primes, failures, assume_unique=True) if failures else primes
-    at = np.searchsorted(table[:, 0], kept)
+        chi_p, order_p, cls = _prime_data(m, p, eta)
+        scalar.append((p, chi_p, order_p, _CLASSES.index(cls)))
+    table = np.empty((len(primes), 5), np.int64)
+    table[:, 0] = primes
+    at = np.searchsorted(primes, kept)
     table[at, 1] = chi
     table[at, 2] = order
     table[at, 3] = _class_codes(kept, order, eta)
     if scalar:
         rows = np.array(scalar, np.int64)
-        table[np.searchsorted(table[:, 0], rows[:, 0]), :4] = rows
+        table[np.searchsorted(primes, rows[:, 0]), :4] = rows
     table[:, 4] = table[:, 2] > float(x) ** eta
-    return table, failures
+    return table
 
 
-def _prime_columns(m: CatMap, x: int, eta: float, lo: int = 2) -> tuple[np.ndarray, list[int]]:
-    """The prime census over [lo, x] as one int64 column table, with the
-    primes whose factoring timed out.
+def _prime_columns(m: CatMap, x: int, eta: float, lo: int = 2) -> np.ndarray:
+    """The prime census over [lo, x] as one int64 column table; x < 2**31.
 
     Row i holds the PrimeRecord fields of the i-th prime in order: p, chi,
     ord(A, p), the class as its index in `_CLASSES`, and exceeds
@@ -298,7 +287,13 @@ def _prime_columns(m: CatMap, x: int, eta: float, lo: int = 2) -> tuple[np.ndarr
 
 def _sieved_primes(x: int) -> tuple[np.ndarray, np.ndarray]:
     """A smallest-prime-factor sieve up to x + 1, which reaches p - chi(p) for
-    every prime p <= x, and the primes <= x read off it."""
+    every prime p <= x, and the primes <= x read off it.
+
+    The sieve is int32, so x must be below 2**31 (else ValueError, before
+    anything is built); this is the one cutoff bound of both censuses.
+    """
+    if x >= 1 << 31:
+        raise ValueError(f"cutoff x must be below 2**31 for the int32 sieve, got {x}")
     spf = _smallest_prime_factors(x + 1)
     primes = np.flatnonzero(spf[2 : x + 1] == np.arange(2, x + 1, dtype=np.int32)) + 2
     return spf, primes
@@ -310,25 +305,23 @@ def compute_prime_records(
     eta: float,
     *,
     lo: int = 2,
-) -> tuple[list[PrimeRecord], list[int]]:
-    """Order records for all primes in [lo, x]; factoring failures are listed,
-    not fatal.
+) -> list[PrimeRecord]:
+    """Order records for all primes in [lo, x], in order.
 
     The column engine `_prime_columns` computes them as one int64 table; the
     records are built here, at the API edge, from that table's columns.
+    x must be below 2**31.
     """
-    table, failures = _prime_columns(m, x, eta, lo)
-    return _records(table, "primes"), failures
+    return _records(_prime_columns(m, x, eta, lo), "primes")
 
 
-def summarize_prime_records(
-    records, x: int, eta: float, failures=()
-) -> PrimeCensusSummary:
+def summarize_prime_records(records, x: int, eta: float) -> PrimeCensusSummary:
     """Exceedance fraction vs c(eta), class counts, and small-order tails.
 
     ``records`` is an iterable of PrimeRecord or a prime column table (see
     `_prime_columns`); records are read once into such a table.  Each count
-    is one boolean mask or one bincount over its column.
+    is one boolean mask or one bincount over its column.  ``failures`` is
+    always empty: no prime of a census can fail.
     """
     table = records if isinstance(records, np.ndarray) else _records_table(records, "primes")
     total = len(table)
@@ -350,7 +343,7 @@ def summarize_prime_records(
         bad_count=bad,
         terrible_count=terrible,
         tails=tuple(tails),
-        failures=tuple(failures),
+        failures=(),
     )
 
 
@@ -358,8 +351,8 @@ def prime_census(
     m: CatMap, x: int, eta: float
 ) -> tuple[list[PrimeRecord], PrimeCensusSummary]:
     """Classify every prime up to x and compare the Good fraction with c(eta)."""
-    table, failures = _prime_columns(m, x, eta)
-    return _records(table, "primes"), summarize_prime_records(table, x, eta, failures)
+    table = _prime_columns(m, x, eta)
+    return _records(table, "primes"), summarize_prime_records(table, x, eta)
 
 
 def _least_n(holds, x: int) -> int:
@@ -400,9 +393,7 @@ def _census_primes(m: CatMap, x: int, eta: float, lo: int):
     one prime power at a time, by `_order_mod_prime_power`.
     """
     spf, primes = _sieved_primes(x)
-    table, failures = _prime_table(m, x, eta, primes[x // primes * primes >= lo], spf)
-    if failures:
-        raise FactorizationTimeout(f"factoring p - chi(p) timed out at p = {failures[0]}")
+    table = _prime_table(m, x, eta, primes[x // primes * primes >= lo], spf)
     primes, chi, ords, code, _ = table.T
     power_orders = []
     for p, o in zip(primes.tolist(), ords.tolist()):
@@ -434,13 +425,11 @@ def _integer_columns(m: CatMap, x: int, eta: float, lo: int = 2) -> np.ndarray:
     the class parts, and, where v_p is odd and p does not divide D, d0,
     prod(p - chi), lcm(p - chi) and prod ord(A, p).  What is left of N after
     that is 1 or one prime p > sqrt(x), and one vectorized step takes all of
-    those.  Per-prime data come from `_census_primes`.  Its sieve is int32,
-    so x < 2**31.
+    those.  Per-prime data come from `_census_primes`, whose sieve
+    (`_sieved_primes`) needs x < 2**31.
     """
     if x < 2:
         raise ValueError(f"cutoff x must be >= 2, got {x}")
-    if x >= 1 << 31:
-        raise ValueError(f"cutoff x must be below 2**31 for the int32 sieve, got {x}")
     c_eta(eta)
     lo = max(lo, 2)
     primes, cofactor, ords, good, terrible, in_d0, power_orders = _census_primes(
@@ -526,7 +515,6 @@ def summarize_integer_records(
     eta: float,
     *,
     delta_grid=DEFAULT_DELTA_GRID,
-    failures=(),
 ) -> IntegerCensusSummary:
     """Decade fractions of the five smallness statistics plus growth fractions.
 
@@ -541,7 +529,8 @@ def summarize_integer_records(
     order is compared as float64, exact below 2**53, so ord**2 > N is exact
     for N < 2**32 (an order >= 2**16 squares to >= 2**32 > N) and so is
     ord >= the float bound; N beyond the census bound 2**31 raises
-    OverflowError.
+    OverflowError.  ``failures`` is always empty: no modulus of a census can
+    fail.
     """
     table = records if isinstance(records, np.ndarray) else _records_table(records, "integers")
     count = len(table)
@@ -581,7 +570,7 @@ def summarize_integer_records(
         l_distribution=tuple(zip(ls.tolist(), l_counts.tolist())),
         growth_fractions=tuple(growth),
         unit_skipped=True,
-        failures=tuple(failures),
+        failures=(),
     )
 
 
@@ -597,16 +586,16 @@ def small_order_report(m: CatMap, k_max: int) -> tuple[list[SmallOrderRow], list
     """Moduli N_k with ord(A, N_k) <= k, for k = 2..k_max.
 
     N_k is extracted from the k-th power of the map; rows with N_k = 1 are
-    dropped, and k values whose factorization timed out are returned in the
-    failure list.  ``order_over_log`` = ord / log N_k measures how slowly the
-    order grows compared to log N_k.
+    dropped, and k values whose factorization of det(A^k - I) timed out are
+    returned in the failure list.  ``order_over_log`` = ord / log N_k
+    measures how slowly the order grows compared to log N_k.
     """
     rows: list[SmallOrderRow] = []
     failures: list[int] = []
     for k in range(2, k_max + 1):
         try:
             sof = small_order_modulus(m, k)
-        except (FactorizationTimeout, DegenerateK):
+        except FactorizationTimeout:
             failures.append(k)
             continue
         if sof.degenerate:
@@ -1010,15 +999,6 @@ def store_results(
     return len(records)
 
 
-def _complete_lines(blob: bytes) -> list[str]:
-    """The newline-terminated lines of a file's bytes, without the newlines.
-
-    A row is stored once its newline is written, so a final line without one
-    is an interrupted write and is left out.
-    """
-    return _text(blob[: blob.rfind(b"\n") + 1]).split("\n")[:-1]
-
-
 def _load_json(blob: bytes) -> LoadedResults:
     try:
         doc = json.loads(blob)
@@ -1149,21 +1129,25 @@ def resume_point(path) -> int | None:
     """Largest key already stored at path, or None if nothing usable survives.
 
     Only stored rows count, so a file truncated mid-write (even inside the
-    header) reports the last fully stored key.  A complete but alien header,
-    or a stored row whose key is not an integer, raises SchemaMismatch.
+    header or the column line) reports the last fully stored key.  A complete
+    but alien header or column line, or a stored row whose key is not an
+    integer, raises SchemaMismatch.
     """
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except FileNotFoundError:
         return None
-    with open(path, "rb") as fh:
-        blob = fh.read()
     if blob[:1] == b"{":
-        return max((r.key for r in load_results(path).records), default=None)
-    lines = _complete_lines(blob)
-    if not lines:
+        return max((r.key for r in _load_json(blob).records), default=None)
+    header, newline, rest = blob.partition(b"\n")
+    if b"\n" not in rest:  # cut inside the header or the column line
+        if newline:
+            _parse_header(_text(header))
         return None
-    _parse_header(lines[0])
+    _, _, body = _split_csv(blob)
     best = None
-    for i, line in enumerate(lines[2:], start=3):
+    for i, line in enumerate(_text(body).split("\n")[:-1], start=3):
         try:
             key = int(line.split(",", 1)[0])
         except ValueError as exc:

@@ -22,7 +22,6 @@ import numpy as np
 from .arith import (
     DEFAULT_MAP,
     CatMap,
-    Factorization,
     factorize,
     is_probable_prime,
     mat_pow_mod,
@@ -481,7 +480,3 @@ def run_checks(*, quick: bool = False, seed: int = 20240901, names=None) -> list
             ok = False
         results.append(CheckResult(name, ok, detail, perf_counter() - began))
     return results
-
-
-def all_passed(results) -> bool:
-    return all(r.ok for r in results)

@@ -33,7 +33,7 @@ from .census import (
     summarize_integer_records,
     summarize_prime_records,
 )
-from .checks import all_passed, run_checks
+from .checks import run_checks
 from .errors import CatmapError
 from .quadorder import (
     congruence_count,
@@ -275,15 +275,12 @@ def _cmd_census(args, m: CatMap) -> int:
     # a census stays one int64 column table throughout
     stored = _load_table(args.out, kind) if appendable else None
     lo = 2 if stored is None else int(stored[:, 0].max(initial=1)) + 1
-    if primes:
-        rows, failures = _prime_columns(m, args.x, args.eta, lo)
-    else:
-        rows, failures = _integer_columns(m, args.x, args.eta, lo), ()
+    rows = (_prime_columns if primes else _integer_columns)(m, args.x, args.eta, lo)
     everything = rows if stored is None else np.concatenate([stored, rows])
     if args.out:
         store_results(rows, args.out, kind=kind, config=config, fmt=args.fmt, append=resuming)
     summarize = summarize_prime_records if primes else summarize_integer_records
-    summary = summarize(everything, args.x, args.eta, failures=failures)
+    summary = summarize(everything, args.x, args.eta)
     doc = {"config": config, "summary": asdict(summary)}
     if args.out:
         doc["rows_written"] = len(rows)
@@ -336,19 +333,12 @@ def _cmd_sweep(args, m: CatMap) -> int:
         dense_limit=args.dense_limit,
     )
     config = _config(args, "sizes", "f", "n", "fmt", "dense_limit", "timing")
+    doc = {"config": config, "failures": [[n, reason] for n, reason in failures]}
     if args.out:
         store_results(records, args.out, kind="sweep", config=config, fmt=args.fmt)
-        doc = {
-            "config": config,
-            "rows_written": len(records),
-            "failures": [[n, reason] for n, reason in failures],
-        }
+        doc["rows_written"] = len(records)
     else:
-        doc = {
-            "config": config,
-            "records": _json_records(records, "sweep"),
-            "failures": [[n, reason] for n, reason in failures],
-        }
+        doc["records"] = _json_records(records, "sweep")
     sys.stdout.write(_dump(doc))
     return 0
 

@@ -29,7 +29,11 @@ class NotQuantizable(CatmapError):
 # --- integer arithmetic ---------------------------------------------------
 
 class FactorizationTimeout(CatmapError):
-    """Factorization work budget was exhausted before completion."""
+    """Factorization work budget was exhausted before completion.
+
+    The censuses never raise it: below their cutoff bound 2**31 they factor
+    only numbers below 2**32, which trial division settles.
+    """
 
 
 class NotAMultiple(CatmapError):
@@ -50,10 +54,6 @@ class BudgetExceeded(CatmapError):
 
 class ZeroVector(CatmapError):
     """Integer vector is congruent to (0, 0) modulo N."""
-
-
-class DegenerateK(CatmapError):
-    """Power k makes A^k - I singular, so no modulus can be extracted."""
 
 
 # --- quantum engine -------------------------------------------------------

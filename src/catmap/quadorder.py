@@ -39,7 +39,6 @@ from .arith import (
 )
 from .errors import (
     BudgetExceeded,
-    DegenerateK,
     EtaOutOfRange,
     NotAMultiple,
     NotPrime,
@@ -377,13 +376,14 @@ def small_order_modulus(m: CatMap, k: int) -> SmallOrderFactorization:
     det(A^k - I); primes dividing the discriminant contribute the floor of
     half.  A final descent shrinks N_k if A^k = I fails at some prime power
     (the construction only guarantees divisibility in the maximal order).
+    det(A^k - I) = 2 - tr(A^k) is never 0, since |tr(A^k)| > 2 for a
+    hyperbolic A and k >= 1.  Raises FactorizationTimeout if factoring it
+    runs out of budget.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     u, v = _pair_pow(m.trace, k)
     det = (u - 1 + v * m.a) * (u - 1 + v * m.d) - v * v * m.b * m.c
-    if det == 0:
-        raise DegenerateK(f"A^{k} = I over the integers")
     fac = factorize(abs(det))
     entries = []
     n_k = 1

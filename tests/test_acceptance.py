@@ -430,7 +430,7 @@ def test_criterion_12_determinism(announce, tmp_path):
     pairs = []
     for label, make in (
         ("integers", lambda: compute_integer_records(M, 2500, ETA)),
-        ("primes", lambda: compute_prime_records(M, 3000, ETA)[0]),
+        ("primes", lambda: compute_prime_records(M, 3000, ETA)),
     ):
         blobs = []
         for run in (1, 2):

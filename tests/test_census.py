@@ -324,6 +324,17 @@ def test_integer_census_rejects_x_beyond_the_sieve_before_building_it(monkeypatc
         compute_integer_records(A, 2**31 - 1, ETA)
 
 
+def test_prime_census_rejects_x_beyond_the_sieve_before_building_it(monkeypatch):
+    def no_sieve(n):
+        raise AssertionError(f"sieve built up to {n}")
+
+    monkeypatch.setattr(census, "_smallest_prime_factors", no_sieve)
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        census._prime_columns(A, 2**31, ETA)
+    with pytest.raises(AssertionError):  # the largest x the int32 sieve takes
+        census._prime_columns(A, 2**31 - 1, ETA)
+
+
 def _record_loop(m, x, eta, lo=2):
     """The per-N record loop the column engine replaced, kept as its oracle:
     factor each N by walking a smallest-prime-factor sieve, then take its
@@ -417,11 +428,11 @@ def test_prime_census_builds_one_sieve(monkeypatch):
     def no_sieve(x):
         raise AssertionError(f"second sieve up to {x}")
 
-    want, _ = compute_prime_records(A, 6000, ETA)
+    want = compute_prime_records(A, 6000, ETA)
     monkeypatch.setattr(census, "_smallest_prime_factors", counting)
     monkeypatch.setattr(quadorder, "_smallest_prime_factors", counting)
     monkeypatch.setattr(census, "primes_up_to", no_sieve)
-    assert compute_prime_records(A, 6000, ETA) == (want, [])
+    assert compute_prime_records(A, 6000, ETA) == want
     assert built == [6001]  # the primes and every p - chi(p) from one sieve
 
 
@@ -445,11 +456,10 @@ def _small_order_primes(m, k_max, lo, hi):
 def test_prime_records_match_classifier_oracle():
     primes = [p for p in range(2, 2001) if _trial_factor(p) == {p: 1}]
     for m in (A, OTHER):
-        recs, failures = compute_prime_records(m, 2000, ETA)
-        assert failures == []
+        recs = compute_prime_records(m, 2000, ETA)
         assert [r.p for r in recs] == primes
         for p in _small_order_primes(m, 20, 2000, 200_000):
-            recs.extend(compute_prime_records(m, p, ETA, lo=p)[0])
+            recs.extend(compute_prime_records(m, p, ETA, lo=p))
         for rec in recs:
             assert rec.order == _brute_order(m, rec.p), (m, rec.p)
             assert rec.chi == _chi_oracle(m, rec.p)
@@ -496,8 +506,8 @@ def _prime_summary_oracle(records, x, eta, failures=()):
 @pytest.mark.parametrize("m", TABLE_MAPS, ids=str)
 def test_prime_table_matches_the_scalar_route(m, lo, eta):
     x = 20_000
-    table, failures = census._prime_columns(m, x, eta, lo)
-    assert failures == [] and table.dtype == np.int64
+    table = census._prime_columns(m, x, eta, lo)
+    assert table.dtype == np.int64
     want = [
         [p, chi, o, census._CLASSES.index(_scalar_class(m, p, eta)), int(o > float(x) ** eta)]
         for p, chi, o in _scalar_primes(m, x)
@@ -507,7 +517,7 @@ def test_prime_table_matches_the_scalar_route(m, lo, eta):
     if lo == 2:  # p = 2 and the primes dividing D, off the batched kernel, are rows too
         ramified = [p for p in primes_up_to(x).tolist() if m.discriminant % p == 0]
         assert [row[0] for row in want if row[1] == 0] == ramified and ramified[0] == 2
-    records, failures = compute_prime_records(m, x, eta, lo=lo)
+    records = compute_prime_records(m, x, eta, lo=lo)
     assert records == [
         PrimeRecord(p, chi, o, census._CLASSES[k], bool(e)) for p, chi, o, k, e in want
     ]
@@ -526,7 +536,7 @@ def test_prime_table_matches_the_scalar_route(m, lo, eta):
 )
 def test_prime_table_small_orders_near_terrible_threshold(m, p, order, cls):
     # sqrt(p)/log(p) is 7.40, 36.0 and 12.9 here: the orders straddle it
-    table, _ = census._prime_columns(m, 200_000, 0.55)
+    table = census._prime_columns(m, 200_000, 0.55)
     (row,) = table[table[:, 0] == p].tolist()
     assert row[2] == order
     assert census._CLASSES[row[3]] is cls is classify_prime(m, p, 0.55)
@@ -535,14 +545,14 @@ def test_prime_table_small_orders_near_terrible_threshold(m, p, order, cls):
 def test_prime_table_decides_near_ties_by_the_float_rule():
     # eta with p**eta within an ulp or two of ord(A, p), so that a vectorized
     # power may round either way and the float rule has to decide
-    table, _ = census._prime_columns(A, 20_000, 0.55)
+    table = census._prime_columns(A, 20_000, 0.55)
     ties = 0
     for p, _, o, _, _ in table.tolist():
         eta = math.log(o) / math.log(p)
         if p < 100 or not 0.5 < eta < 0.6:
             continue
         for e in (math.nextafter(eta, 0), eta, math.nextafter(eta, 1)):
-            row = census._prime_columns(A, p, e, lo=p)[0][0].tolist()
+            row = census._prime_columns(A, p, e, lo=p)[0].tolist()
             assert census._CLASSES[row[3]] is classify_prime(A, p, e), (p, e)
         ties += 1
         if ties == 20:
@@ -585,7 +595,7 @@ def test_prime_census_summary():
 def test_prime_small_order_tail_is_quadratic():
     # the count of primes with tiny order grows like y^2, so at most
     # y^2 = 100 primes below 1e4 have order <= 10
-    recs, _ = compute_prime_records(A, 10_000, ETA)
+    recs = compute_prime_records(A, 10_000, ETA)
     tiny = [r.p for r in recs if r.order <= 10]
     assert len(tiny) <= 100
     assert len(tiny) >= 1  # e.g. ramified primes have small order
@@ -705,7 +715,7 @@ def test_csv_round_trip_integers(tmp_path):
 
 
 def test_csv_round_trip_primes(tmp_path):
-    recs, _ = compute_prime_records(A, 500, ETA)
+    recs = compute_prime_records(A, 500, ETA)
     path = tmp_path / "primes.csv"
     store_results(recs, path, config={"eta": ETA})
     loaded = load_results(path)
@@ -901,7 +911,7 @@ def test_integer_rows_off_the_digit_path_parse_as_records_do(tmp_path):
 
 
 def test_load_integer_table_takes_only_integer_csvs(tmp_path):
-    recs, _ = compute_prime_records(A, 300, ETA)
+    recs = compute_prime_records(A, 300, ETA)
     store_results(recs, tmp_path / "p.csv")
     with pytest.raises(SchemaMismatch, match="primes"):
         census._load_table(tmp_path / "p.csv", "integers")
@@ -998,7 +1008,7 @@ def test_append_with_different_config_is_rejected(tmp_path):
 def test_append_other_kind_is_rejected(tmp_path):
     path = tmp_path / "mixed.csv"
     store_results(_int_records(120), path, config={})
-    primes, _ = compute_prime_records(A, 500, ETA)
+    primes = compute_prime_records(A, 500, ETA)
     with pytest.raises(SchemaMismatch):
         store_results(primes, path, append=True, config={})
 
@@ -1026,7 +1036,7 @@ def test_load_rejects_alien_and_corrupt_files(tmp_path):
 @pytest.mark.parametrize("kind", ["primes", "integers"])
 def test_a_stored_byte_that_is_not_utf8_raises_schema_mismatch(tmp_path, kind, line):
     path = tmp_path / "bad.csv"
-    recs = compute_prime_records(A, 300, ETA)[0] if kind == "primes" else _int_records(300)
+    recs = compute_prime_records(A, 300, ETA) if kind == "primes" else _int_records(300)
     store_results(recs, path, config={"x": 300})
     lines = path.read_bytes().split(b"\n")
     lines[line] = lines[line][:3] + b"\xff" + lines[line][3:]
@@ -1103,7 +1113,7 @@ def test_empty_stream_gives_loadable_header_only_file(tmp_path):
 def test_store_validates_inputs(tmp_path):
     with pytest.raises(ValueError):
         store_results([], tmp_path / "x.csv")  # kind unknowable
-    mixed = [_int_records(110)[0], compute_prime_records(A, 300, ETA)[0][0]]
+    mixed = [_int_records(110)[0], compute_prime_records(A, 300, ETA)[0]]
     with pytest.raises(TypeError):
         store_results(mixed, tmp_path / "x.csv")
     with pytest.raises(ValueError):
@@ -1117,7 +1127,7 @@ def test_resume_point_missing_file(tmp_path):
 def test_repeated_census_runs_are_byte_identical(tmp_path):
     for label, x, make in (
         ("integers", 2500, lambda x: compute_integer_records(A, x, ETA)),
-        ("primes", 3000, lambda x: compute_prime_records(A, x, ETA)[0]),
+        ("primes", 3000, lambda x: compute_prime_records(A, x, ETA)),
     ):
         a, b = tmp_path / f"{label}-a.csv", tmp_path / f"{label}-b.csv"
         store_results(make(x), a, config={"x": x})

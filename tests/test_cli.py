@@ -118,6 +118,16 @@ def test_validation_error_exits_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["census-primes", "census-integers"])
+def test_census_beyond_the_int32_sieve_exits_1(command, monkeypatch, capsys):
+    def no_sieve(n):
+        raise AssertionError(f"sieve built up to {n}")
+
+    monkeypatch.setattr(census, "_smallest_prime_factors", no_sieve)
+    assert main([command, "-x", "2147483648"]) == 1
+    assert capsys.readouterr().err.startswith("error: cutoff x must be below 2**31")
+
+
 def test_profile_matches_library(capsys):
     assert main(["profile", "-N", "60"]) == 0
     doc = json.loads(capsys.readouterr().out)
