@@ -20,13 +20,16 @@ largest key already stored.
 Both censuses are computed, stored, read back and summarized as int64 column
 tables (:func:`_prime_columns`, :func:`_integer_columns`, :func:`_load_table`):
 one row per record, one column per field, the prime class as a code and flags
-as 0/1.  ``PrimeRecord`` and ``IntegerRecord`` objects are built from the
-columns only where the API returns records.
+as 0/1.  Both census CSVs are read back in one numpy pass (`_parse_table`);
+the per-row parser `_parse_rows` reads sweeps and any body numpy cannot take.
+``PrimeRecord`` and ``IntegerRecord`` objects are built from the columns only
+where the API returns records.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import operator
@@ -864,6 +867,9 @@ def _infer_kind(records, kind: str | None) -> str:
 def _header_line(kind: str, config) -> str:
     items = {str(k): str(v) for k, v in (config or {}).items()}
     items["kind"] = kind
+    for k, v in items.items():  # each item must read back through _parse_header
+        if "=" in k or any(bad in f"{k}={v}" for bad in ("; ", "\n")):
+            raise ValueError(f"config item {k}={v!r} cannot be stored in a CSV header")
     joined = "; ".join(f"{k}={items[k]}" for k in sorted(items))
     return f"#{FORMAT_TAG}; {joined}"
 
@@ -987,13 +993,14 @@ def store_results(
         raise ValueError(f"unknown format {fmt!r}")
 
     layout = _LAYOUTS[kind]
-    # a mismatched file raises before the tail trim touches it
+    # a config the header cannot hold, or a mismatched file, raises first
+    header = _header_line(kind, config)
     fresh = not (append and can_append(path, kind, config))
     if not fresh:
         _trim_partial_tail(path)
     with open(path, "w" if fresh else "a", newline="\n") as fh:
         if fresh:
-            fh.write(_header_line(kind, config) + "\n")
+            fh.write(header + "\n")
             fh.write(",".join(layout.columns) + "\n")
         fh.writelines(map(layout.row.__mod__, layout.rows(records)))
     return len(records)
@@ -1057,33 +1064,36 @@ def _parse_rows(kind: str, body: bytes) -> list:
     return records
 
 
-_INT64_MAX = np.iinfo(np.int64).max
+# The bytes of a body numpy may parse: its integer parser reads some letters as
+# digits (U+01FE as 462) and the ASCII separators 0x1c-0x1f as spaces.
+_TABLE_BYTES = b"0123456789-,\n" + "".join(c.value for c in _CLASSES).encode()
 
 
-def _parse_integer_rows(body: bytes) -> np.ndarray | None:
-    """The stored integer rows as one int64 column table, parsed in one pass,
-    or None when some row needs `_parse_rows` (which raises on a bad row).
+def _parse_table(kind: str, body: bytes) -> np.ndarray | None:
+    """The stored rows of a census as one int64 column table, parsed in one
+    numpy pass, or None when some row needs `_parse_rows` (which raises on a
+    bad row and keeps a cell beyond int64).
 
-    Only rows of digits and commas take this path.  Each newline becomes a
-    cell -1, which no such row holds, so the -1 cells land in the last column
-    exactly when every row has its 11 cells.  A number too large for int64,
-    which the parser clips to the int64 maximum, also goes the slow way.
+    Only bodies of `_TABLE_BYTES` take this path, and numpy must give one
+    row per newline (it skips blank lines).  The class column goes through
+    its `_Cell.code`, and flags read as 0/1, as bool(int(cell)) does.
     """
-    width = len(_LAYOUTS["integers"].columns)
-    if body.translate(None, b"0123456789,\n"):
-        return None
-    try:
-        flat = np.fromstring(body.replace(b"\n", b",-1,"), np.int64, sep=",")
-    except ValueError:  # an empty cell
-        return None
+    spec = _SCHEMA[kind][1]
+    if not body:  # numpy warns on no data, as it does on blank lines only
+        return np.empty((0, len(spec)), np.int64)
     rows = body.count(b"\n")
-    if flat.size != rows * (width + 1):
+    if rows == len(body) or body.translate(None, _TABLE_BYTES):
         return None
-    table = flat.reshape(rows, width + 1)
-    if (table[:, width] != -1).any() or (table == _INT64_MAX).any():
+    codes = {i: code for i, code in enumerate(_LAYOUTS[kind].codes) if code}
+    try:
+        table = np.loadtxt(io.BytesIO(body), np.int64, delimiter=",", ndmin=2, converters=codes)
+    except ValueError:  # a cell that is not an int64 or a class name
         return None
-    table = table[:, :width]
-    table[:, -1] = table[:, -1] != 0  # in_S: any nonzero cell reads as True
+    if table.shape != (rows, len(spec)):
+        return None
+    for column, (_, cell) in zip(table.T, spec):
+        if cell is bool:
+            column[:] = column != 0
     return table
 
 
@@ -1093,15 +1103,15 @@ def load_results(path) -> LoadedResults:
     Only stored rows count: a final CSV line without its newline (cut off
     mid-write) is left out, and any stored row that does not parse raises
     SchemaMismatch.  JSON files are detected by their leading brace.  The
-    rows of an integer CSV are parsed into one column table, and the
-    records are built from its columns.
+    rows of a census CSV are parsed into one column table (`_parse_table`),
+    and the records are built from its columns.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:1] == b"{":
         return _load_json(blob)
     kind, config, body = _split_csv(blob)
-    table = _parse_integer_rows(body) if kind == "integers" else None
+    table = _parse_table(kind, body) if kind != "sweep" else None
     records = _parse_rows(kind, body) if table is None else _records(table, kind)
     return LoadedResults(kind, config, tuple(records))
 
@@ -1109,14 +1119,14 @@ def load_results(path) -> LoadedResults:
 def _load_table(path, kind: str) -> np.ndarray:
     """The stored rows of a CSV of this kind as one int64 column table.
 
-    The same checks as `load_results`.  Integer rows of digits and commas are
-    parsed straight into the table; other rows go through the row parser.
+    The same checks as `load_results`; rows that `_parse_table` leaves go
+    through the row parser.
     """
     with open(path, "rb") as fh:
         stored, _, body = _split_csv(fh.read())
     if stored != kind:
         raise SchemaMismatch(f"not a census of {kind}: {stored!r} rows")
-    table = _parse_integer_rows(body) if kind == "integers" else None
+    table = _parse_table(kind, body)
     if table is None:
         try:
             table = _records_table(_parse_rows(kind, body), kind)

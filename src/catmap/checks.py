@@ -10,11 +10,11 @@ subcommand prints one line per result and exits nonzero if anything failed.
 from __future__ import annotations
 
 import math
-import os
 import random
 import tempfile
 import traceback
 from dataclasses import dataclass
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -394,20 +394,19 @@ def _check_census_round_trip(s: _Scale, rng) -> str:
     m = DEFAULT_MAP
     recs = compute_integer_records(m, s.census_x, ETA)
     with tempfile.TemporaryDirectory() as tmp:
-        csv_path = os.path.join(tmp, "census.csv")
+        csv_path = Path(tmp, "census.csv")
         cfg = {"x": s.census_x, "eta": ETA}
         store_results(recs, csv_path, config=cfg)
-        full_bytes = open(csv_path, "rb").read()
+        full_bytes = csv_path.read_bytes()
         assert load_results(csv_path).records == tuple(recs)
-        json_path = os.path.join(tmp, "census.json")
+        json_path = Path(tmp, "census.json")
         store_results(recs, json_path, config=cfg)
         assert load_results(json_path).records == tuple(recs)
-        with open(csv_path, "wb") as fh:
-            fh.write(full_bytes[: int(len(full_bytes) * 0.61)])
+        csv_path.write_bytes(full_bytes[: int(len(full_bytes) * 0.61)])
         last = resume_point(csv_path)
         rest = compute_integer_records(m, s.census_x, ETA, lo=last + 1)
         store_results(rest, csv_path, append=True, config=cfg)
-        assert open(csv_path, "rb").read() == full_bytes
+        assert csv_path.read_bytes() == full_bytes
     spot_rng = random.Random(rng.randrange(1 << 30))
     for rec in spot_rng.sample(recs, min(25, len(recs))):
         assert rec.order == order_mod_brute(m, rec.N), f"order at N={rec.N}"

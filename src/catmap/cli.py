@@ -1,9 +1,10 @@
 """Command-line front end: reproducible runs of the engines and censuses.
 
 Every artifact embeds the configuration that produced it (CSV header line or
-a "config" key in JSON output), and `argv_from_config` rebuilds the exact
-command line from such a header, so any stored artifact can be regenerated
-byte-for-byte.
+a "config" key in JSON output): the command and every option but --out and
+--resume.  `argv_from_config` rebuilds the exact command line from it, with
+each key's flag read off the parser, so any stored artifact can be
+regenerated byte-for-byte.
 
 Exit codes: 0 success, 1 validation or engine error, 2 usage error,
 3 invariant-check failure.
@@ -136,48 +137,37 @@ def parse_observable(text: str) -> Observable:
 # config embedding
 
 
-def _config(args, *keys: str) -> dict[str, str]:
-    """String map stored in artifact headers; enough to re-run the command."""
-    out = {"command": args.command, "matrix": args.matrix}
-    for key in keys:
-        value = getattr(args, key)
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            value = int(value)
-        out[key] = str(value)
-    return out
-
-
-_FLAG_OF = {
-    "N": "-N",
-    "n": "-n",
-    "x": "-x",
-    "eta": "--eta",
-    "f": "--f",
-    "k_max": "--k-max",
-    "sizes": "--sizes",
-    "fmt": "--fmt",
-    "matrix": "--matrix",
-    "dense_limit": "--dense-limit",
-    "seed": "--seed",
-}
-_BOOL_FLAGS = {"timing": "--timing", "resume": "--resume", "quick": "--quick"}
+def _config(args) -> dict[str, str]:
+    """String map stored in artifact headers; enough to re-run the command:
+    the command and every option it was given or defaulted, but --out and
+    --resume, which say where and how to write, not what.  The keys come in
+    the order the parser declares them, which a JSON artifact keeps."""
+    return {
+        key: str(int(value) if isinstance(value, bool) else value)
+        for key, value in vars(args).items()
+        if value is not None and key not in ("handler", "out", "resume")
+    }
 
 
 def argv_from_config(config) -> list[str]:
-    """Rebuild the argv that produced an artifact from its embedded config."""
+    """Rebuild the argv that produced an artifact from its embedded config;
+    each key's flag, and whether it takes a value, come from the parser."""
     items = dict(config)
     items.pop("kind", None)
-    argv = [items.pop("command")]
+    command = items.pop("command")
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    if command not in commands.choices:
+        raise ValueError(f"unknown command {command!r} in config")
+    actions = {a.dest: a for a in commands.choices[command]._actions if a.option_strings}
+    argv = [command]
     for key, value in sorted(items.items()):
-        if key in _BOOL_FLAGS:
-            if value not in ("0", "", "False"):
-                argv.append(_BOOL_FLAGS[key])
-        elif key in _FLAG_OF:
-            argv.extend([_FLAG_OF[key], value])
-        else:
+        if key not in actions:
             raise ValueError(f"config key {key!r} has no known flag")
+        flag = actions[key].option_strings[0]
+        if actions[key].nargs != 0:
+            argv.extend([flag, value])
+        elif value not in ("0", "", "False"):  # a store_true flag
+            argv.append(flag)
     return argv
 
 
@@ -224,7 +214,7 @@ def _cmd_profile(args, m: CatMap) -> int:
         "in_S": prof.in_s,
         "ord_over_sqrt": prof.ord / math.sqrt(prof.N),
     }
-    _emit(_dump({"config": _config(args, "N", "eta"), "profile": body}), args.out)
+    _emit(_dump({"config": _config(args), "profile": body}), args.out)
     return 0
 
 
@@ -238,7 +228,7 @@ def _cmd_nu(args, m: CatMap) -> int:
         "trivial_count": cc.trivial_count,
         "minus_one_exponent": cc.minus_one_exponent,
     }
-    _emit(_dump({"config": _config(args, "N", "n"), "nu": body}), args.out)
+    _emit(_dump({"config": _config(args), "nu": body}), args.out)
     return 0
 
 
@@ -255,7 +245,7 @@ def _cmd_small_order(args, m: CatMap) -> int:
         for row in rows
     ]
     doc = {
-        "config": _config(args, "k_max"),
+        "config": _config(args),
         "rows": body,
         "failures": list(failures),
     }
@@ -266,7 +256,7 @@ def _cmd_small_order(args, m: CatMap) -> int:
 def _cmd_census(args, m: CatMap) -> int:
     primes = args.command == "census-primes"
     kind = "primes" if primes else "integers"
-    config = _config(args, "x", "eta", "fmt")
+    config = _config(args)
     resuming = bool(args.resume and args.out and args.fmt == "csv")
     # the stored header is checked and the stored rows are read once, before
     # any work, so a mismatched or corrupt file fails here and is left as it
@@ -292,14 +282,14 @@ def _cmd_census(args, m: CatMap) -> int:
 
 def _cmd_propagator(args, m: CatMap) -> int:
     u = propagator(m, args.N)
-    doc = {"config": _config(args, "N"), "operator": u.to_jsonable()}
+    doc = {"config": _config(args), "operator": u.to_jsonable()}
     _emit(_dump(doc), args.out)
     return 0
 
 
 def _cmd_spectrum(args, m: CatMap) -> int:
     eig = spectrum(propagator(m, args.N), order_mod(m, args.N))
-    doc = {"config": _config(args, "N"), "spectrum": eig.to_jsonable()}
+    doc = {"config": _config(args), "spectrum": eig.to_jsonable()}
     _emit(_dump(doc), args.out)
     return 0
 
@@ -317,7 +307,7 @@ def _cmd_fourth_moment(args, m: CatMap) -> int:
         "bound": fm.bound,
         "ratio": fm.s4 / fm.bound,
     }
-    _emit(_dump({"config": _config(args, "N", "n"), "fourth_moment": body}), args.out)
+    _emit(_dump({"config": _config(args), "fourth_moment": body}), args.out)
     return 0
 
 
@@ -332,7 +322,7 @@ def _cmd_sweep(args, m: CatMap) -> int:
         timing=args.timing,
         dense_limit=args.dense_limit,
     )
-    config = _config(args, "sizes", "f", "n", "fmt", "dense_limit", "timing")
+    config = _config(args)
     doc = {"config": config, "failures": [[n, reason] for n, reason in failures]}
     if args.out:
         store_results(records, args.out, kind="sweep", config=config, fmt=args.fmt)
@@ -418,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", default="cos1", help="cos1, cos2, or c:(n1,n2)=re,im;...")
     p.add_argument("-n", default="1,0")
     p.add_argument("--fmt", choices=("csv", "json"), default="csv")
-    p.add_argument("--timing", action="store_true")
     p.add_argument("--dense-limit", type=int, default=DENSE_DIMENSION_LIMIT)
+    p.add_argument("--timing", action="store_true")
 
     p = add("check", _cmd_check, help="run the library invariant suite")
     p.add_argument("--quick", action="store_true")

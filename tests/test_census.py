@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import os
+import re
 from collections import Counter
 
 import numpy as np
@@ -485,7 +486,7 @@ def _scalar_primes(m, x):
 _scalar_class = functools.cache(classify_prime)
 
 
-def _prime_summary_oracle(records, x, eta, failures=()):
+def _prime_summary_oracle(records, x, eta):
     """The record-by-record summary the column summary replaced."""
     classes = Counter(r.prime_class for r in records)
     exceed = sum(1 for r in records if r.exceeds)
@@ -497,7 +498,7 @@ def _prime_summary_oracle(records, x, eta, failures=()):
     return PrimeCensusSummary(
         x, eta, total, exceed, exceed / total if total else 0.0, c_eta(eta),
         classes[PrimeClass.GOOD], classes[PrimeClass.BAD], classes[PrimeClass.TERRIBLE],
-        tails, tuple(failures),
+        tails, (),
     )
 
 
@@ -857,6 +858,64 @@ def test_golden_integers_parse_into_the_table_of_their_records(tmp_path, monkeyp
     assert census._records(table, "integers") == list(load_results(path).records) == recs
 
 
+def test_golden_primes_parse_into_the_table_of_their_records(tmp_path, monkeypatch):
+    recs = _GOLDEN["primes"][0]  # chi of 0 and -1, and each class
+    path = tmp_path / "r.csv"
+    store_results(recs, path, config={"x": 200})
+    monkeypatch.setattr(census, "_parse_rows", None)  # the rows take one pass
+    table = census._load_table(path, "primes")
+    assert table.dtype == np.int64
+    assert table.tolist() == [[3, 0, 6, 2, 0], [19, -1, 5, 1, 0], [199, -1, 200, 0, 1]]
+    assert census._records(table, "primes") == list(load_results(path).records) == recs
+
+
+def _set_cell(row: bytes, i: int, cell: bytes) -> bytes:
+    cells = row.split(b",")
+    cells[i] = cell
+    return b",".join(cells)
+
+
+# Edits of the stored rows of a census, and the error every reader must raise
+# (None: the rows load).  The first row is line 3 of the file.
+_ROW_EDITS = {
+    "blank-line": (lambda rows: rows[:1] + [b""] + rows[1:], "bad row 4:"),
+    "only-a-blank-line": (lambda rows: [b""], "bad row 3:"),
+    "hash-row": (lambda rows: rows[:1] + [b"#" + rows[1]] + rows[2:], "bad row 4:"),
+    "crlf": (lambda rows: [row + b"\r" for row in rows], None),
+    "not-utf8": (lambda rows: rows[:1] + [rows[1] + b"\xa0"] + rows[2:], "UTF-8"),
+    "flag-of-2": (lambda rows: [_set_cell(rows[0], -1, b"2")] + rows[1:], None),
+    "unknown-class": (lambda rows: [_set_cell(rows[0], 3, b"great")] + rows[1:], "bad row 3:"),
+    # cells numpy reads as integers and int() does not: U+01FE (as 462), "1\x1c"
+    "letter-digit": (lambda rows: [_set_cell(rows[0], 2, b"\xc7\xbe")] + rows[1:], "bad row 3:"),
+    "file-separator": (lambda rows: [_set_cell(rows[0], 2, b"1\x1c")] + rows[1:], "bad row 3:"),
+    "no-rows": (lambda rows: [], None),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_ROW_EDITS))
+@pytest.mark.parametrize("kind", ["primes", "integers"])
+def test_census_rows_read_as_the_row_parser_reads_them(tmp_path, kind, edit):
+    change, error = _ROW_EDITS[edit]
+    path = tmp_path / "r.csv"
+    store_results(_GOLDEN[kind][0], path, config={"x": 200})
+    header, columns, *rows = path.read_bytes().split(b"\n")[:-1]
+    body = b"".join(row + b"\n" for row in change(rows))
+    path.write_bytes(header + b"\n" + columns + b"\n" + body)
+    readers = (load_results, lambda path: census._load_table(path, kind))
+    if error:
+        with pytest.raises(SchemaMismatch, match=error) as per_row:
+            census._parse_rows(kind, body)
+        for read in readers:
+            with pytest.raises(SchemaMismatch, match=re.escape(str(per_row.value))):
+                read(path)
+    else:
+        records = census._parse_rows(kind, body)
+        assert load_results(path).records == tuple(records)
+        table = census._load_table(path, kind)
+        assert table.shape == (len(records), len(census._LAYOUTS[kind].columns))
+        assert table.tolist() == census._records_table(records, kind).tolist()
+
+
 def _integers_file(tmp_path, x=300):
     path = tmp_path / "ints.csv"
     store_results(_int_records(x), path, config={"x": x})
@@ -1003,6 +1062,27 @@ def test_append_with_different_config_is_rejected(tmp_path):
     with pytest.raises(SchemaMismatch):
         store_results(recs, path, append=True, config={"x": 240})
     assert path.read_bytes() == cut
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"f": "c:(1,0)=1,0; c:(-1,0)=1,0"}, {"f": "cos1\n"}, {"a=b": "1"}, {"a; b": "1"}],
+    ids=["semicolon-value", "newline-value", "equals-key", "semicolon-key"],
+)
+@pytest.mark.parametrize("append", [False, True], ids=["fresh", "append"])
+def test_a_config_the_header_cannot_hold_raises_and_leaves_the_file(
+    tmp_path, config, append
+):
+    recs = _int_records(120)
+    path = tmp_path / "ints.csv"
+    store_results(recs, path, config={"x": 120})
+    cut = path.read_bytes()[:-7]
+    path.write_bytes(cut)
+    with pytest.raises(ValueError, match="CSV header"):
+        store_results(recs, path, config=config, append=append)
+    assert path.read_bytes() == cut
+    store_results(recs, tmp_path / "r.json", config=config)  # JSON holds any string
+    assert load_results(tmp_path / "r.json").config == config
 
 
 def test_append_other_kind_is_rejected(tmp_path):

@@ -422,15 +422,59 @@ def test_argv_from_config_round_trip():
         argv_from_config({"command": "sweep", "mystery": "3"})
 
 
-def test_flag_tables_name_only_options_the_parser_defines():
-    parser = cli.build_parser()
-    (commands,) = [a for a in parser._actions if a.dest == "command"]
-    flags = {}  # dest -> every option string defined for it
-    for sub in commands.choices.values():
-        for action in sub._actions:
-            flags.setdefault(action.dest, set()).update(action.option_strings)
-    for key, flag in {**cli._FLAG_OF, **cli._BOOL_FLAGS}.items():
-        assert flag in flags.get(key, ()), (key, flag)
+# every command that writes an artifact, in each format it writes
+_ARTIFACT_ARGV = {
+    "profile": ["profile", "-N", "360", "--eta", "0.52", "--matrix", "2,3,1,2"],
+    "nu": ["nu", "-N", "77", "-n", "2,1"],
+    "small-order": ["small-order", "--k-max", "12"],
+    "propagator": ["propagator", "-N", "9"],
+    "spectrum": ["spectrum", "-N", "12", "--matrix", "4,1,-1,0"],
+    "fourth-moment": ["fourth-moment", "-N", "31", "-n", "1,1"],
+    "sweep-csv": ["sweep", "--sizes", "5-13:2", "--f", "cos2", "-n", "1,1", "--dense-limit", "11"],
+    "sweep-json": ["sweep", "--sizes", "5-9", "--f", "c:(1,0)=0.5,0;c:(0,1)=0,1", "--fmt", "json"],
+    "census-primes-csv": ["census-primes", "-x", "300", "--eta", "0.52"],
+    "census-primes-json": ["census-primes", "-x", "300", "--fmt", "json"],
+    "census-integers-csv": ["census-integers", "-x", "250", "--matrix", "2,3,1,2"],
+    "census-integers-json": ["census-integers", "-x", "250", "--eta", "0.58", "--fmt", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARTIFACT_ARGV))
+def test_every_artifact_regenerates_from_its_config(name, tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(_ARTIFACT_ARGV[name] + ["--out", str(a)]) == 0
+    printed = capsys.readouterr().out
+    text = a.read_text()
+    config = json.loads(text)["config"] if text.startswith("{") else load_results(a).config
+    assert main(argv_from_config(config) + ["--out", str(b)]) == 0
+    assert capsys.readouterr().out == printed
+    assert b.read_bytes() == a.read_bytes()
+
+
+def test_sweep_json_config_keeps_its_key_order(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert main(["sweep", "--sizes", "5", "--fmt", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    config = json.loads(out.read_text())["config"]
+    assert list(config) == ["command", "matrix", "sizes", "f", "n", "fmt", "dense_limit", "timing"]
+
+
+@pytest.mark.parametrize(
+    "f", ["c:(1,0)=1,0; c:(-1,0)=1,0", "c:(1,0)=1,0\n"], ids=["semicolon", "newline"]
+)
+def test_a_config_the_csv_header_cannot_hold_exits_1_and_writes_nothing(f, tmp_path, capsys):
+    argv = ["sweep", "--sizes", "5,7", "--f", f]
+    out = tmp_path / "s.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "CSV header" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"  # a JSON artifact holds it
+    assert main(argv + ["--fmt", "json", "--out", str(a)]) == 0
+    config = json.loads(a.read_text())["config"]
+    assert main(argv_from_config(config) + ["--out", str(b)]) == 0
+    assert b.read_bytes() == a.read_bytes()
 
 
 # ---------------------------------------------------------------------------
