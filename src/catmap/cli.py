@@ -24,6 +24,7 @@ from .arith import CatMap, order_mod
 from .census import (
     DENSE_DIMENSION_LIMIT,
     _integer_columns,
+    _header_line,
     _json_records,
     _load_table,
     _prime_columns,
@@ -257,6 +258,8 @@ def _cmd_census(args, m: CatMap) -> int:
     primes = args.command == "census-primes"
     kind = "primes" if primes else "integers"
     config = _config(args)
+    if args.out and args.fmt == "csv":
+        _header_line(kind, config)  # a config the header cannot hold fails before any work
     resuming = bool(args.resume and args.out and args.fmt == "csv")
     # the stored header is checked and the stored rows are read once, before
     # any work, so a mismatched or corrupt file fails here and is left as it
@@ -312,17 +315,17 @@ def _cmd_fourth_moment(args, m: CatMap) -> int:
 
 
 def _cmd_sweep(args, m: CatMap) -> int:
-    sizes = parse_sizes(args.sizes)
-    f = parse_observable(args.f)
+    config = _config(args)
+    if args.out and args.fmt == "csv":
+        _header_line("sweep", config)  # a config the header cannot hold fails before any work
     records, failures = quantum_sweep(
         m,
-        sizes,
-        f,
+        parse_sizes(args.sizes),
+        parse_observable(args.f),
         parse_vector(args.n),
         timing=args.timing,
         dense_limit=args.dense_limit,
     )
-    config = _config(args)
     doc = {"config": config, "failures": [[n, reason] for n, reason in failures]}
     if args.out:
         store_results(records, args.out, kind="sweep", config=config, fmt=args.fmt)

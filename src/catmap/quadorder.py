@@ -210,7 +210,9 @@ def _prime_orders(
     """
     t = m.trace
     p = primes[(primes > 2) & (primes < INT64_PRIME_BOUND)]
-    tp = np.array([t % q for q in p.tolist()], dtype=np.int64)
+    # np.remainder has Python's sign convention, but needs t in int64: |t| < 2^63
+    tp = (np.remainder(t, p) if abs(t) < 1 << 63
+          else np.array([t % q for q in p.tolist()], dtype=np.int64))
     keep = (tp * tp - 4) % p != 0
     p, tp = p[keep], tp[keep]
     if not p.size:

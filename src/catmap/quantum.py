@@ -21,7 +21,8 @@ eigenvectors are U's.  Inside a degenerate level the basis, on which the
 diagonal statistics depend, is the greedy pivoted Gram-Schmidt of the level
 projector's columns, with norms equal to a relative 1e-9 tied and ties going
 to the smallest index, so neither rounding nor the eigenvectors LAPACK
-returns can change it.
+returns can change it.  The levels of one multiplicity share one stacked
+pass; each basis still depends on its own projector alone.
 """
 
 from __future__ import annotations
@@ -298,9 +299,9 @@ def _intertwining_defect(U: np.ndarray, m: CatMap, vectors) -> float:
     return worst
 
 
-def _first_max(mags: np.ndarray) -> int:
-    """Index of the largest entry; a tie (_TIE_RTOL) goes to the smallest."""
-    return int(np.argmax(mags >= mags.max() * (1.0 - _TIE_RTOL)))
+def _first_max(mags: np.ndarray) -> np.ndarray:
+    """Index of the largest entry along the last axis; ties (_TIE_RTOL) go to the smallest."""
+    return np.argmax(mags >= mags.max(axis=-1, keepdims=True) * (1.0 - _TIE_RTOL), axis=-1)
 
 
 def _fix_global_phase(matrix: np.ndarray) -> np.ndarray:
@@ -422,21 +423,23 @@ class Spectrum:
         }
 
 
-def _level_basis(Zj: np.ndarray) -> np.ndarray:
-    """Greedy pivoted Gram-Schmidt of the columns P e_i of P = Zj Zj^H.
+def _level_bases(Zs: np.ndarray) -> np.ndarray:
+    """Greedy pivoted Gram-Schmidt of the columns P e_i of P = Zj Zj^H, for
+    every level Zj of a stack Zs of one multiplicity m, shape (levels, N, m).
 
     Each step takes the column with the largest residual norm (`_first_max`).
     It runs on the coordinates Zj^H e_i, which have the inner products of the
-    P e_i, so the basis, phase included, depends on P alone.
+    P e_i, so each basis, phase included, depends on its P alone.
     """
-    rest = Zj.conj().T.copy()
-    coords = np.empty((len(rest), len(rest)), dtype=np.complex128)
-    for k in range(len(rest)):
-        norms = np.linalg.norm(rest, axis=0)
+    rest = Zs.conj().transpose(0, 2, 1).copy()
+    at, m = np.arange(len(rest)), rest.shape[1]
+    coords = np.empty((len(rest), m, m), dtype=np.complex128)
+    for k in range(m):
+        norms = np.linalg.norm(rest, axis=1)
         pivot = _first_max(norms)
-        coords[:, k] = rest[:, pivot] / norms[pivot]
-        rest -= np.outer(coords[:, k], coords[:, k].conj() @ rest)
-    return Zj @ coords
+        coords[:, :, k] = c = rest[at, :, pivot] / norms[at, pivot][:, None]
+        rest -= c[:, :, None] * (c.conj()[:, None, :] @ rest)
+    return Zs @ coords
 
 
 def _rotated_eigh(U: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -461,8 +464,9 @@ def spectrum(U: Operator, r_hint: int) -> Spectrum:
     distinct values of cos(theta - alpha), at least about pi^2/r*^2 apart;
     its Z must make Z^H U Z diagonal within tol.  Each eigenvalue joins the
     r*-th root of that scalar nearest in angle (so nearest), which must lie
-    within ROOT_TOL; a level's basis is `_level_basis` of its columns of Z,
-    checked by residual (tol) and Gram.
+    within ROOT_TOL.  A level's basis is `_level_bases` of its columns of Z,
+    one call per multiplicity, checked by residual (tol) and Gram; a failure
+    names the first failing level in eigenphase order.
     """
     if r_hint < 1:
         raise ValueError("the order hint must be positive")
@@ -496,20 +500,30 @@ def spectrum(U: Operator, r_hint: int) -> Spectrum:
     miss = float(np.abs(lam - roots[nearest]).max())
     if miss > ROOT_TOL:
         raise ConstructionFailed(f"an eigenvalue lies {miss:.3e} from every r*-th root")
-    levels, residual, gram = [], 0.0, 0.0
-    for j in np.unique(nearest):
-        sel = nearest == j
-        basis = _level_basis(Z[:, sel])
-        mult = basis.shape[1]
-        # U basis from U Z: the basis is Z[:, sel] times Z[:, sel]^H basis
-        resid = UZ[:, sel] @ (Z[:, sel].conj().T @ basis) - roots[j] * basis
-        residual = max(residual, float(np.linalg.norm(resid, axis=0).max()))
-        gram = max(gram, float(np.abs(basis.conj().T @ basis - np.eye(mult)).max()))
-        if residual > SPECTRAL_TOL or gram > UNITARY_TOL:
-            raise ConstructionFailed(f"eigenvector residual {residual:.3e} or Gram defect "
-                                     f"{gram:.3e} at or before eigenphase index {j}")
-        levels.append(SpectralLevel(complex(roots[j]), mult, basis * sqrt(N)))
-    return Spectrum(N, r_star, phase, tuple(levels), residual, gram, normality)
+    # levels in ascending j; the columns of each in eigh's order
+    js, mults = np.unique(nearest, return_counts=True)
+    cols, starts = np.argsort(nearest, kind="stable"), np.cumsum(mults) - mults
+    bases = {}
+    residuals, grams = np.empty(len(js)), np.empty(len(js))
+    for mult in np.unique(mults):
+        at = np.flatnonzero(mults == mult)
+        sel = cols[starts[at][:, None] + np.arange(mult)]
+        Zs, UZs = (M[:, sel].transpose(1, 0, 2) for M in (Z, UZ))
+        B = _level_bases(Zs)
+        # U B from U Z: each basis is Zj times Zj^H B
+        resid = UZs @ (Zs.conj().transpose(0, 2, 1) @ B) - roots[js[at]][:, None, None] * B
+        residuals[at] = np.linalg.norm(resid, axis=1).max(axis=1)
+        grams[at] = np.abs(B.conj().transpose(0, 2, 1) @ B - np.eye(mult)).max(axis=(1, 2))
+        bases.update(zip(at.tolist(), B * sqrt(N)))
+    residual, gram = np.maximum.accumulate(residuals), np.maximum.accumulate(grams)
+    bad = np.flatnonzero((residual > SPECTRAL_TOL) | (gram > UNITARY_TOL))
+    if bad.size:
+        i = bad[0]
+        raise ConstructionFailed(f"eigenvector residual {residual[i]:.3e} or Gram defect "
+                                 f"{gram[i]:.3e} at or before eigenphase index {js[i]}")
+    levels = tuple(SpectralLevel(complex(roots[j]), int(mults[i]), bases[i])
+                   for i, j in enumerate(js))
+    return Spectrum(N, r_star, phase, levels, float(residual[-1]), float(gram[-1]), normality)
 
 
 def expectation(op: Operator, psi: StateVector) -> complex:

@@ -477,6 +477,35 @@ def test_a_config_the_csv_header_cannot_hold_exits_1_and_writes_nothing(f, tmp_p
     assert b.read_bytes() == a.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census-integers", "-x", "1000000"],
+        ["census-primes", "-x", "1000000"],
+        ["sweep", "--sizes", "3-64,65-101:2", "--f", "cos1", "-n", "1,0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+def test_a_config_the_csv_header_cannot_hold_fails_before_work(
+    argv, existing, tmp_path, capsys, monkeypatch
+):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the header was built")
+
+    for engine in ("_integer_columns", "_prime_columns", "quantum_sweep"):
+        monkeypatch.setattr(cli, engine, no_compute)
+    out = tmp_path / "artifact.csv"
+    if existing:
+        out.write_bytes(b"#stored; kind=other\nunrelated\n")
+    before = out.read_bytes() if existing else None
+    assert main(argv + ["--matrix", "2,1,3,2\n", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "CSV header" in captured.err
+    assert captured.out == ""
+    assert out.read_bytes() == before if existing else not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # check subcommand
 

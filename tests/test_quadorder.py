@@ -385,6 +385,20 @@ def test_kernel_bound_falls_back_to_scalar_route(monkeypatch):
         assert cut[p] == full[p]
 
 
+@pytest.mark.parametrize(
+    "m",
+    # trace 4 and -4 reduce in int64; trace 2^63 + 2 does not fit there
+    [CatMap(2, 1, 3, 2), CatMap(-2, -1, -3, -2), CatMap(2**63, 1, 2**64 - 1, 2)],
+    ids=str,
+)
+def test_kernel_trace_reduction_on_both_sides_of_the_int64_bound(m):
+    primes = primes_up_to(20_000)
+    kept, chi, order = _prime_orders(m, primes, sieve_to(primes))
+    assert kept.tolist() == [p for p in primes.tolist() if p > 2 and m.discriminant % p]
+    for p, c, o in zip(kept.tolist(), chi.tolist(), order.tolist()):
+        assert (c, o) == (_legendre(m.discriminant, p), _order_mod_prime_power(m, p, 1))
+
+
 def test_kernel_empty_and_discriminant_primes():
     empty = np.empty(0, dtype=np.int64)
     assert all(a.size == 0 for a in _prime_orders(A, empty, sieve_to(empty)))

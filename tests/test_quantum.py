@@ -25,7 +25,7 @@ from catmap.quantum import (
     fourth_moment,
     max_deviation,
     propagator,
-    _level_basis,
+    _level_bases,
     _theta_word,
     spectrum,
     translation,
@@ -534,6 +534,42 @@ def test_spectrum_matches_dense_power_oracle(m):
             assert np.abs(P - proj).max() <= 1e-9, (N, lam)
 
 
+def _level_basis_oracle(Zj):
+    """The per-level loop `_level_bases` batches, kept as its oracle: greedy
+    pivoted Gram-Schmidt of the columns P e_i of P = Zj Zj^H for one level,
+    the largest residual norm first, ties within 1e-9 to the smallest index."""
+    rest = Zj.conj().T.copy()
+    coords = np.empty((len(rest), len(rest)), dtype=complex)
+    for k in range(len(rest)):
+        norms = np.linalg.norm(rest, axis=0)
+        pivot = int(np.argmax(norms >= norms.max() * (1.0 - quantum._TIE_RTOL)))
+        coords[:, k] = rest[:, pivot] / norms[pivot]
+        rest -= np.outer(coords[:, k], coords[:, k].conj() @ rest)
+    return Zj @ coords
+
+
+def oracle_built_levels(U, sp):
+    """spectrum()'s level bases, residual, Gram and normality defects, rebuilt
+    from the same second eigensolve one level at a time with
+    `_level_basis_oracle`, as spectrum() built them before it batched them."""
+    N, r_star, phase = U.N, sp.scalar_period, sp.global_phase
+    Z, UZ = quantum._rotated_eigh(U.matrix, (phase + np.pi / 2) / r_star)
+    D = Z.conj().T @ UZ
+    lam = np.diag(D).copy()
+    np.fill_diagonal(D, 0.0)
+    roots = np.exp(1j * (phase + 2 * np.pi * np.arange(r_star)) / r_star)
+    nearest = np.rint((np.angle(lam) * r_star - phase) / (2 * np.pi)).astype(int) % r_star
+    bases, residual, gram = [], 0.0, 0.0
+    for j in np.unique(nearest):
+        sel = nearest == j
+        basis = _level_basis_oracle(Z[:, sel])
+        resid = UZ[:, sel] @ (Z[:, sel].conj().T @ basis) - roots[j] * basis
+        residual = max(residual, float(np.linalg.norm(resid, axis=0).max()))
+        gram = max(gram, float(np.abs(basis.conj().T @ basis - np.eye(sel.sum())).max()))
+        bases.append(basis * np.sqrt(N))
+    return bases, residual, gram, float(np.abs(D).max())
+
+
 def schur_levels(U, r_hint):
     """The Schur route spectrum() replaced, kept as its oracle: r*, the global
     phase and the levels of one complex Schur decomposition U = Z T Z^H,
@@ -558,7 +594,7 @@ def schur_levels(U, r_hint):
     for j in np.unique(nearest):
         Zj = Z[:, nearest == j]
         root = np.exp(1j * (phase + 2 * np.pi * j) / r_star)
-        levels.append((root, Zj @ Zj.conj().T, _level_basis(Zj) * np.sqrt(N)))
+        levels.append((root, Zj @ Zj.conj().T, _level_bases(Zj[None])[0] * np.sqrt(N)))
     return r_star, phase, levels
 
 
@@ -580,6 +616,62 @@ def assert_matches_schur(m, N):
 def test_spectrum_matches_schur_oracle(m):
     for N in range(65, 161, 2):
         assert_matches_schur(m, N)
+
+
+# N = 2..160 in slices of about equal cost, so no one case dominates, and
+# the N = 214 where a fixed rotation fails
+ORACLE_SLICES = [range(2, 70), range(70, 105), range(105, 130), range(130, 148), range(148, 161)]
+ORACLE_CASES = [(m, r) for m in POOL_MAPS + [OTHER] for r in ORACLE_SLICES] + [(OTHER, [214])]
+
+
+@pytest.mark.parametrize("m, sizes", ORACLE_CASES, ids=[f"{m}-N{r[0]}-{r[-1]}" for m, r in ORACLE_CASES])
+def test_batched_levels_match_the_per_level_oracle_bit_for_bit(m, sizes):
+    for N in sizes:
+        U = propagator(m, N)
+        sp = spectrum(U, order_mod(m, N))
+        bases, residual, gram, normality = oracle_built_levels(U, sp)
+        assert len(sp.levels) == len(bases), N
+        for level, basis in zip(sp.levels, bases):
+            assert np.array_equal(level.basis, basis), (N, level.eigenphase)
+        assert (sp.residual, sp.gram_defect, sp.normality_defect) == (residual, gram, normality), N
+
+
+@pytest.mark.parametrize("N", [33, 60])
+def test_level_bases_of_a_stack_match_the_oracle_level_by_level(N):
+    # one stack per multiplicity, each level turned by a seeded unitary so
+    # the pivots have work to do; 33 and 60 have multiplicities 1, 2 and >= 3
+    sp = spectrum(propagator(A, N), order_mod(A, N))
+    mults = sorted(set(sp.multiplicities()))
+    assert {1, 2} <= set(mults) and mults[-1] >= 3
+    for m in mults:
+        Zs = np.stack([
+            level.basis / np.sqrt(N) @ scipy.stats.unitary_group.rvs(m, random_state=k)
+            if m > 1 else level.basis / np.sqrt(N) * np.exp(0.7j)
+            for k, level in enumerate(sp.levels) if level.multiplicity == m
+        ])
+        got = _level_bases(Zs)
+        assert got.shape == Zs.shape
+        for Zj, basis in zip(Zs, got):
+            assert np.array_equal(basis, _level_basis_oracle(Zj)), (N, m)
+
+
+def test_a_failing_level_is_named_in_eigenphase_order(monkeypatch):
+    # at N = 33 the levels j = 0, 1, 3 have multiplicities 2, 1, 2: spoil the
+    # second level of multiplicity 2, built after the level of multiplicity 1
+    U = propagator(A, 33)
+    sp = spectrum(U, order_mod(A, 33))
+    assert sp.multiplicities()[:3] == (2, 1, 2)
+    build = quantum._level_bases
+
+    def spoiled(Zs):
+        B = build(Zs)
+        if Zs.shape[2] == 2:
+            B[1] *= 1.1  # Gram defect 0.21, residual still within its gate
+        return B
+
+    monkeypatch.setattr(quantum, "_level_bases", spoiled)
+    with pytest.raises(ConstructionFailed, match=r"Gram defect 2\.100e-01 at or before eigenphase index 3$"):
+        spectrum(U, order_mod(A, 33))
 
 
 def test_spectrum_separates_levels_a_fixed_rotation_cannot():
@@ -631,7 +723,7 @@ def test_level_basis_depends_on_the_projector_alone():
             W = np.full((1, 1), np.exp(0.7j))
             if m > 1:
                 W = scipy.stats.unitary_group.rvs(m, random_state=k)
-            assert np.abs(_level_basis(Zj @ W) - Zj).max() <= 1e-12, (N, k)
+            assert np.abs(_level_bases((Zj @ W)[None])[0] - Zj).max() <= 1e-12, (N, k)
 
 
 def _perturbed(U, eps, seed):
