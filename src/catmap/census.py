@@ -20,8 +20,10 @@ largest key already stored.
 Both censuses are computed, stored, read back and summarized as int64 column
 tables (:func:`_prime_columns`, :func:`_integer_columns`, :func:`_load_table`):
 one row per record, one column per field, the prime class as a code and flags
-as 0/1.  Both census CSVs are read back in one numpy pass (`_parse_table`);
-the per-row parser `_parse_rows` reads sweeps and any body numpy cannot take.
+as 0/1.  Every CSV reader takes its rows from `_stored_rows`, so all accept
+and reject the same files.  It reads a census body in one numpy pass
+(`_parse_table`); the per-row parser `_parse_rows` reads sweeps and any body
+numpy cannot take.
 ``PrimeRecord`` and ``IntegerRecord`` objects are built from the columns only
 where the API returns records.
 """
@@ -1022,31 +1024,6 @@ def _load_json(blob: bytes) -> LoadedResults:
     return LoadedResults(kind, config, tuple(_from_json_value(kind, obj) for obj in records))
 
 
-def _split_csv(blob: bytes) -> tuple[str, dict, bytes]:
-    """(kind, config, stored rows) of a CSV's bytes, its header checked.
-
-    The rows are the complete lines after the column line, each with its
-    newline; a final line without one (cut off mid-write) is left out.
-    """
-    stored = blob[: blob.rfind(b"\n") + 1]
-    if not stored:
-        raise SchemaMismatch("empty file")
-    header, _, rest = stored.partition(b"\n")
-    config = _parse_header(_text(header))
-    kind = config.pop("kind", None)
-    if not rest:
-        raise SchemaMismatch("missing column line")
-    columns, _, body = rest.partition(b"\n")
-    by_columns = {",".join(v.columns): k for k, v in _LAYOUTS.items()}
-    columns = _text(columns)
-    col_kind = by_columns.get(columns)
-    if col_kind is None:
-        raise SchemaMismatch(f"unknown column set {columns!r}")
-    if kind is not None and kind != col_kind:
-        raise SchemaMismatch(f"header kind {kind!r} does not match columns {col_kind!r}")
-    return col_kind, config, body
-
-
 def _parse_rows(kind: str, body: bytes) -> list:
     """One record per stored row; a row that does not parse raises
     SchemaMismatch naming its line number in the file."""
@@ -1071,8 +1048,8 @@ _TABLE_BYTES = b"0123456789-,\n" + "".join(c.value for c in _CLASSES).encode()
 
 def _parse_table(kind: str, body: bytes) -> np.ndarray | None:
     """The stored rows of a census as one int64 column table, parsed in one
-    numpy pass, or None when some row needs `_parse_rows` (which raises on a
-    bad row and keeps a cell beyond int64).
+    numpy pass, or None when some row needs `_parse_rows` (which names a bad
+    row).
 
     Only bodies of `_TABLE_BYTES` take this path, and numpy must give one
     row per newline (it skips blank lines).  The class column goes through
@@ -1097,41 +1074,69 @@ def _parse_table(kind: str, body: bytes) -> np.ndarray | None:
     return table
 
 
+def _stored_rows(blob: bytes) -> tuple[str, dict, np.ndarray | list]:
+    """(kind, config, rows) of a CSV's bytes, its header and column line
+    checked: the one reader of stored rows.
+
+    The rows are the complete lines after the column line; a final line
+    without its newline (cut off mid-write) is left out.  For a census, rows
+    is one int64 column table: `_parse_table` reads it in one numpy pass, and
+    where it cannot, the row parser `_parse_rows` names the bad row (a cell
+    beyond int64 raises SchemaMismatch too).  For a sweep, rows is the list
+    of its records.
+    """
+    stored = blob[: blob.rfind(b"\n") + 1]
+    if not stored:
+        raise SchemaMismatch("empty file")
+    header, _, rest = stored.partition(b"\n")
+    config = _parse_header(_text(header))
+    kind = config.pop("kind", None)
+    if not rest:
+        raise SchemaMismatch("missing column line")
+    columns, _, body = rest.partition(b"\n")
+    by_columns = {",".join(v.columns): k for k, v in _LAYOUTS.items()}
+    columns = _text(columns)
+    col_kind = by_columns.get(columns)
+    if col_kind is None:
+        raise SchemaMismatch(f"unknown column set {columns!r}")
+    if kind is not None and kind != col_kind:
+        raise SchemaMismatch(f"header kind {kind!r} does not match columns {col_kind!r}")
+    if col_kind == "sweep":
+        return col_kind, config, _parse_rows(col_kind, body)
+    table = _parse_table(col_kind, body)
+    if table is None:
+        try:
+            table = _records_table(_parse_rows(col_kind, body), col_kind)
+        except OverflowError as exc:
+            raise SchemaMismatch(f"a stored value exceeds int64: {exc}") from exc
+    return col_kind, config, table
+
+
 def load_results(path) -> LoadedResults:
     """Read a stored census back; the inverse of store_results.
 
     Only stored rows count: a final CSV line without its newline (cut off
     mid-write) is left out, and any stored row that does not parse raises
-    SchemaMismatch.  JSON files are detected by their leading brace.  The
-    rows of a census CSV are parsed into one column table (`_parse_table`),
-    and the records are built from its columns.
+    SchemaMismatch.  JSON files are detected by their leading brace.  A CSV's
+    rows come from `_stored_rows`; a census's records are built from the
+    columns of its table.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:1] == b"{":
         return _load_json(blob)
-    kind, config, body = _split_csv(blob)
-    table = _parse_table(kind, body) if kind != "sweep" else None
-    records = _parse_rows(kind, body) if table is None else _records(table, kind)
+    kind, config, rows = _stored_rows(blob)
+    records = rows if kind == "sweep" else _records(rows, kind)
     return LoadedResults(kind, config, tuple(records))
 
 
 def _load_table(path, kind: str) -> np.ndarray:
-    """The stored rows of a CSV of this kind as one int64 column table.
-
-    The same checks as `load_results`; rows that `_parse_table` leaves go
-    through the row parser.
-    """
+    """The stored rows of a census CSV of this kind as one int64 column
+    table, read by `_stored_rows` as `load_results` reads them."""
     with open(path, "rb") as fh:
-        stored, _, body = _split_csv(fh.read())
+        stored, _, table = _stored_rows(fh.read())
     if stored != kind:
         raise SchemaMismatch(f"not a census of {kind}: {stored!r} rows")
-    table = _parse_table(kind, body)
-    if table is None:
-        try:
-            table = _records_table(_parse_rows(kind, body), kind)
-        except OverflowError as exc:
-            raise SchemaMismatch(f"a stored value exceeds int64: {exc}") from exc
     return table
 
 
@@ -1139,9 +1144,10 @@ def resume_point(path) -> int | None:
     """Largest key already stored at path, or None if nothing usable survives.
 
     Only stored rows count, so a file truncated mid-write (even inside the
-    header or the column line) reports the last fully stored key.  A complete
-    but alien header or column line, or a stored row whose key is not an
-    integer, raises SchemaMismatch.
+    header or the column line) reports the last fully stored key.  The rows
+    are read as `load_results` reads them: a complete but alien header or
+    column line, or any stored row that does not parse, raises
+    SchemaMismatch.
     """
     try:
         with open(path, "rb") as fh:
@@ -1155,13 +1161,6 @@ def resume_point(path) -> int | None:
         if newline:
             _parse_header(_text(header))
         return None
-    _, _, body = _split_csv(blob)
-    best = None
-    for i, line in enumerate(_text(body).split("\n")[:-1], start=3):
-        try:
-            key = int(line.split(",", 1)[0])
-        except ValueError as exc:
-            raise SchemaMismatch(f"bad key in row {i}: {line!r}") from exc
-        if best is None or key > best:
-            best = key
-    return best
+    kind, _, rows = _stored_rows(blob)
+    keys = [r.key for r in rows] if kind == "sweep" else rows[:, 0].tolist()
+    return max(keys, default=None)

@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .arith import CatMap, order_mod
+from .arith import CatMap, order_mod, primes_up_to
 from .census import (
     DENSE_DIMENSION_LIMIT,
     _integer_columns,
@@ -36,7 +36,7 @@ from .census import (
     summarize_prime_records,
 )
 from .checks import run_checks
-from .errors import CatmapError
+from .errors import CatmapError, SchemaMismatch
 from .quadorder import (
     congruence_count,
     order_profile,
@@ -200,18 +200,10 @@ def _cmd_order(args, m: CatMap) -> int:
 def _cmd_profile(args, m: CatMap) -> int:
     prof = order_profile(m, args.N)
     split = split_by_class(m, args.N, args.eta)
-    body = {
-        "N": prof.N,
-        "d": prof.d,
-        "s": prof.s,
-        "d0": prof.d0,
-        "L": prof.L,
-        "ord": prof.ord,
-        "lower_bound": prof.lower_bound,
+    body = asdict(prof) | {
         "NG": split.N_G,
         "NB": split.N_B,
         "NT": split.N_T,
-        "omega": prof.omega,
         "in_S": prof.in_s,
         "ord_over_sqrt": prof.ord / math.sqrt(prof.N),
     }
@@ -221,15 +213,7 @@ def _cmd_profile(args, m: CatMap) -> int:
 
 def _cmd_nu(args, m: CatMap) -> int:
     cc = congruence_count(m, args.N, parse_vector(args.n))
-    body = {
-        "N": cc.N,
-        "n": list(cc.n),
-        "r": cc.r,
-        "count": cc.count,
-        "trivial_count": cc.trivial_count,
-        "minus_one_exponent": cc.minus_one_exponent,
-    }
-    _emit(_dump({"config": _config(args), "nu": body}), args.out)
+    _emit(_dump({"config": _config(args), "nu": asdict(cc)}), args.out)
     return 0
 
 
@@ -254,6 +238,17 @@ def _cmd_small_order(args, m: CatMap) -> int:
     return 0
 
 
+def _resume_after(keys: np.ndarray, primes: bool, x: int) -> int:
+    """The first key a resumed census computes, after stored keys that must be
+    the start of what a fresh run writes: N = 2..k, or the primes <= k, with
+    k <= x.  Other keys raise SchemaMismatch."""
+    k = int(keys[-1]) if len(keys) else 1
+    if k <= x and np.array_equal(keys, primes_up_to(k) if primes else np.arange(2, k + 1)):
+        return k + 1
+    what = "the primes <= k" if primes else "N = 2..k"
+    raise SchemaMismatch(f"cannot resume: stored keys must be {what} with k <= x = {x}")
+
+
 def _cmd_census(args, m: CatMap) -> int:
     primes = args.command == "census-primes"
     kind = "primes" if primes else "integers"
@@ -263,11 +258,11 @@ def _cmd_census(args, m: CatMap) -> int:
     resuming = bool(args.resume and args.out and args.fmt == "csv")
     # the stored header is checked and the stored rows are read once, before
     # any work, so a mismatched or corrupt file fails here and is left as it
-    # was; the census resumes after the largest stored key
+    # was; the census resumes after the last stored key
     appendable = resuming and can_append(args.out, kind, config)
     # a census stays one int64 column table throughout
     stored = _load_table(args.out, kind) if appendable else None
-    lo = 2 if stored is None else int(stored[:, 0].max(initial=1)) + 1
+    lo = 2 if stored is None else _resume_after(stored[:, 0], primes, args.x)
     rows = (_prime_columns if primes else _integer_columns)(m, args.x, args.eta, lo)
     everything = rows if stored is None else np.concatenate([stored, rows])
     if args.out:

@@ -115,19 +115,6 @@ class Operator:
     def adjoint(self) -> "Operator":
         return Operator(self.N, self.matrix.conj().T)
 
-    def apply(self, psi: StateVector) -> StateVector:
-        if psi.N != self.N:
-            raise ValueError("dimension mismatch")
-        return StateVector(self.N, self.matrix @ psi.amplitudes)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if other.N != self.N:
-            raise ValueError("dimension mismatch")
-        return Operator(self.N, self.matrix @ other.matrix)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
     def unitarity_defect(self) -> float:
         delta = self.matrix.conj().T @ self.matrix - np.eye(self.N)
         return float(np.abs(delta).max())
@@ -137,9 +124,6 @@ class Operator:
 
     def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
         return self.unitarity_defect() <= tol
-
-    def is_hermitian(self, tol: float = UNITARY_TOL) -> bool:
-        return self.hermiticity_defect() <= tol
 
     def to_jsonable(self) -> dict:
         """JSON layout: {"N": int, "matrix": rows of [re, im] pairs}."""
@@ -505,7 +489,7 @@ def spectrum(U: Operator, r_hint: int) -> Spectrum:
     cols, starts = np.argsort(nearest, kind="stable"), np.cumsum(mults) - mults
     bases = {}
     residuals, grams = np.empty(len(js)), np.empty(len(js))
-    for mult in np.unique(mults):
+    for mult in set(mults.tolist()):  # np.unique would import numpy.ma
         at = np.flatnonzero(mults == mult)
         sel = cols[starts[at][:, None] + np.arange(mult)]
         Zs, UZs = (M[:, sel].transpose(1, 0, 2) for M in (Z, UZ))

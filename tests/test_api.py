@@ -47,3 +47,21 @@ def test_importing_the_cli_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_a_cli_sweep_loads_no_numpy_ma(tmp_path):
+    # numpy.ma costs every sweep call import time and memory; np.unique loads
+    # it when asked for no counts
+    src = os.path.dirname(os.path.dirname(catmap.__file__))
+    code = (
+        "import sys, catmap.cli\n"
+        "assert catmap.cli.main(['sweep', '--sizes', '3-40', '--out', sys.argv[1]]) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "s.csv")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("False\n")

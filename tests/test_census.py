@@ -959,14 +959,34 @@ def test_integer_rows_off_the_digit_path_parse_as_records_do(tmp_path):
     assert records[12].in_s is True
     table = census._load_table(path, "integers")
     assert table.tolist() == census._records_table(records, "integers").tolist()
-    # a cell beyond int64 still loads as a record, but not into a table
+    # a cell beyond int64 fits no column table, so no reader takes it
     cells = lines[20].split(b",")
     cells[5] = str(1 << 70).encode()
     lines[20] = b",".join(cells)
     path.write_bytes(b"\n".join(lines))
-    assert load_results(path).records[18].order == 1 << 70
-    with pytest.raises(SchemaMismatch, match="int64"):
-        census._load_table(path, "integers")
+    for read in (load_results, lambda path: census._load_table(path, "integers")):
+        with pytest.raises(SchemaMismatch, match="int64"):
+            read(path)
+
+
+@pytest.mark.parametrize("kind, cell", [("integers", 5), ("primes", 3)])
+def test_every_reader_rejects_a_bad_non_key_cell_naming_its_row(tmp_path, kind, cell):
+    # a census cut mid-row, whose row 51 has a corrupt ord or class cell: the
+    # key of every stored row parses, but the readers share one row reader
+    path = tmp_path / "r.csv"
+    recs = compute_prime_records(A, 2000, ETA) if kind == "primes" else _int_records(300)
+    store_results(recs, path, config={"x": 300})
+    lines = path.read_bytes().split(b"\n")
+    lines[50] = _set_cell(lines[50], cell, b"oops")
+    blob = b"\n".join(lines)
+    path.write_bytes(blob[: len(blob) // 2])
+    readers = (load_results, resume_point, lambda path: census._load_table(path, kind))
+    errors = set()
+    for read in readers:
+        with pytest.raises(SchemaMismatch, match="bad row 51:") as exc:
+            read(path)
+        errors.add(str(exc.value))
+    assert len(errors) == 1
 
 
 def test_load_integer_table_takes_only_integer_csvs(tmp_path):

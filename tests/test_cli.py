@@ -358,6 +358,36 @@ def test_cli_resume_of_corrupt_file_fails_before_work(cell, tmp_path, capsys):
     assert out.read_bytes() == corrupt
 
 
+def _set_key(row: bytes, key: int) -> bytes:
+    return b",".join([str(key).encode(), *row.split(b",")[1:]])
+
+
+# Edits of the stored rows of a census (line 0 is the header) that leave every
+# row valid, but the keys not the start of a fresh census
+_KEY_EDITS = {
+    "repeated-key": ("integers", lambda lines: lines[:100] + [_set_key(lines[100], 150)]
+                     + lines[101:]),
+    "key-beyond-2**31": ("integers", lambda lines: lines[:-1]
+                         + [_set_key(lines[-1], (1 << 31) + 5)]),
+    "missing-prime": ("primes", lambda lines: lines[:50] + lines[51:]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_KEY_EDITS))
+def test_cli_resume_of_keys_that_are_not_the_census_start_exits_1(edit, tmp_path, capsys):
+    kind, change = _KEY_EDITS[edit]
+    out = tmp_path / "census.csv"
+    argv = _CENSUS_ARGV[kind] + ["--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    lines = out.read_bytes().split(b"\n")[:200]
+    stored = b"".join(line + b"\n" for line in change(lines))
+    out.write_bytes(stored)
+    assert main(argv + ["--resume"]) == 1
+    assert "error: cannot resume" in capsys.readouterr().err
+    assert out.read_bytes() == stored
+
+
 @pytest.mark.parametrize("line", [0, 1, 50], ids=["header", "columns", "row"])
 def test_cli_resume_of_a_file_that_is_not_utf8_exits_1(line, tmp_path, capsys):
     out = tmp_path / "ints.csv"
