@@ -51,6 +51,7 @@ from .quantum import (
     UNITARY_TOL,
     Observable,
     egorov_residual,
+    fourth_moment,
     propagator,
     spectrum,
     translation,
@@ -80,7 +81,7 @@ class _Scale:
     norm_one_limit: int
     crt_pairs: int
     profile_limit: int
-    nu_brute_primes: int
+    nu_brute_moduli: tuple
     small_order_k: int
     algebra_dim: int
     trace_dims: tuple
@@ -99,7 +100,7 @@ QUICK = _Scale(
     norm_one_limit=400,
     crt_pairs=20,
     profile_limit=800,
-    nu_brute_primes=13,
+    nu_brute_moduli=(3, 5, 7, 9, 10, 11, 13, 15),
     small_order_k=12,
     algebra_dim=8,
     trace_dims=(4, 7),
@@ -118,7 +119,7 @@ FULL = _Scale(
     norm_one_limit=2_000,
     crt_pairs=100,
     profile_limit=5_000,
-    nu_brute_primes=23,
+    nu_brute_moduli=(3, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17, 19, 21, 23, 25, 35),
     small_order_k=25,
     algebra_dim=20,
     trace_dims=(4, 7, 12, 15),
@@ -251,16 +252,14 @@ def _check_nu_fast_vs_brute(s: _Scale, rng) -> str:
     m = DEFAULT_MAP
     vectors = ((1, 0), (0, 1), (2, 1))
     checked = 0
-    for p in (int(q) for q in primes_up_to(s.nu_brute_primes)):
-        if p < 3:
-            continue
+    for N in s.nu_brute_moduli:
         for n in vectors:
-            fast = congruence_count(m, p, n)
-            slow = nu_brute(m, p, n)
-            assert fast.count == slow, f"nu mismatch at p={p}, n={n}"
-            assert trivial_solution_count(m, p, n) <= fast.count
+            fast = congruence_count(m, N, n)
+            slow = nu_brute(m, N, n)
+            assert fast.count == slow, f"nu mismatch at N={N}, n={n}"
+            assert trivial_solution_count(m, N, n) <= fast.count
             checked += 1
-    return f"quadratic counter == quartic brute at {checked} (p, n) cases"
+    return f"quadratic counter == quartic brute at {checked} (N, n) cases"
 
 
 def _check_nu_bounds(s: _Scale, rng) -> str:
@@ -351,8 +350,6 @@ def _check_spectrum_complete(s: _Scale, rng) -> str:
 
 
 def _check_fourth_moment_bound(s: _Scale, rng) -> str:
-    from .quantum import fourth_moment
-
     m = DEFAULT_MAP
     worst = 0.0
     for p in (int(q) for q in primes_up_to(s.moment_prime_max)):

@@ -42,7 +42,7 @@ from .quadorder import (
     order_profile,
     split_by_class,
 )
-from .quantum import Observable, propagator, spectrum
+from .quantum import Observable, fourth_moment, propagator, spectrum
 
 DEFAULT_MATRIX = "2,1,3,2"
 DEFAULT_ETA = 0.55
@@ -293,8 +293,6 @@ def _cmd_spectrum(args, m: CatMap) -> int:
 
 
 def _cmd_fourth_moment(args, m: CatMap) -> int:
-    from .quantum import fourth_moment
-
     fm = fourth_moment(m, args.N, parse_vector(args.n))
     body = {
         "N": fm.N,

@@ -18,7 +18,6 @@ also the kernel's oracle.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -430,12 +429,13 @@ def minus_one_exponent(m: CatMap, modulus: int) -> int | None:
 
 
 def _minus_one_exponent(m: CatMap, modulus: int, r: int) -> int | None:
-    t_mod = m.trace % modulus
-    u, v = 1 % modulus, 0
-    for t in range(1, r + 1):
-        u, v = (-v) % modulus, (u + t_mod * v) % modulus  # multiply by A
-        if _pair_hits((u, v), m, modulus, -1):
-            return t
+    """The closed form, given r = ord(A, N).  For N <= 2, -I = I and t = r.
+    Otherwise A^t = -I forces r | 2t and r not dividing t, so t is an odd
+    multiple of r/2, and every such power equals A^(r/2)."""
+    if modulus <= 2:
+        return r
+    if r % 2 == 0 and _pair_hits(_pair_pow(m.trace, r // 2, modulus), m, modulus, -1):
+        return r // 2
     return None
 
 
@@ -466,55 +466,42 @@ def _orbit(m: CatMap, modulus: int, n: tuple[int, int], r: int) -> list[tuple[in
 _INT64_KEY_MODULUS = math.isqrt(1 << 63)
 # keys per chunk of orbit rows i (at least one row a chunk): 8 MB of int64 each
 _DIFFERENCE_CHUNK = 1 << 20
-# counts c(v) <= r**2, so c(v) * c(-v) and their sum are <= r**4 < 2**63 below this r
-_INT64_COUNT_ORDER = 55_108
-
-
-def _difference_counts(orbit: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, counts): the multiset of n(A^i - A^j) mod N over all i, j, each
-    difference (x, y) keyed x*N + y, keys ascending."""
-    xs, ys = orbit[:, 0], orbit[:, 1]
-    rows = max(1, _DIFFERENCE_CHUNK // len(orbit))
-    parts = []
-    for lo in range(0, len(orbit), rows):
-        dx = (xs[lo : lo + rows, None] - xs) % modulus
-        dy = (ys[lo : lo + rows, None] - ys) % modulus
-        parts.append(np.unique((dx * modulus + dy).ravel(), return_counts=True))
-    if len(parts) == 1:
-        return parts[0]
-    keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
-    counts = np.zeros(len(keys), np.int64)
-    np.add.at(counts, where, np.concatenate([c for _, c in parts]))
-    return keys, counts
 
 
 def congruence_count(m: CatMap, modulus: int, n: tuple[int, int]) -> CongruenceCount:
     """Count quadruples (i,j,k,l) with n(A^i - A^j + A^k - A^l) = 0 mod N.
 
-    O(r^2): tabulate the multiset {n(A^i - A^j) mod N} as numpy keys and pair
-    each value v with -v.  The count controls the fourth moment of matrix
-    elements of the quantized translation by n.
+    Since n(A^l - A^k) = n(A^e - I) A^k with e = l - k, shifting i and j by
+    k gives nu = r * #{(i, j, e) : n(A^i - A^j) = n(A^e - I) mod N}.  So the
+    r keys n(A^e - I) are tabulated, and the r^2 differences n(A^i - A^j)
+    are sorted a chunk at a time and the keys looked up in each chunk:
+    O(r^2 log r) time and O(r) memory beside one fixed-size chunk.  The count
+    controls the fourth moment of matrix elements of the quantized
+    translation by n.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     _reduced_vector(n, modulus)
     r = order_mod(m, modulus)
     dtype = np.int64 if modulus <= _INT64_KEY_MODULUS else object
-    keys, counts = _difference_counts(np.array(_orbit(m, modulus, n, r), dtype), modulus)
-    x, y = keys // modulus, keys % modulus
-    minus = (-x % modulus) * modulus + (-y % modulus)
-    at = np.minimum(np.searchsorted(keys, minus), len(keys) - 1)
-    paired = np.where(keys[at] == minus, counts[at], 0)
-    if r < _INT64_COUNT_ORDER:
-        total = int(np.dot(counts, paired))
-    else:
-        total = sum(map(operator.mul, counts.tolist(), paired.tolist()))
+    orbit = np.array(_orbit(m, modulus, n, r), dtype)
+    xs, ys = orbit[:, 0], orbit[:, 1]
+    # n*A^r = n, so the last orbit row turns n*A^e into n(A^e - I)
+    keys, counts = np.unique((xs - xs[-1]) % modulus * modulus + (ys - ys[-1]) % modulus,
+                             return_counts=True)
+    rows = max(1, _DIFFERENCE_CHUNK // r)
+    hits = 0
+    for lo in range(0, r, rows):
+        diff = ((xs[lo : lo + rows, None] - xs) % modulus * modulus
+                + (ys[lo : lo + rows, None] - ys) % modulus).ravel()
+        diff.sort()
+        hits += int(counts @ (np.searchsorted(diff, keys, "right") - np.searchsorted(diff, keys)))
     t = _minus_one_exponent(m, modulus, r)
     return CongruenceCount(
         N=modulus,
         n=n,
         r=r,
-        count=total,
+        count=r * hits,
         trivial_count=_trivial_count(r, t),
         minus_one_exponent=t,
     )

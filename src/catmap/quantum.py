@@ -42,7 +42,7 @@ from .errors import (
     NotUnitary,
     ZeroVector,
 )
-from .quadorder import CongruenceCount, congruence_count
+from .quadorder import congruence_count
 
 UNITARY_TOL = 1e-10
 EGOROV_TOL = 1e-9
@@ -554,14 +554,7 @@ class FourthMoment:
     bound: float
 
 
-def fourth_moment(
-    m: CatMap,
-    N: int,
-    n,
-    *,
-    eigsys: Spectrum | None = None,
-    count: CongruenceCount | None = None,
-) -> FourthMoment:
+def fourth_moment(m: CatMap, N: int, n, *, eigsys: Spectrum | None = None) -> FourthMoment:
     """Fourth moment of translation matrix elements over the eigenbasis.
 
     Returns both the moment and the rigorous ceiling
@@ -570,8 +563,7 @@ def fourth_moment(
     n = (int(n[0]), int(n[1]))
     if n[0] % N == 0 and n[1] % N == 0:
         raise ZeroVector("the frequency vector vanishes mod N")
-    if count is None:
-        count = congruence_count(m, N, n)
+    count = congruence_count(m, N, n)
     vals = _eigen_expectations(m, N, Observable.harmonic(n), eigsys)
     s4 = float(np.sum(np.abs(vals) ** 4))
     r = count.r

@@ -154,9 +154,8 @@ def test_criterion_04_fourth_moment_bound(announce):
     t0 = time.perf_counter()
     worst_ratio = 0.0
     for p in (int(q) for q in primes_up_to(47)):
-        cc = congruence_count(M, p, (1, 0))
-        assert cc.count == nu_brute(M, p, (1, 0)), f"solution count mismatch at {p}"
-        fm = fourth_moment(M, p, (1, 0), count=cc)
+        fm = fourth_moment(M, p, (1, 0))
+        assert fm.solution_count == nu_brute(M, p, (1, 0)), f"solution count mismatch at {p}"
         worst_ratio = max(worst_ratio, fm.s4 / fm.bound)
     dt = time.perf_counter() - t0
     ok = worst_ratio <= 1 + 1e-6 and dt < 120

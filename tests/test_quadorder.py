@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ from hypothesis import strategies as st
 
 from catmap import CatMap, DEFAULT_MAP, factorize, order_mod, order_mod_brute, primes_up_to
 from catmap import quadorder
-from catmap.arith import _legendre, _order_mod_prime_power, _pair_pow, is_probable_prime
+from catmap.arith import (
+    _legendre,
+    _order_mod_prime_power,
+    _pair_hits,
+    _pair_pow,
+    is_probable_prime,
+)
 from catmap.errors import (
     BudgetExceeded,
     EtaOutOfRange,
@@ -74,10 +81,22 @@ def brute_nu(m: CatMap, N: int, n: tuple[int, int]) -> int:
     return int(np.count_nonzero((X == 0) & (Y == 0)))
 
 
+def loop_minus_one_exponent(m: CatMap, N: int) -> int | None:
+    """The first t in 1..r with A^t = -I mod N, found by stepping through the
+    powers of A; the oracle for the closed form."""
+    t_mod = m.trace % N
+    u, v = 1 % N, 0
+    for t in range(1, order_mod(m, N) + 1):
+        u, v = (-v) % N, (u + t_mod * v) % N  # multiply by A
+        if _pair_hits((u, v), m, N, -1):
+            return t
+    return None
+
+
 def brute_trivial(m: CatMap, N: int) -> int:
     """Direct enumeration of the three index families."""
     r = order_mod(m, N)
-    t = minus_one_exponent(m, N)
+    t = loop_minus_one_exponent(m, N)
     count = 0
     for i in range(r):
         for j in range(r):
@@ -563,5 +582,61 @@ def test_nu_across_chunk_boundaries_and_with_python_int_keys(monkeypatch):
     assert [congruence_count(*case).count for case in cases] == want
     monkeypatch.setattr(quadorder, "_INT64_KEY_MODULUS", 1)  # keys as Python ints
     assert [congruence_count(*case).count for case in cases] == want
-    monkeypatch.setattr(quadorder, "_INT64_COUNT_ORDER", 1)  # the sum in Python ints
-    assert [congruence_count(*case).count for case in cases] == want
+
+
+def pairing_congruence_count(m: CatMap, N: int, n: tuple[int, int]) -> CongruenceCount:
+    """The pairing counter, kept as the oracle for the key lookup:
+    tabulate the multiset {n(A^i - A^j) mod N} in chunks of np.unique keys,
+    merge the chunks, and pair each value v with -v; t from the power loop."""
+    r = order_mod(m, N)
+    orbit = np.array(quadorder._orbit(m, N, n, r), np.int64)
+    xs, ys = orbit[:, 0], orbit[:, 1]
+    rows = max(1, (1 << 20) // r)
+    parts = []
+    for lo in range(0, r, rows):
+        dx = (xs[lo : lo + rows, None] - xs) % N
+        dy = (ys[lo : lo + rows, None] - ys) % N
+        parts.append(np.unique((dx * N + dy).ravel(), return_counts=True))
+    keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    counts = np.zeros(len(keys), np.int64)
+    np.add.at(counts, where, np.concatenate([c for _, c in parts]))
+    minus = (-(keys // N) % N) * N + (-(keys % N) % N)
+    at = np.minimum(np.searchsorted(keys, minus), len(keys) - 1)
+    paired = np.where(keys[at] == minus, counts[at], 0)
+    t = loop_minus_one_exponent(m, N)
+    return CongruenceCount(N, n, r, int(np.dot(counts, paired)), quadorder._trivial_count(r, t), t)
+
+
+ORACLE_MAPS = [*POOL_MAPS, CatMap(1, 2, 2, 5)]
+
+
+@pytest.mark.parametrize("lo", range(2, 401, 100))
+@pytest.mark.parametrize("m", ORACLE_MAPS, ids=str)
+def test_nu_matches_the_pairing_counter(m, lo):
+    for N in range(lo, min(lo + 100, 401)):
+        for n in ((1, 0), (0, 1), (2, 3)):
+            assert congruence_count(m, N, n) == pairing_congruence_count(m, N, n), (N, n)
+
+
+@pytest.mark.parametrize("N", [1999, 4096])
+def test_nu_matches_the_pairing_counter_over_several_chunks(N):
+    m = CatMap(2, 3, 1, 2)
+    assert order_mod(m, N) ** 2 > quadorder._DIFFERENCE_CHUNK
+    assert congruence_count(m, N, (2, 3)) == pairing_congruence_count(m, N, (2, 3))
+
+
+def test_nu_memory_stays_below_the_difference_table():
+    # holding all r^2 = 2^22 difference keys at once peaked at about 250 MiB
+    tracemalloc.start()
+    try:
+        congruence_count(CatMap(2, 3, 1, 2), 4096, (2, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, peak
+
+
+@pytest.mark.parametrize("m", [*ORACLE_MAPS, CatMap(10, 3, 33, 10)], ids=str)
+def test_minus_one_exponent_matches_the_power_loop(m):
+    for N in range(1, 401):
+        assert minus_one_exponent(m, N) == loop_minus_one_exponent(m, N), N
