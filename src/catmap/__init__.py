@@ -41,6 +41,7 @@ from .quantum import (
     fourth_moment,
     max_deviation,
     propagator,
+    propagator_spectrum,
     spectrum,
     translation,
     translation_trace,

@@ -54,14 +54,7 @@ from .quadorder import (
     _smallest_prime_factors,
     small_order_modulus,
 )
-from .quantum import (
-    Observable,
-    fourth_moment,
-    max_deviation,
-    propagator,
-    spectrum,
-    variance_stat,
-)
+from .quantum import Observable, fourth_moment, propagator_spectrum, variance_stat
 
 FORMAT_TAG = "catmap-census v1"
 DEFAULT_DELTA_GRID = (0.05, 0.1, 0.2, 0.3)
@@ -631,7 +624,7 @@ def quantum_sweep(
 ) -> tuple[list[SweepRecord], list[tuple[int, str]]]:
     """Propagator spectra over a list of dimensions, one SweepRecord each.
 
-    For every dimension: build the propagator, extract the spectrum, compute
+    For every dimension: the propagator's spectrum (`propagator_spectrum`),
     the fourth moment at frequency n with its ceiling, the variance of the
     observable f, and the largest diagonal element of the pure harmonic at n.
     The ratio s4/bound never exceeds 1 and max_dev**4 <= bound is re-checked
@@ -641,7 +634,6 @@ def quantum_sweep(
     set, so default sweeps are deterministic byte-for-byte.
     """
     n1, n2 = int(n[0]), int(n[1])
-    probe = Observable.harmonic((n1, n2))
     records: list[SweepRecord] = []
     failures: list[tuple[int, str]] = []
     for N in sizes:
@@ -651,14 +643,13 @@ def quantum_sweep(
             continue
         began = perf_counter()
         try:
-            eigsys = spectrum(propagator(m, N), order_mod(m, N))
+            eigsys = propagator_spectrum(m, N)
             moment = fourth_moment(m, N, (n1, n2), eigsys=eigsys)
             variance = variance_stat(m, N, f, eigsys=eigsys)
-            dev = max_deviation(m, N, probe, eigsys=eigsys)
         except (CatmapError, ValueError) as exc:
             failures.append((N, f"{type(exc).__name__}: {exc}"))
             continue
-        ratio = moment.s4 / moment.bound
+        ratio, dev = moment.s4 / moment.bound, moment.max_dev
         slack = 1 + 1e-6
         if ratio > slack or dev**4 > moment.bound * slack:
             raise AssertionError(

@@ -53,6 +53,7 @@ from .quantum import (
     egorov_residual,
     fourth_moment,
     propagator,
+    propagator_spectrum,
     spectrum,
     translation,
     translation_trace,
@@ -339,13 +340,21 @@ def _check_spectrum_complete(s: _Scale, rng) -> str:
     m = DEFAULT_MAP
     residual = gram_defect = 0.0
     for N in range(5, s.spectrum_max + 1, 2):
-        eig = spectrum(propagator(m, N), order_mod(m, N))
+        eig = propagator_spectrum(m, N)
         assert sum(eig.multiplicities()) == N
+        # the generic route, r* and phase from its own first eigensolve
+        ref = spectrum(propagator(m, N), order_mod(m, N))
+        assert eig.scalar_period == ref.scalar_period, f"r* at N={N}"
+        assert eig.multiplicities() == ref.multiplicities(), f"multiplicities at N={N}"
+        for got, want in zip(eig.levels, ref.levels):
+            P, Q = (lv.basis @ lv.basis.conj().T / N for lv in (got, want))
+            assert np.abs(P - Q).max() <= 1e-9, f"level projector at N={N}"
         basis = eig.eigenbasis()
         gram = basis.conj().T @ basis / N
         assert np.abs(gram - np.eye(N)).max() <= 1e-10
         residual, gram_defect = max(residual, eig.residual), max(gram_defect, eig.gram_defect)
-    return (f"complete orthonormal spectra for odd N in [5, {s.spectrum_max}], worst residual "
+    return (f"complete orthonormal spectra for odd N in [5, {s.spectrum_max}] matching the generic "
+            f"route, worst residual "
             f"{residual:.2e} (tol {SPECTRAL_TOL:.0e}), Gram defect {gram_defect:.2e} (tol {UNITARY_TOL:.0e})")
 
 

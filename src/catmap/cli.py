@@ -42,7 +42,7 @@ from .quadorder import (
     order_profile,
     split_by_class,
 )
-from .quantum import Observable, fourth_moment, propagator, spectrum
+from .quantum import Observable, fourth_moment, propagator, propagator_spectrum
 
 DEFAULT_MATRIX = "2,1,3,2"
 DEFAULT_ETA = 0.55
@@ -286,7 +286,7 @@ def _cmd_propagator(args, m: CatMap) -> int:
 
 
 def _cmd_spectrum(args, m: CatMap) -> int:
-    eig = spectrum(propagator(m, args.N), order_mod(m, args.N))
+    eig = propagator_spectrum(m, args.N)
     doc = {"config": _config(args), "spectrum": eig.to_jsonable()}
     _emit(_dump(doc), args.out)
     return 0

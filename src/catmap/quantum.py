@@ -12,17 +12,21 @@ S = [[0,-1],[1,0]], T^2 = [[1,2],[0,1]] and -I by an even-step Euclid, and
 their quantizations (unitary DFT, quadratic-phase diagonal, parity Q -> -Q)
 are multiplied in the same order.
 
-The spectrum comes from numpy's Hermitian eigensolver.  A periodic U has
+The spectrum comes from one numpy Hermitian eigensolve.  A periodic U has
 every eigenphase on the grid of r*-th roots of the scalar U^{r*}.  The
 Hermitian (e^{-i alpha} U + e^{i alpha} U^H)/2 commutes with U and takes
 r* distinct values on that grid when alpha lies a quarter step off it (no
 two grid points are then mirror images about alpha or alpha + pi), so its
-eigenvectors are U's.  Inside a degenerate level the basis, on which the
-diagonal statistics depend, is the greedy pivoted Gram-Schmidt of the level
-projector's columns, with norms equal to a relative 1e-9 tied and ties going
-to the smallest index, so neither rounding nor the eigenvectors LAPACK
-returns can change it.  The levels of one multiplicity share one stacked
-pass; each basis still depends on its own projector alone.
+eigenvectors are U's.  For a propagator, r* comes from arithmetic (it is
+ord(A, N) or 2*ord(A, N), see `_scalar_period`) and the scalar from r*
+products of U with one vector; for any other periodic unitary, `spectrum`
+finds both from a first eigensolve at a fixed rotation.  Inside a
+degenerate level the basis, on which the diagonal statistics depend, is
+the greedy pivoted Gram-Schmidt of the level projector's columns, with
+norms equal to a relative 1e-9 tied and ties going to the smallest index,
+so neither rounding nor the eigenvectors LAPACK returns can change it.  The
+levels of one multiplicity share one stacked pass; each basis still
+depends on its own projector alone.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .arith import CatMap, order_mod
+from .arith import CatMap, mat_pow_mod, order_mod
 from .errors import (
     ConstructionFailed,
     NoScalarPower,
@@ -437,20 +441,24 @@ def _rotated_eigh(U: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return Z, U @ Z
 
 
+def _principal_phase(scale: complex) -> float:
+    """The angle of a scalar in (-pi + SPECTRAL_TOL, pi + SPECTRAL_TOL]."""
+    phase = float(np.angle(scale))
+    if phase < -pi + SPECTRAL_TOL:
+        # a scalar at -1 gets the angle +pi whichever side rounding left it
+        phase += 2 * pi
+    return phase
+
+
 def spectrum(U: Operator, r_hint: int) -> Spectrum:
-    """Eigen-decomposition from two Hermitian eigensolves, see `_rotated_eigh`.
+    """Eigen-decomposition of any periodic unitary from two Hermitian
+    eigensolves, see `_rotated_eigh`; `propagator_spectrum` needs only one.
 
     The first, at the fixed rotation _ALPHA0, gives Rayleigh quotients lam,
     which must lie within ROOT_TOL of the unit circle.  r* is the least k <=
-    2*r_hint with the k-th powers of lam within tol = SPECTRAL_TOL of their
-    mean, whose angle in (-pi + tol, pi + tol] is the global phase.  The
-    second rotates by (phase + pi/2)/r*, where the r*-th roots take r*
-    distinct values of cos(theta - alpha), at least about pi^2/r*^2 apart;
-    its Z must make Z^H U Z diagonal within tol.  Each eigenvalue joins the
-    r*-th root of that scalar nearest in angle (so nearest), which must lie
-    within ROOT_TOL.  A level's basis is `_level_bases` of its columns of Z,
-    one call per multiplicity, checked by residual (tol) and Gram; a failure
-    names the first failing level in eigenphase order.
+    2*r_hint with the k-th powers of lam within SPECTRAL_TOL of their mean,
+    whose `_principal_phase` is the global phase.  The levels then come from
+    `_spectrum_at`.
     """
     if r_hint < 1:
         raise ValueError("the order hint must be positive")
@@ -468,10 +476,62 @@ def spectrum(U: Operator, r_hint: int) -> Spectrum:
             break
     else:
         raise NoScalarPower(f"no power up to {2 * r_hint} of the propagator is scalar")
-    phase = float(np.angle(scale))
-    if phase < -pi + SPECTRAL_TOL:
-        # a scalar at -1 gets the angle +pi whichever side rounding left it
-        phase += 2 * pi
+    return _spectrum_at(U, r_star, _principal_phase(scale))
+
+
+def _scalar_period(m: CatMap, N: int) -> int:
+    """r*, the least k with the propagator's U^k scalar: ord(A, N) when both
+    rows v of A^ord mod 2N have v1*v2 = 0 mod 2N, else 2*ord(A, N).
+
+    U^-k T(n) U^k = T(n A^k), and U^k is scalar iff it commutes with T(e1)
+    and T(e2), which generate every translation up to phases.  That needs
+    A^k = I mod N, so ord divides k; and for a row v = e_i A^k = e_i mod N,
+    T(v) = e^{i pi v1 v2 / N} T(e_i), so U^k is scalar iff v1*v2 = 0 mod 2N
+    for both rows.  For k in ord*Z those two signs multiply when the
+    exponents add, so U^{2 ord} is always scalar (Hannay-Berry 1980, Keating
+    1991).  `propagator_spectrum` still checks the scalar on U itself.
+    """
+    r = order_mod(m, N)
+    M = mat_pow_mod(m, r, 2 * N)
+    return r if (M.a * M.b) % (2 * N) == 0 and (M.c * M.d) % (2 * N) == 0 else 2 * r
+
+
+def propagator_spectrum(m: CatMap, N: int) -> Spectrum:
+    """Spectrum of `propagator(m, N)` from one Hermitian eigensolve.
+
+    r* is `_scalar_period` (exact arithmetic), and the global phase is the
+    `_principal_phase` of c = (U^{r*} e0)_0, from r* products of U with a
+    vector.  U^{r*} e0 must lie within SPECTRAL_TOL of c e0, else
+    `NoScalarPower`.  The levels then come from `_spectrum_at`, whose gates
+    check every eigenvalue against the r*-th roots of c.
+    """
+    U = propagator(m, N)
+    r_star = _scalar_period(m, N)
+    e0 = np.zeros(N, dtype=np.complex128)
+    e0[0] = 1.0
+    v = e0
+    for _ in range(r_star):
+        v = U.matrix @ v
+    scale = v[0]
+    defect = float(np.abs(v - scale * e0).max())
+    if defect > SPECTRAL_TOL:
+        raise NoScalarPower(f"U^{r_star} moves e0 {defect:.3e} off its own line at N={N}")
+    return _spectrum_at(U, r_star, _principal_phase(scale))
+
+
+def _spectrum_at(U: Operator, r_star: int, phase: float) -> Spectrum:
+    """Levels of U, given its scalar period r* and the angle of U^{r*}.
+
+    One eigensolve rotates by (phase + pi/2)/r*, where the r*-th roots take
+    r* distinct values of cos(theta - alpha), at least about pi^2/r*^2 apart;
+    its Z must make Z^H U Z diagonal within tol = SPECTRAL_TOL.  Each
+    eigenvalue joins the r*-th root of that scalar nearest in angle (so
+    nearest), which must lie within ROOT_TOL.  A level's basis is
+    `_level_bases` of its columns of Z, one call per multiplicity, checked by
+    residual (tol) and Gram; a failure names the first failing level in
+    eigenphase order.
+    """
+    N = U.N
     Z, UZ = _rotated_eigh(U.matrix, (phase + pi / 2) / r_star)
     D = Z.conj().T @ UZ
     lam = np.diag(D).copy()
@@ -522,7 +582,7 @@ def expectation(op: Operator, psi: StateVector) -> complex:
 def _eigen_expectations(m: CatMap, N: int, f: Observable, eigsys) -> np.ndarray:
     """<Op_f psi, psi> for every column psi of the canonical eigenbasis."""
     if eigsys is None:
-        eigsys = spectrum(propagator(m, N), order_mod(m, N))
+        eigsys = propagator_spectrum(m, N)
     basis = eigsys.eigenbasis()
     return (np.conj(basis) * _apply_weyl(N, f, basis)).sum(axis=0) / N
 
@@ -531,7 +591,7 @@ def variance_stat(m: CatMap, N: int, f: Observable, *, eigsys: Spectrum | None =
     """Mean squared deviation of eigenbasis expectations from the average.
 
     The value depends on the basis inside degenerate eigenspaces; it refers
-    to the canonical basis of spectrum(), built from each level's projector
+    to the canonical basis of the spectrum, built from each level's projector
     by greedy pivoted Gram-Schmidt with ties broken to the smallest index.
     """
     vals = _eigen_expectations(m, N, f, eigsys)
@@ -552,20 +612,24 @@ class FourthMoment:
     solution_count: int
     s4: float
     bound: float
+    max_dev: float
 
 
 def fourth_moment(m: CatMap, N: int, n, *, eigsys: Spectrum | None = None) -> FourthMoment:
     """Fourth moment of translation matrix elements over the eigenbasis.
 
     Returns both the moment and the rigorous ceiling
-    N * nu / ord^4 coming from the congruence solution count nu.
+    N * nu / ord^4 coming from the congruence solution count nu, and the
+    largest |<T(n) psi, psi>|, equal to `max_deviation` of the harmonic at n
+    on the same eigenbasis.
     """
     n = (int(n[0]), int(n[1]))
     if n[0] % N == 0 and n[1] % N == 0:
         raise ZeroVector("the frequency vector vanishes mod N")
     count = congruence_count(m, N, n)
-    vals = _eigen_expectations(m, N, Observable.harmonic(n), eigsys)
+    f = Observable.harmonic(n)
+    vals = _eigen_expectations(m, N, f, eigsys)
     s4 = float(np.sum(np.abs(vals) ** 4))
     r = count.r
     bound = N * count.count / r**4
-    return FourthMoment(N, n, r, count.count, s4, bound)
+    return FourthMoment(N, n, r, count.count, s4, bound, float(np.abs(vals - f.mean).max()))

@@ -7,7 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catmap import CatMap, DEFAULT_MAP, order_mod, quantum
+from catmap import CatMap, DEFAULT_MAP, census, cli, order_mod, quantum
 from catmap.errors import (
     ConstructionFailed,
     NoScalarPower,
@@ -25,6 +25,7 @@ from catmap.quantum import (
     fourth_moment,
     max_deviation,
     propagator,
+    propagator_spectrum,
     _level_bases,
     _theta_word,
     spectrum,
@@ -598,9 +599,14 @@ def schur_levels(U, r_hint):
     return r_star, phase, levels
 
 
-def assert_matches_schur(m, N):
+def generic_spectrum(m, N):
+    """The propagator's spectrum by the route for any periodic unitary."""
+    return spectrum(propagator(m, N), order_mod(m, N))
+
+
+def assert_matches_schur(m, N, route=generic_spectrum):
     U = propagator(m, N)
-    sp = spectrum(U, order_mod(m, N))
+    sp = route(m, N)
     r_star, phase, want = schur_levels(U, order_mod(m, N))
     assert sp.scalar_period == r_star, N
     assert abs(np.exp(1j * sp.global_phase) - np.exp(1j * phase)) <= 1e-9, N
@@ -618,22 +624,40 @@ def test_spectrum_matches_schur_oracle(m):
         assert_matches_schur(m, N)
 
 
+@pytest.mark.parametrize("m", POOL_MAPS + [OTHER], ids=str)
+def test_propagator_spectrum_matches_schur_oracle(m):
+    for N in range(65, 161, 2):
+        assert_matches_schur(m, N, propagator_spectrum)
+
+
 # N = 2..160 in slices of about equal cost, so no one case dominates, and
 # the N = 214 where a fixed rotation fails
 ORACLE_SLICES = [range(2, 70), range(70, 105), range(105, 130), range(130, 148), range(148, 161)]
 ORACLE_CASES = [(m, r) for m in POOL_MAPS + [OTHER] for r in ORACLE_SLICES] + [(OTHER, [214])]
 
 
-@pytest.mark.parametrize("m, sizes", ORACLE_CASES, ids=[f"{m}-N{r[0]}-{r[-1]}" for m, r in ORACLE_CASES])
-def test_batched_levels_match_the_per_level_oracle_bit_for_bit(m, sizes):
+ORACLE_IDS = [f"{m}-N{r[0]}-{r[-1]}" for m, r in ORACLE_CASES]
+
+
+def assert_batched_levels_match(m, sizes, route):
     for N in sizes:
         U = propagator(m, N)
-        sp = spectrum(U, order_mod(m, N))
+        sp = route(m, N)
         bases, residual, gram, normality = oracle_built_levels(U, sp)
         assert len(sp.levels) == len(bases), N
         for level, basis in zip(sp.levels, bases):
             assert np.array_equal(level.basis, basis), (N, level.eigenphase)
         assert (sp.residual, sp.gram_defect, sp.normality_defect) == (residual, gram, normality), N
+
+
+@pytest.mark.parametrize("m, sizes", ORACLE_CASES, ids=ORACLE_IDS)
+def test_batched_levels_match_the_per_level_oracle_bit_for_bit(m, sizes):
+    assert_batched_levels_match(m, sizes, generic_spectrum)
+
+
+@pytest.mark.parametrize("m, sizes", ORACLE_CASES, ids=ORACLE_IDS)
+def test_propagator_spectrum_levels_match_the_per_level_oracle_bit_for_bit(m, sizes):
+    assert_batched_levels_match(m, sizes, propagator_spectrum)
 
 
 @pytest.mark.parametrize("N", [33, 60])
@@ -682,6 +706,8 @@ def test_spectrum_separates_levels_a_fixed_rotation_cannot():
     U = propagator(OTHER, 214)
     assert spectrum(U, order_mod(OTHER, 214)).scalar_period == 108
     assert_matches_schur(OTHER, 214)
+    assert propagator_spectrum(OTHER, 214).scalar_period == 108
+    assert_matches_schur(OTHER, 214, propagator_spectrum)
 
 
 def test_spectrum_rejects_levels_that_collide_under_the_first_rotation():
@@ -703,6 +729,54 @@ def test_spectrum_every_dimension_to_300():
         sp = spectrum(propagator(A, N), order_mod(A, N))
         assert sum(sp.multiplicities()) == N
         assert sp.residual <= 1e-12 and sp.normality_defect <= 1e-12, N
+        fast = propagator_spectrum(A, N)
+        assert fast.scalar_period == sp.scalar_period, N
+        assert fast.multiplicities() == sp.multiplicities(), N
+        assert fast.residual <= 1e-12 and fast.normality_defect <= 1e-12, N
+
+
+@pytest.mark.parametrize("m", [CatMap(-3, -4, -2, -3), CatMap(-3, -2, -4, -3)], ids=str)
+def test_scalar_period_reads_both_rows(m):
+    # at N = 2, 4, 8, 10, ... one row of A^ord mod 2N has v1*v2 = 0 and the
+    # other has v1*v2 = N: the first map passes on row 1, its transpose on row 2
+    for N in range(2, 65):
+        fast, sp = propagator_spectrum(m, N), generic_spectrum(m, N)
+        assert fast.scalar_period == sp.scalar_period, N
+        assert fast.multiplicities() == sp.multiplicities(), N
+
+
+def test_a_wrong_scalar_period_raises_and_the_sweep_moves_on(monkeypatch):
+    # N = 8: ord(A, 8) = 4, and both rows of A^4 mod 16 have v1*v2 = 8, so
+    # U^4 flips the sign of T(e1) and T(e2) and r* = 8.  With r* taken as 4,
+    # U^4 e0 is a multiple of e_4, not of e0: the vector gate sees it
+    assert (order_mod(A, 8), quantum._scalar_period(A, 8)) == (4, 8)
+    monkeypatch.setattr(quantum, "_scalar_period", lambda m, N: order_mod(m, N))
+    with pytest.raises(NoScalarPower, match="N=8$"):
+        propagator_spectrum(A, 8)
+    records, failures = census.quantum_sweep(A, [7, 8, 9], Observable.cosine(1), (1, 0))
+    assert [r.N for r in records] == [7, 9]
+    assert [N for N, _ in failures] == [8] and failures[0][1].startswith("NoScalarPower: ")
+
+
+def test_one_eigensolve_per_dimension(monkeypatch, capsys):
+    calls = []
+    solve = quantum._rotated_eigh
+
+    def counting(U, alpha):
+        calls.append(len(U))
+        return solve(U, alpha)
+
+    monkeypatch.setattr(quantum, "_rotated_eigh", counting)
+    records, failures = census.quantum_sweep(A, range(5, 21), Observable.cosine(1), (1, 0))
+    assert len(records) == 16 and not failures
+    assert calls == list(range(5, 21))
+    calls.clear()
+    assert cli.main(["spectrum", "-N", "31"]) == 0
+    capsys.readouterr()
+    assert calls == [31]
+    calls.clear()
+    variance_stat(A, 13, Observable.cosine(1))
+    assert calls == [13]
 
 
 def test_eigenbasis_is_stacked_once():
@@ -870,6 +944,13 @@ def test_fourth_moment_bound_primes():
     for N in (7, 11, 13):
         fm = fourth_moment(A, N, (1, 0))
         assert fm.s4 <= fm.bound * (1 + 1e-6) + 1e-10
+
+
+def test_fourth_moment_max_dev_is_max_deviation_bit_for_bit():
+    for N in range(3, 65):
+        sp = propagator_spectrum(A, N)
+        fm = fourth_moment(A, N, (1, 0), eigsys=sp)
+        assert fm.max_dev == max_deviation(A, N, Observable.harmonic((1, 0)), eigsys=sp), N
 
 
 def test_fourth_moment_zero_vector_rejected():
