@@ -22,6 +22,8 @@ import numpy as np
 from .arith import (
     DEFAULT_MAP,
     CatMap,
+    _legendre,
+    _order_mod_prime_power,
     factorize,
     is_probable_prime,
     mat_pow_mod,
@@ -39,6 +41,8 @@ from .census import (
     store_results,
 )
 from .quadorder import (
+    _prime_orders,
+    _smallest_prime_factors,
     congruence_count,
     norm_one_count,
     order_profile,
@@ -179,6 +183,19 @@ def _check_order_divides_p_minus_chi(s: _Scale, rng) -> str:
         assert (p - chi) % order_mod(m, p) == 0, f"ord(A,{p}) does not divide p-chi"
         checked += 1
     return f"ord(A,p) | p - chi(p) for {checked} primes <= {s.chi_prime_limit}"
+
+
+def _check_prime_kernel_vs_scalar(s: _Scale, rng) -> str:
+    m = DEFAULT_MAP
+    primes = primes_up_to(s.chi_prime_limit)
+    kept, chi, order = _prime_orders(m, primes, _smallest_prime_factors(s.chi_prime_limit + 1))
+    assert kept.tolist() == [p for p in primes.tolist() if p > 2 and m.discriminant % p]
+    for p, c, o in zip(kept.tolist(), chi.tolist(), order.tolist()):
+        assert c == _legendre(m.discriminant, p), f"chi({p}) = {c} from the kernel"
+        assert o == _order_mod_prime_power(m, p, 1), f"ord(A,{p}) = {o} from the kernel"
+        assert p > 300 or o == order_mod_brute(m, p), f"ord(A,{p}) = {o} is not brute"
+    return (f"batched chi and ord == scalar route at {kept.size} primes <= "
+            f"{s.chi_prime_limit}, == brute at those <= 300")
 
 
 def _check_order_lcm_composition(s: _Scale, rng) -> str:
@@ -436,6 +453,7 @@ def _check_prime_density(s: _Scale, rng) -> str:
 _CHECKS = (
     ("order-fast-vs-brute", _check_order_fast_vs_brute),
     ("order-divides-p-minus-chi", _check_order_divides_p_minus_chi),
+    ("prime-kernel-vs-scalar", _check_prime_kernel_vs_scalar),
     ("order-lcm-composition", _check_order_lcm_composition),
     ("factorization-roundtrip", _check_factorization_roundtrip),
     ("norm-one-formula", _check_norm_one_formula),

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catmap import CatMap, DEFAULT_MAP, factorize, order_mod, order_mod_brute, primes_up_to
@@ -18,6 +18,7 @@ from catmap.arith import (
     _order_mod_prime_power,
     _pair_hits,
     _pair_pow,
+    _power_is_identity,
     is_probable_prime,
 )
 from catmap.errors import (
@@ -355,15 +356,61 @@ PRIMES_BELOW_BOUND = [
 
 
 def test_kernel_arithmetic_exact_just_below_int64_bound():
-    # the largest residues the bound admits, where an unreduced sum overflows
+    # the largest residues the bound admits, where an unreduced product
+    # overflows; the oracle is the trace 2u + t*v of A^k = u*I + v*A
     rng = random.Random(7)
     p = np.array(PRIMES_BELOW_BOUND * 8, dtype=np.int64)
     t = np.array([q - 1 - rng.randrange(3) for q in p.tolist()], dtype=np.int64)
     k = np.array([rng.randrange(1, 1 << 40) for _ in p.tolist()], dtype=np.int64)
-    u, v = quadorder._batch_pair_pow(t, k, p)
-    for row in zip(*(z.tolist() for z in (p, t, k, u, v))):
-        q, tq, kq, uq, vq = row
-        assert (uq, vq) == _pair_pow(tq, kq, q)
+    v, w = quadorder._lucas_ladder(t, k, p)
+    for q, tq, kq, vq, wq in zip(*(z.tolist() for z in (p, t, k, v, w))):
+        traces = [(2 * u + tq * c) % q for u, c in (_pair_pow(tq, j, q) for j in (kq, kq + 1))]
+        assert [vq, wq] == traces
+
+
+# quantizable maps are the words in S and T^(+-2), T = [[1, 1], [0, 1]]
+_LETTERS = {"S": (0, 1, -1, 0), "T2": (1, 2, 0, 1), "T-2": (1, -2, 0, 1)}
+
+
+def word_map(word) -> CatMap:
+    a, b, c, d = 1, 0, 0, 1
+    for x, y, z, w in (_LETTERS[letter] for letter in word):
+        a, b, c, d = a * x + b * z, a * y + b * w, c * x + d * z, c * y + d * w
+    assume(abs(a + d) > 2)
+    return CatMap(a, b, c, d)
+
+
+@given(
+    st.lists(st.sampled_from(sorted(_LETTERS)), min_size=2, max_size=10),
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(1, 500), st.integers(1, (1 << 30) - 1)),
+            st.integers(0, 1 << 40),
+            st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_lucas_ladder_sees_the_identity_exactly(word, draws):
+    # (V_k, V_(k+1)) = (2, t) mod n iff A^k = I mod n, for odd n coprime to
+    # t^2 - 4, composite or not; k is a multiple of ord(A, n) in half the
+    # draws, so that both sides of the iff occur
+    m = word_map(word)
+    rows = []
+    for h, k, mode in draws:
+        n = 2 * h + 1
+        if math.gcd(m.trace**2 - 4, n) != 1:
+            continue
+        rows.append((n, k % 64 * order_mod(m, n) if mode < 2 else k))
+    assume(rows)
+    n = np.array([row[0] for row in rows], dtype=np.int64)
+    k = np.array([row[1] for row in rows], dtype=np.int64)
+    t = np.remainder(m.trace, n)
+    v, w = quadorder._lucas_ladder(t, k, n)
+    for nq, kq, tq, vq, wq in zip(*(z.tolist() for z in (n, k, t, v, w))):
+        assert ((vq, wq) == (2, tq)) == _power_is_identity(m, kq, nq)
 
 
 class FactoredSpf:
@@ -385,9 +432,13 @@ def test_kernel_chi_and_order_just_below_int64_bound(m):
 
 
 @pytest.mark.parametrize("m", KERNEL_MAPS, ids=str)
-@pytest.mark.parametrize("composite", [91, 341])
+@pytest.mark.parametrize("composite", [91, 341, 561, 1105, 399, 105])
 def test_kernel_rejects_a_composite_among_primes(m, composite):
-    # 341 = 11 * 31 is a base-2 Fermat pseudoprime
+    # 341 = 11 * 31 is a base-2 Fermat pseudoprime; the Carmichael numbers
+    # 561 = 3 * 11 * 17 and 1105 = 5 * 13 * 17 share a factor with t^2 - 4
+    # at t = 4 and t = 20002.  So do 399 = 3 * 7 * 19 at t = 4 and 105 at
+    # t = 20002, where (V_(n-1), V_n) or (V_(n+1), V_(n+2)) is (2, t) mod n
+    # though A^n is neither A nor A^-1: only the gcd guard rejects them
     primes = [p for p in primes_up_to(400).tolist() if p != 2] + [composite]
     with pytest.raises(NotAMultiple):
         _prime_orders(m, np.array(sorted(primes), dtype=np.int64), sieve_to(primes))
