@@ -12,10 +12,10 @@ kernel, `_prime_orders`: a Montgomery ladder on the Lucas sequence
 V_k = tr(A^k) mod p, one square and one product per exponent bit, tests
 A^k = I as (V_k, V_(k+1)) = (2, t), which is exact at odd p coprime to
 t^2 - 4; one ladder to p - 1 gives chi, a smallest-prime-factor sieve
-factors p - chi, and vectorized prime stripping gives the order.  The
-kernel is exact for p < INT64_PRIME_BOUND = 2^31; larger primes, primes
-dividing the discriminant and prime powers take the scalar route, which is
-also the kernel's oracle.
+factors M = p - chi, and the order is M with each prime q of M divided out
+on its own, once per s = 1, 2, ... with A^(M/q^s) = I.  The kernel is exact
+for p < INT64_PRIME_BOUND = 2^31; larger primes, primes dividing the
+discriminant and prime powers take the scalar route, its oracle.
 """
 
 from __future__ import annotations
@@ -214,11 +214,12 @@ def _prime_orders(
     recurrence steps V_(j+1) = t*V_j - V_(j-1) on: A^(p-1) = I where p
     splits, A^(p+1) = I where p is inert, and NotAMultiple for neither.  An
     entry sharing a factor with 2(t^2 - 4), where the test is not exact, is
-    no prime and raises NotAMultiple too.  The order comes from stripping
-    each prime q of M = p - chi while q | ord and A^(ord/q) = I, the same
-    walk as `order_dividing`, with M factored by the smallest-prime-factor
-    sieve `spf`, which must reach max(primes) + 1: the caller builds it, as
-    it knows the range it needs.
+    no prime and raises NotAMultiple too.  M = p - chi is a multiple of
+    the order, and for q^e || M, A^(M/q^s) = I exactly when
+    v_q(ord) <= e - s: so each prime q of M is divided out of the order on
+    its own for s = 1, 2, ... up to the first miss (Cohen, Alg. 1.4.3).  M
+    is factored by the smallest-prime-factor sieve `spf`, which must reach
+    max(primes) + 1: the caller builds it, as it knows the range it needs.
     """
     t = m.trace
     p = primes[(primes > 2) & (primes < INT64_PRIME_BOUND)]
@@ -227,8 +228,6 @@ def _prime_orders(
           else np.array([t % q for q in p.tolist()], dtype=np.int64))
     keep = (tp * tp - 4) % p != 0
     p, tp = p[keep], tp[keep]
-    if not p.size:
-        return p, p.copy(), p.copy()
     if (np.gcd(2 * ((tp * tp - 4) % p), p) != 1).any():
         raise NotAMultiple("an entry shares a factor with 2(t^2 - 4): not a prime")
     v, w = _lucas_ladder(tp, p - 1, p)
@@ -240,27 +239,23 @@ def _prime_orders(
     chi = np.where(split, 1, -1)
     multiple = p - chi
     order = multiple.copy()
-    rest = multiple.copy()  # M with the primes already walked divided out
-    q = spf[rest].astype(np.int64)
-    active = np.arange(p.size)
-    while active.size:
-        divides = order[active] % q[active] == 0
-        tried = active[divides]
-        v, w = _lucas_ladder(tp[tried], order[tried] // q[tried], p[tried])
-        hit = (v == 2) & (w == tp[tried])
-        order[tried[hit]] //= q[tried[hit]]
-        # the rest are done with their current q and move on to their next one
-        moving = np.concatenate([active[~divides], tried[~hit]])
-        r, qm = rest[moving], q[moving]
-        while True:
-            more = r % qm == 0
-            if not more.any():
-                break
-            r[more] //= qm[more]
-        rest[moving] = r
-        moving = moving[r > 1]
-        q[moving] = spf[rest[moving]]
-        active = np.concatenate([tried[hit], moving])
+    rest = multiple.copy()  # M with the primes already stripped divided out
+    at = np.arange(p.size)  # the entries whose rest is above 1
+    while at.size:
+        q = spf[rest[at]].astype(np.int64)
+        i, k, qi = at, multiple[at], q
+        while i.size:  # A^(M/q^s) = I for s = 1, 2, ... up to the first miss
+            k //= qi
+            v, w = _lucas_ladder(tp[i], k, p[i])
+            hit = (v == 2) & (w == tp[i])
+            order[i[hit]] //= qi[hit]
+            more = hit & (k % qi == 0)
+            i, k, qi = i[more], k[more], qi[more]
+        r = rest[at]
+        while (more := r % q == 0).any():
+            r[more] //= q[more]
+        rest[at] = r
+        at = at[r > 1]
     return p, chi, order
 
 

@@ -431,6 +431,23 @@ def test_kernel_chi_and_order_just_below_int64_bound(m):
         assert (c, o) == (_legendre(m.discriminant, p), _order_mod_prime_power(m, p, 1))
 
 
+SMALL_PRIMES = primes_up_to(5000)
+
+
+@given(st.lists(st.sampled_from(sorted(_LETTERS)), min_size=2, max_size=10))
+@settings(max_examples=30, deadline=None)
+def test_kernel_matches_scalar_route_on_random_maps(word):
+    m = word_map(word)
+    for primes, spf in [
+        (SMALL_PRIMES, sieve_to(SMALL_PRIMES)),
+        (np.array(PRIMES_BELOW_BOUND, dtype=np.int64), FactoredSpf()),
+    ]:
+        kept, chi, order = _prime_orders(m, primes, spf)
+        assert kept.tolist() == [p for p in primes.tolist() if p > 2 and m.discriminant % p]
+        for p, c, o in zip(kept.tolist(), chi.tolist(), order.tolist()):
+            assert (c, o) == (_legendre(m.discriminant, p), _order_mod_prime_power(m, p, 1))
+
+
 @pytest.mark.parametrize("m", KERNEL_MAPS, ids=str)
 @pytest.mark.parametrize("composite", [91, 341, 561, 1105, 399, 105])
 def test_kernel_rejects_a_composite_among_primes(m, composite):
