@@ -108,10 +108,6 @@ class Mat2Mod:
             raise ValueError(f"modulus must be >= 1, got {modulus}")
         return cls(m.a % modulus, m.b % modulus, m.c % modulus, m.d % modulus, modulus)
 
-    @classmethod
-    def identity(cls, modulus: int) -> "Mat2Mod":
-        return cls(1 % modulus, 0, 0, 1 % modulus, modulus)
-
     def mul(self, other: "Mat2Mod") -> "Mat2Mod":
         if self.modulus != other.modulus:
             raise ValueError("moduli differ")
@@ -167,7 +163,7 @@ def is_probable_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -258,14 +254,16 @@ def _factorize_cached(n: int, budget: int) -> Factorization:
     counts: dict[int, int] = {}
     certified = True
     rest = n
-    for p in _sieve_list(_TRIAL_DIVISION_LIMIT):
+    # trial division to a power of two above sqrt(n), so few sieve sizes are cached
+    limit = min(_TRIAL_DIVISION_LIMIT, 1 << math.isqrt(n).bit_length())
+    for p in _sieve_list(limit):
         if p * p > rest:
             break
         while rest % p == 0:
             counts[p] = counts.get(p, 0) + 1
             rest //= p
     if rest > 1:
-        if rest < _TRIAL_DIVISION_LIMIT**2:
+        if rest < limit**2:
             # below the square of the trial bound the cofactor must be prime
             counts[rest] = counts.get(rest, 0) + 1
         else:
@@ -302,22 +300,6 @@ def factorize(n: int, *, budget: int | None = None) -> Factorization:
 # modular matrix powers and orders
 # --------------------------------------------------------------------------
 
-def mat_pow_mod(m: CatMap, k: int, modulus: int) -> Mat2Mod:
-    """A^k reduced mod `modulus`, by square-and-multiply.  k = 0 gives I."""
-    if k < 0:
-        raise ValueError(f"exponent must be >= 0, got {k}")
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    result = Mat2Mod.identity(modulus)
-    base = Mat2Mod.reduce(m, modulus)
-    while k:
-        if k & 1:
-            result = result.mul(base)
-        base = base.mul(base)
-        k >>= 1
-    return result
-
-
 def _pair_pow(trace: int, k: int, modulus: int | None = None) -> tuple[int, int]:
     """Coefficients (u, v) with A^k = u*I + v*A mod `modulus`, or exactly if None.
 
@@ -339,19 +321,26 @@ def _pair_pow(trace: int, k: int, modulus: int | None = None) -> tuple[int, int]
     return ru, rv
 
 
-def _pair_hits(pair: tuple[int, int], m: CatMap, modulus: int, sign: int) -> bool:
-    """True if u*I + v*A is congruent to sign*I mod `modulus` (sign = +-1)."""
-    u, v = pair
-    return (
-        (u - sign + v * m.a) % modulus == 0
-        and (v * m.b) % modulus == 0
-        and (v * m.c) % modulus == 0
-        and (u - sign + v * m.d) % modulus == 0
-    )
+def mat_pow_mod(m: CatMap, k: int, modulus: int) -> Mat2Mod:
+    """A^k reduced mod `modulus`, as u*I + v*A from `_pair_pow`.  k = 0 gives I."""
+    if k < 0:
+        raise ValueError(f"exponent must be >= 0, got {k}")
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    u, v = _pair_pow(m.trace, k, modulus)
+    n = modulus
+    return Mat2Mod((u + v * m.a) % n, v * m.b % n, v * m.c % n, (u + v * m.d) % n, n)
 
 
 def _power_is_identity(m: CatMap, k: int, modulus: int) -> bool:
-    return _pair_hits(_pair_pow(m.trace, k, modulus), m, modulus, 1)
+    """True if A^k = I mod `modulus`, read off u*I + v*A."""
+    u, v = _pair_pow(m.trace, k, modulus)
+    return (
+        (u - 1 + v * m.a) % modulus == 0
+        and v * m.b % modulus == 0
+        and v * m.c % modulus == 0
+        and (u - 1 + v * m.d) % modulus == 0
+    )
 
 
 def order_mod_brute(m: CatMap, modulus: int) -> int:
@@ -400,16 +389,11 @@ def _order_mod_prime_power(m: CatMap, p: int, e: int) -> int:
         o = order_dividing(m, p, 2 * p)
     else:
         o = order_dividing(m, p, p - _legendre(m.discriminant, p))
-    mod_j = p
-    for _ in range(2, e + 1):
-        mod_j *= p
-        # order mod p^j is the order mod p^(j-1) times a power of p
-        guard = 0
-        while not _power_is_identity(m, o, mod_j):
+    # A^o = I + p^(j-1)*X mod p^j lifts o from p^(j-1), and for j >= 2
+    # (I + p^(j-1)*X)^p = I mod p^j, p = 2 included: the order is o or p*o
+    for j in range(2, e + 1):
+        if not _power_is_identity(m, o, p**j):
             o *= p
-            guard += 1
-            if guard > 3 * e:  # kernel of reduction is a p-group of rank <= 3
-                raise RuntimeError("order lifting did not terminate")
     return o
 
 

@@ -31,11 +31,11 @@ from .arith import (
     Factorization,
     _legendre,
     _order_mod_prime_power,
-    _pair_hits,
     _pair_pow,
     _power_is_identity,
     factorize,
     is_probable_prime,
+    mat_pow_mod,
     order_mod,
     primes_up_to,
 )
@@ -305,8 +305,7 @@ def order_profile(m: CatMap, N: int, factors: Factorization | None = None) -> Or
                 d0_cofactors.append(p - _legendre(disc, p))
                 d0_orders *= ord_pe if e == 1 else _order_mod_prime_power(m, p, 1)
         order = math.lcm(order, ord_pe)
-    # lcm_defect without its check: every cofactor p - chi(p) is >= 2
-    L = math.prod(d0_cofactors) // math.lcm(*d0_cofactors)
+    L = lcm_defect(d0_cofactors)
     return OrderProfile(N, d, s, d0, L, order, d0_orders // L, len(fac.factors))
 
 
@@ -396,7 +395,7 @@ def small_order_modulus(m: CatMap, k: int) -> SmallOrderFactorization:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     u, v = _pair_pow(m.trace, k)
-    det = (u - 1 + v * m.a) * (u - 1 + v * m.d) - v * v * m.b * m.c
+    det = 2 - (2 * u + m.trace * v)  # 2 - tr(A^k)
     fac = factorize(abs(det))
     entries = []
     n_k = 1
@@ -446,7 +445,8 @@ def _minus_one_exponent(m: CatMap, modulus: int, r: int) -> int | None:
     multiple of r/2, and every such power equals A^(r/2)."""
     if modulus <= 2:
         return r
-    if r % 2 == 0 and _pair_hits(_pair_pow(m.trace, r // 2, modulus), m, modulus, -1):
+    n = modulus
+    if r % 2 == 0 and mat_pow_mod(m, r // 2, n).entries == (n - 1, 0, 0, n - 1):
         return r // 2
     return None
 

@@ -179,6 +179,25 @@ def test_factorize_two_big_primes_rho_path():
     assert factorize(p * q).factors == ((p, 1), (q, 1))
 
 
+def test_factorize_at_the_trial_division_bounds():
+    # trial division runs to a power of two above sqrt(n), capped at 10^6 from
+    # n = 2^38 on; the last cases need Brent's rho beyond the cap
+    cases = [
+        65521 * 65537,
+        65537**2,
+        999983**2,
+        1000003**2,
+        2**40 - 1,
+        2**40 + 1,
+        2**40 + 15,  # prime
+        1048583 * 1048589,
+    ]
+    for n in cases:
+        f = factorize(n)
+        assert list(f.factors) == naive_factor(n), n
+        assert f.certified
+
+
 def test_factorize_budget_timeout():
     p = 2_147_483_647  # 2^31 - 1
     q = 2_147_483_629
@@ -242,6 +261,26 @@ def test_order_prime_powers_lift():
             oe = order_mod(A, p**e)
             assert oe % o1 == 0
             assert oe == order_mod_brute(A, p**e)
+
+
+LIFT_MAPS = [
+    CatMap(2, 1, 3, 2),
+    CatMap(2, 3, 1, 2),
+    CatMap(4, 1, -1, 0),
+    CatMap(0, 1, -1, 4),
+    CatMap(1, 2, 2, 5),
+    CatMap(-3, -2, -4, -3),
+    # 2, 3 and 5 divide the conductor of these
+    *(CatMap(0, 1, -1, t) for t in (6, 10, 14, 18, 52)),
+]
+
+
+@pytest.mark.parametrize("m", LIFT_MAPS, ids=str)
+def test_order_prime_power_lift_matches_brute(m):
+    for p in primes_up_to(54).tolist():
+        for e in range(2, 12):
+            if p**e <= 3000:
+                assert order_mod(m, p**e) == order_mod_brute(m, p**e), (p, e)
 
 
 def test_order_lcm_composition():

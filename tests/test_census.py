@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catmap import census, quadorder
+from catmap import arith, census, quadorder
 from catmap.arith import (
     DEFAULT_MAP,
     CatMap,
@@ -633,6 +633,34 @@ def test_small_order_rows():
         assert row.certified
         power = mat_pow_mod(A, row.k, row.modulus)
         assert power.is_identity()
+
+
+def test_small_order_rows_where_two_divides_the_conductor():
+    rows, failures = small_order_report(CatMap(0, 1, -1, 6), 4)
+    assert failures == []
+    assert [(row.k, row.modulus, row.order) for row in rows] == [(2, 2, 2), (3, 7, 3), (4, 12, 4)]
+
+
+def test_small_order_report_skips_degenerate_moduli(monkeypatch):
+    # N_k > 1 at every k >= 2 the report visits, so N_3 = 1 is forced here
+    real = census.small_order_modulus
+
+    def with_degenerate_k3(m, k):
+        so = real(m, k)
+        return dataclasses.replace(so, N_k=1) if k == 3 else so
+
+    monkeypatch.setattr(census, "small_order_modulus", with_degenerate_k3)
+    rows, failures = small_order_report(A, 6)
+    assert failures == []
+    assert [row.k for row in rows] == [2, 4, 5, 6]
+
+
+def test_small_order_report_lists_factorization_timeouts(monkeypatch):
+    monkeypatch.setattr(arith, "_DEFAULT_FACTOR_BUDGET", 1)
+    rows, failures = small_order_report(A, 45)
+    assert failures == [29, 35, 37, 39, 41, 45]
+    assert not {row.k for row in rows} & set(failures)
+    assert {row.k for row in rows} | set(failures) == set(range(2, 46))
 
 
 def test_small_order_ratio_stays_moderate():

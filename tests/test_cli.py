@@ -7,7 +7,7 @@ from dataclasses import asdict
 
 import pytest
 
-from catmap import census, cli
+from catmap import arith, census, cli
 from catmap.arith import DEFAULT_MAP
 from catmap.census import (
     DENSE_DIMENSION_LIMIT,
@@ -423,6 +423,27 @@ def test_cli_resume_with_another_config_fails_before_work(
     assert main([command, "-x", "1200", "--out", str(out), "--resume"]) == 1
     assert "cannot append: header" in capsys.readouterr().err
     assert out.read_bytes() == head
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["census-primes", "-x", "2000"], ["census-integers", "-x", "2000"], ["sweep", "--sizes", "3-40"]],
+    ids=lambda argv: argv[0],
+)
+def test_small_runs_build_no_large_trial_division_table(argv, tmp_path, capsys, monkeypatch):
+    limits = []
+    real = arith._sieve_list
+
+    def recording(limit):
+        limits.append(limit)
+        return real(limit)
+
+    arith._factorize_cached.cache_clear()
+    monkeypatch.setattr(arith, "_sieve_list", recording)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert limits
+    assert max(limits) <= 1 << 16
 
 
 def test_sweep_failures_reported(capsys):

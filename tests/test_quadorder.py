@@ -16,7 +16,6 @@ from catmap import quadorder
 from catmap.arith import (
     _legendre,
     _order_mod_prime_power,
-    _pair_hits,
     _pair_pow,
     _power_is_identity,
     is_probable_prime,
@@ -89,7 +88,13 @@ def loop_minus_one_exponent(m: CatMap, N: int) -> int | None:
     u, v = 1 % N, 0
     for t in range(1, order_mod(m, N) + 1):
         u, v = (-v) % N, (u + t_mod * v) % N  # multiply by A
-        if _pair_hits((u, v), m, N, -1):
+        # the four entries of u*I + v*A against those of -I
+        if (
+            (u + v * m.a + 1) % N == 0
+            and v * m.b % N == 0
+            and v * m.c % N == 0
+            and (u + v * m.d + 1) % N == 0
+        ):
             return t
     return None
 
@@ -541,6 +546,21 @@ def test_small_order_k3():
     assert by_prime[5].det_exponent == 2
     assert by_prime[5].modulus_exponent == 1
     assert order_mod(A, 5) == 3
+
+
+def test_small_order_descent_where_two_divides_the_conductor():
+    # D = 4*(6^2 - 4) = 2^7: the maximal order has discriminant 8, so 2 divides
+    # the conductor and half the 2-adic exponent of det(A^k - I) overshoots
+    m = CatMap(0, 1, -1, 6)
+    pins = {2: (2, 5, 1), 4: (12, 7, 2), 8: (408, 9, 3)}
+    for k in range(1, 9):
+        so = small_order_modulus(m, k)
+        assert so.shrunk, k
+        two = next(e for e in so.entries if e.prime == 2)
+        if k in pins:
+            assert (so.N_k, two.det_exponent, two.modulus_exponent) == pins[k]
+        assert k % order_mod_brute(m, so.N_k) == 0
+        assert k % order_mod_brute(m, 2 * so.N_k) != 0
 
 
 def test_small_order_invariants_range():
