@@ -397,7 +397,7 @@ def _order_mod_prime_power(m: CatMap, p: int, e: int) -> int:
     return o
 
 
-def order_mod(m: CatMap, modulus: int, factors: Factorization | None = None) -> int:
+def order_mod(m: CatMap, modulus: int) -> int:
     """Least k >= 1 with A^k = I mod `modulus` (fast path).
 
     Factors the modulus, computes the order at each prime power (reducing the
@@ -414,8 +414,7 @@ def order_mod(m: CatMap, modulus: int, factors: Factorization | None = None) -> 
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     if modulus == 1:
         return 1
-    fac = factors if factors is not None else factorize(modulus)
     out = 1
-    for p, e in fac:
+    for p, e in factorize(modulus):
         out = math.lcm(out, _order_mod_prime_power(m, p, e))
     return out

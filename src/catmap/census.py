@@ -36,6 +36,7 @@ import json
 import math
 import operator
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import starmap
 from time import perf_counter
@@ -43,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arith import CatMap, Factorization, _order_mod_prime_power, order_mod, primes_up_to
+from .arith import CatMap, _order_mod_prime_power, order_dividing, primes_up_to
 from .errors import CatmapError, FactorizationTimeout, SchemaMismatch
 from .quadorder import (
     PrimeClass,
@@ -353,18 +354,6 @@ def prime_census(
     return _records(table, "primes"), summarize_prime_records(table, x, eta)
 
 
-def _least_n(holds, x: int) -> int:
-    """Least N in [2, x] with holds(N), else x + 1; holds must be monotone."""
-    lo, hi = 2, x + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _in_s_thresholds(x: int) -> tuple[np.ndarray, np.ndarray]:
     """(n_s, n_w): s <= log N iff N >= n_s[s], and w <= 1.5 log log N iff
     N >= n_w[w], for 2 <= N <= x, with the float rule of `OrderProfile.in_s`.
@@ -373,9 +362,13 @@ def _in_s_thresholds(x: int) -> tuple[np.ndarray, np.ndarray]:
     entry of each is x + 1: larger s or w hold at no N <= x.
     """
     log_x = math.log(x)
-    n_s = [_least_n(lambda n: k <= math.log(n), x) for k in range(int(log_x) + 2)]
+    ns = range(2, x + 1)
+    n_s = [
+        bisect_left(ns, True, key=lambda n: k <= math.log(n)) + 2
+        for k in range(int(log_x) + 2)
+    ]
     n_w = [
-        _least_n(lambda n: k <= 1.5 * math.log(math.log(n)), x)
+        bisect_left(ns, True, key=lambda n: k <= 1.5 * math.log(math.log(n))) + 2
         for k in range(int(1.5 * math.log(log_x)) + 2)
     ]
     return np.array(n_s, np.int64), np.array(n_w, np.int64)
@@ -598,15 +591,8 @@ def small_order_report(m: CatMap, k_max: int) -> tuple[list[SmallOrderRow], list
             continue
         if sof.degenerate:
             continue
-        fac = Factorization(
-            tuple(
-                (entry.prime, entry.modulus_exponent)
-                for entry in sof.entries
-                if entry.modulus_exponent > 0
-            ),
-            certified=sof.certified,
-        )
-        order = order_mod(m, sof.N_k, fac)
+        # small_order_modulus leaves A^k = I mod N_k, so k is a multiple of the order
+        order = order_dividing(m, sof.N_k, k)
         rows.append(
             SmallOrderRow(k, sof.N_k, order, order / math.log(sof.N_k), sof.certified)
         )

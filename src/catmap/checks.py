@@ -198,17 +198,20 @@ def _check_prime_kernel_vs_scalar(s: _Scale, rng) -> str:
             f"{s.chi_prime_limit}, == brute at those <= 300")
 
 
+def _coprime_pairs(rng, hi: int, count: int):
+    """`count` coprime pairs (n1, n2), each drawn from [2, hi) until coprime."""
+    while count:
+        n1, n2 = rng.randrange(2, hi), rng.randrange(2, hi)
+        if math.gcd(n1, n2) == 1:
+            count -= 1
+            yield n1, n2
+
+
 def _check_order_lcm_composition(s: _Scale, rng) -> str:
     m = DEFAULT_MAP
-    done = 0
-    while done < s.lcm_pairs:
-        n1 = rng.randrange(2, 1500)
-        n2 = rng.randrange(2, 1500)
-        if math.gcd(n1, n2) != 1:
-            continue
+    for n1, n2 in _coprime_pairs(rng, 1500, s.lcm_pairs):
         assert order_mod(m, n1 * n2) == math.lcm(order_mod(m, n1), order_mod(m, n2))
-        done += 1
-    return f"lcm composition on {done} coprime pairs"
+    return f"lcm composition on {s.lcm_pairs} coprime pairs"
 
 
 def _check_factorization_roundtrip(s: _Scale, rng) -> str:
@@ -242,17 +245,11 @@ def _check_norm_one_formula(s: _Scale, rng) -> str:
 
 def _check_norm_one_crt(s: _Scale, rng) -> str:
     m = DEFAULT_MAP
-    done = 0
-    while done < s.crt_pairs:
-        n1 = rng.randrange(2, 60)
-        n2 = rng.randrange(2, 60)
-        if math.gcd(n1, n2) != 1:
-            continue
+    for n1, n2 in _coprime_pairs(rng, 60, s.crt_pairs):
         assert norm_one_count(m, n1 * n2) == norm_one_count(m, n1) * norm_one_count(
             m, n2
         )
-        done += 1
-    return f"multiplicativity on {done} coprime pairs"
+    return f"multiplicativity on {s.crt_pairs} coprime pairs"
 
 
 def _check_profile_lower_bound(s: _Scale, rng) -> str:

@@ -32,7 +32,6 @@ depends on its own projector alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import pi, sqrt
 from typing import Iterator, Mapping
 
@@ -348,7 +347,8 @@ class SpectralLevel:
     """One eigenphase with its multiplicity and an orthonormal basis.
 
     Basis columns have Euclidean norm sqrt(N), i.e. unit norm under the
-    normalized inner product.
+    normalized inner product.  The basis is a read-only view of the level's
+    columns in its spectrum's `eigenbasis()`.
     """
 
     eigenphase: complex
@@ -369,17 +369,12 @@ class Spectrum:
     residual: float
     gram_defect: float
     normality_defect: float
-
-    @cached_property
-    def _eigenbasis(self) -> np.ndarray:
-        basis = np.hstack([level.basis for level in self.levels])
-        basis.flags.writeable = False
-        return basis
+    _basis: np.ndarray
 
     def eigenbasis(self) -> np.ndarray:
-        """All basis columns side by side, N columns in level order (read-only,
-        stacked once per spectrum)."""
-        return self._eigenbasis
+        """All basis columns side by side, N columns in level order (read-only;
+        each level's basis is a view of its columns)."""
+        return self._basis
 
     def eigenphases_per_vector(self) -> np.ndarray:
         reps = [np.full(level.multiplicity, level.eigenphase) for level in self.levels]
@@ -547,27 +542,30 @@ def _spectrum_at(U: Operator, r_star: int, phase: float) -> Spectrum:
     # levels in ascending j; the columns of each in eigh's order
     js, mults = np.unique(nearest, return_counts=True)
     cols, starts = np.argsort(nearest, kind="stable"), np.cumsum(mults) - mults
-    bases = {}
+    basis = np.empty((N, N), dtype=np.complex128)
     residuals, grams = np.empty(len(js)), np.empty(len(js))
     for mult in set(mults.tolist()):  # np.unique would import numpy.ma
         at = np.flatnonzero(mults == mult)
-        sel = cols[starts[at][:, None] + np.arange(mult)]
+        place = starts[at][:, None] + np.arange(mult)
+        sel = cols[place]
         Zs, UZs = (M[:, sel].transpose(1, 0, 2) for M in (Z, UZ))
         B = _level_bases(Zs)
         # U B from U Z: each basis is Zj times Zj^H B
         resid = UZs @ (Zs.conj().transpose(0, 2, 1) @ B) - roots[js[at]][:, None, None] * B
         residuals[at] = np.linalg.norm(resid, axis=1).max(axis=1)
         grams[at] = np.abs(B.conj().transpose(0, 2, 1) @ B - np.eye(mult)).max(axis=(1, 2))
-        bases.update(zip(at.tolist(), B * sqrt(N)))
+        basis[:, place] = B.transpose(1, 0, 2) * sqrt(N)
     residual, gram = np.maximum.accumulate(residuals), np.maximum.accumulate(grams)
     bad = np.flatnonzero((residual > SPECTRAL_TOL) | (gram > UNITARY_TOL))
     if bad.size:
         i = bad[0]
         raise ConstructionFailed(f"eigenvector residual {residual[i]:.3e} or Gram defect "
                                  f"{gram[i]:.3e} at or before eigenphase index {js[i]}")
-    levels = tuple(SpectralLevel(complex(roots[j]), int(mults[i]), bases[i])
-                   for i, j in enumerate(js))
-    return Spectrum(N, r_star, phase, levels, float(residual[-1]), float(gram[-1]), normality)
+    basis.flags.writeable = False
+    levels = tuple(SpectralLevel(complex(roots[j]), int(mult), basis[:, s:s + mult])
+                   for j, s, mult in zip(js, starts, mults))
+    return Spectrum(N, r_star, phase, levels, float(residual[-1]), float(gram[-1]),
+                    normality, basis)
 
 
 def expectation(op: Operator, psi: StateVector) -> complex:

@@ -22,6 +22,7 @@ from catmap.arith import (
     _order_mod_prime_power,
     factorize,
     mat_pow_mod,
+    order_mod,
     order_mod_brute,
     primes_up_to,
 )
@@ -635,6 +636,17 @@ def test_small_order_rows():
         assert power.is_identity()
 
 
+@pytest.mark.parametrize(
+    "m", [A, CatMap(4, 1, -1, 0), CatMap(0, 1, -1, 6), CatMap(-3, -2, -4, -3)], ids=str
+)
+def test_small_order_rows_take_the_least_order(m):
+    # A^k = I mod N_k, so the report reads ord(A, N_k) off the divisors of k
+    rows, failures = small_order_report(m, 40)
+    assert failures == [] and rows
+    for row in rows:
+        assert row.order == order_mod(m, row.modulus), row.k
+
+
 def test_small_order_rows_where_two_divides_the_conductor():
     rows, failures = small_order_report(CatMap(0, 1, -1, 6), 4)
     assert failures == []
@@ -1158,6 +1170,15 @@ def test_load_rejects_alien_and_corrupt_files(tmp_path):
     )
     with pytest.raises(SchemaMismatch):
         load_results(path)
+    for text, match in [
+        ("", "empty file"),
+        ("#catmap-census v1; kind=primes\n", "missing column line"),
+        ("#catmap-census v1; kind=integers\np,chi,ord,class,exceeds\n", "does not match columns"),
+        ("catmap-census v1; kind=primes\np,chi,ord,class,exceeds\n", "missing header comment"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(SchemaMismatch, match=match):
+            load_results(path)
 
 
 @pytest.mark.parametrize("line", [0, 1, 5], ids=["header", "columns", "row"])
@@ -1179,6 +1200,12 @@ def test_a_stored_byte_that_is_not_utf8_raises_schema_mismatch(tmp_path, kind, l
             read(path)
 
 
+def _edit_first_record(blob: bytes, edit) -> bytes:
+    doc = json.loads(blob)
+    edit(doc["records"][0])
+    return json.dumps(doc).encode()
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -1189,10 +1216,15 @@ def test_a_stored_byte_that_is_not_utf8_raises_schema_mismatch(tmp_path, kind, l
         lambda blob: json.dumps({**json.loads(blob), "config": 5}).encode(),
         lambda blob: json.dumps({**json.loads(blob), "config": "x=120"}).encode(),
         lambda blob: json.dumps({**json.loads(blob), "config": [["x", "120"]]}).encode(),
+        lambda blob: json.dumps({**json.loads(blob), "version": "v9"}).encode(),
+        lambda blob: json.dumps({**json.loads(blob), "kind": "nope"}).encode(),
+        lambda blob: _edit_first_record(blob, lambda rec: rec.pop("L")),
+        lambda blob: _edit_first_record(blob, lambda rec: rec.update(N="two")),
     ],
     ids=[
         "truncated", "not-utf8", "records-int", "records-object", "config-int",
-        "config-string", "config-pairs",
+        "config-string", "config-pairs", "version-v9", "kind-nope", "record-without-L",
+        "record-N-two",
     ],
 )
 def test_a_malformed_json_document_raises_schema_mismatch(tmp_path, edit):
@@ -1227,6 +1259,22 @@ def test_resume_point_rejects_a_stored_row_with_a_bad_key(tmp_path):
     )
     with pytest.raises(SchemaMismatch):
         resume_point(path)
+
+
+def test_resume_point_inside_the_column_line_checks_only_the_header(tmp_path):
+    path = tmp_path / "cut.csv"
+    path.write_text("#catmap-census v1; kind=primes\np,chi,o")
+    assert resume_point(path) is None
+    path.write_text("#other-format v3; kind=primes\np,chi,o")
+    with pytest.raises(SchemaMismatch, match="unsupported format tag"):
+        resume_point(path)
+
+
+def test_an_append_to_a_missing_file_writes_a_fresh_one(tmp_path):
+    recs = compute_prime_records(A, 300, ETA)
+    store_results(recs, tmp_path / "fresh.csv", config={"x": 300})
+    store_results(recs, tmp_path / "appended.csv", config={"x": 300}, append=True)
+    assert (tmp_path / "appended.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 def test_empty_stream_gives_loadable_header_only_file(tmp_path):

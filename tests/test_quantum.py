@@ -12,6 +12,7 @@ from catmap.errors import (
     ConstructionFailed,
     NoScalarPower,
     NotNormalized,
+    NotUnitary,
     ZeroVector,
 )
 from catmap.quantum import (
@@ -786,6 +787,15 @@ def test_eigenbasis_is_stacked_once():
     assert np.array_equal(basis, np.hstack([level.basis for level in sp.levels]))
 
 
+def test_level_bases_are_read_only_views_of_the_eigenbasis():
+    for sp in (propagator_spectrum(A, 13), spectrum(propagator(A, 33), order_mod(A, 33))):
+        basis = sp.eigenbasis()
+        for level in sp.levels:
+            assert np.shares_memory(level.basis, basis)
+            with pytest.raises(ValueError, match="read-only"):
+                level.basis[0, 0] = 0.0
+
+
 def test_level_basis_depends_on_the_projector_alone():
     # any orthonormal basis of a level's range gives the same canonical
     # basis, phases included: the rule reads only P = Zj Zj^H
@@ -847,6 +857,40 @@ def test_spectrum_reports_check_margins():
     # the identity is already triangular and its basis is e_i times sqrt(N)
     sp = spectrum(Operator.identity(7), 1)
     assert sp.residual == sp.gram_defect == sp.normality_defect == 0.0
+
+
+def test_spectrum_gates_reject_eigenvectors_that_do_not_diagonalize_u(monkeypatch):
+    rotated_eigh = quantum._rotated_eigh
+
+    def mixed(U, alpha):  # two eigenvectors of different levels, mixed
+        Z, _ = rotated_eigh(U, alpha)
+        Z[:, :2] = Z[:, :2] @ np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        return Z, U @ Z
+
+    monkeypatch.setattr(quantum, "_rotated_eigh", mixed)
+    with pytest.raises(ConstructionFailed, match=r"off-diagonal entry 9\.802e-02$"):
+        propagator_spectrum(A, 31)
+
+    def turned(U, alpha):  # U Z turned off every r*-th root by 1e-3
+        Z, UZ = rotated_eigh(U, alpha)
+        return Z, UZ * np.exp(1e-3j)
+
+    monkeypatch.setattr(quantum, "_rotated_eigh", turned)
+    with pytest.raises(ConstructionFailed, match=r"lies 1\.000e-03 from every r\*-th root$"):
+        propagator_spectrum(A, 31)
+
+
+def test_propagator_gates_reject_a_wrong_word_and_a_wrong_scale(monkeypatch):
+    theta_word, fix_global_phase = quantum._theta_word, quantum._fix_global_phase
+    monkeypatch.setattr(quantum, "_theta_word", lambda *abcd: theta_word(*abcd)[1:])
+    with pytest.raises(ConstructionFailed, match=r"intertwining defect 3\.587e-01 at N=31$"):
+        propagator(A, 31)
+    monkeypatch.setattr(quantum, "_theta_word", theta_word)
+    monkeypatch.setattr(quantum, "_fix_global_phase", lambda M: 2 * fix_global_phase(M))
+    with pytest.raises(NotUnitary, match="N=31 failed the unitarity tolerance$"):
+        propagator(A, 31)
+    with pytest.raises(ConstructionFailed, match="zero leading column"):
+        fix_global_phase(np.zeros((31, 31), dtype=np.complex128))
 
 
 def test_spectrum_rejects_aperiodic_unitary():
