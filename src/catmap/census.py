@@ -23,7 +23,8 @@ one row per record, one column per field, the prime class as a code and flags
 as 0/1.  Every CSV reader takes its rows from `_stored_rows`, so all accept
 and reject the same files.  It reads a census body in one numpy pass
 (`_parse_table`); the per-row parser `_parse_rows` reads sweeps and any body
-numpy cannot take.
+numpy cannot take.  Census rows are written by one numpy kernel,
+`_csv_body`, and sweep rows by their `%` template.
 ``PrimeRecord`` and ``IntegerRecord`` objects are built from the columns only
 where the API returns records.
 """
@@ -493,10 +494,20 @@ def compute_integer_records(
 
 
 def _omega_sieve(limit: int) -> np.ndarray:
-    """omega(n), the number of distinct prime factors, for 0 <= n <= limit."""
+    """omega(n), the number of distinct prime factors, for 0 <= n <= limit.
+
+    A prime p <= limit // 32 counts at its multiples by one strided slice.
+    Each larger prime has at most 31 multiples up to the limit, so the
+    multiples j * p of all of them count in one step per j < 32.
+    """
     omega = np.zeros(max(limit, 0) + 1, dtype=np.int8)
-    for p in primes_up_to(limit).tolist():
+    primes = primes_up_to(limit)
+    split = np.searchsorted(primes, limit // 32, side="right")
+    for p in primes[:split].tolist():
         omega[p::p] += 1
+    big = primes[split:]
+    for j in range(1, 32):
+        omega[j * big[: np.searchsorted(big, limit // j, side="right")]] += 1
     return omega
 
 
@@ -729,6 +740,7 @@ class _Layout:
     def __init__(self, record: type, spec):
         self.record = record
         self.columns = tuple(name for name, _ in spec)
+        self.types = tuple(t for _, t in spec)
         cells = [_CELL_TYPES[t] for _, t in spec]
         self.row = ",".join(c.template for c in cells) + "\n"
         self.parsers = tuple(c.parse for c in cells)
@@ -768,6 +780,12 @@ _TABLE_KINDS = {
 }
 
 _CHUNK_ROWS = 1 << 16
+# rows per block of `_csv_body`: its grid of bytes stays near 200 kB
+_CSV_ROWS = 1 << 12
+# 10**k for each digit of an int64 cell
+_POWERS_OF_TEN = np.uint64(10) ** np.arange(19, dtype=np.uint64)
+# column i holds the stored bytes of class code i, padded with zero bytes
+_CLASS_BYTES = np.array([c.value for c in _CLASSES], "S").view(np.uint8).reshape(len(_CLASSES), -1).T
 
 
 def _table_rows(table: np.ndarray, convert):
@@ -776,6 +794,60 @@ def _table_rows(table: np.ndarray, convert):
     for start in range(0, len(table), _CHUNK_ROWS):
         chunk = table[start : start + _CHUNK_ROWS].T
         yield from zip(*(f(column) for f, column in zip(convert, chunk)))
+
+
+def _csv_body(table: np.ndarray, types) -> bytes:
+    """The CSV rows of an int64 column table whose columns hold cells of
+    these types (int, bool or PrimeClass): the bytes of the `%` template
+    (`_template_body`), built in one grid of bytes, not one format per row.
+
+    The grid holds a row per character slot and a column per table row.
+    Each table column takes the slots of its widest cell: its digits fill
+    them from the right, least significant first, a `-` goes in front of a
+    negative cell's first digit, and a class code is looked up in
+    `_CLASS_BYTES`; a `,` or the newline follows.  Zero bytes pad the
+    narrower cells, and the rows are the grid's other bytes read row by row.
+    """
+    columns = table.T
+    widths = [
+        len(_CLASS_BYTES)
+        if cell is PrimeClass
+        else max(len(str(col.max(initial=0))), len(str(col.min(initial=0))))
+        for col, cell in zip(columns, types)
+    ]
+    grid = np.zeros((sum(widths) + len(widths), len(table)), np.uint8)
+    end = 0
+    for col, cell, width in zip(columns, types, widths):
+        start, end = end, end + width
+        if cell is PrimeClass:
+            grid[start:end] = _CLASS_BYTES[:, col]
+        else:
+            # q[j] = |cell| // 10**(n - 1 - j), the cell's digits down to slot
+            # end - n + j, is 0 over the padding
+            n = min(width, len(_POWERS_OF_TEN))
+            dtype = np.uint32 if n <= 9 else np.uint64  # |int64 min| wraps to 2**63
+            q = np.abs(col).astype(dtype) // _POWERS_OF_TEN[n - 1 :: -1, None].astype(dtype)
+            live = q != 0
+            live[-1] = True  # the units digit, also of 0
+            q[1:] -= q[:-1] * dtype(10)  # each slot's own digit
+            cells = grid[end - n : end]
+            cells[:] = q
+            cells += live * np.uint8(ord("0"))
+            neg = np.flatnonzero(col < 0)
+            if len(neg):
+                grid[end - 1 - np.count_nonzero(live[:, neg], axis=0), neg] = ord("-")
+        grid[end] = ord(",")
+        end += 1
+    grid[end - 1] = ord("\n")
+    return grid.T.tobytes().translate(None, b"\0")
+
+
+def _template_body(records, kind: str) -> bytes:
+    """The CSV rows of records, or of a column table, one `%` format of the
+    kind's row template each: how sweeps are written, and the oracle of
+    `_csv_body`."""
+    layout = _LAYOUTS[kind]
+    return "".join(map(layout.row.__mod__, layout.rows(records))).encode()
 
 
 def _records(table: np.ndarray, kind: str) -> list:
@@ -825,6 +897,8 @@ def _from_json_value(kind: str, obj: dict):
 def _infer_kind(records, kind: str | None) -> str:
     """The kind of a list of records or of a column table."""
     if isinstance(records, np.ndarray):
+        if records.dtype != np.int64:  # `_csv_body` reads int64 cells only
+            raise TypeError(f"a column table must be int64, got {records.dtype}")
         got = _TABLE_KINDS.get(records.shape[1]) if records.ndim == 2 else None
         if got is None or kind not in (None, got):
             raise TypeError(f"a column table of shape {records.shape} is not of kind {kind!r}")
@@ -944,11 +1018,16 @@ def store_results(
     """Write records to path as CSV (default) or JSON; returns rows written.
 
     `records` is a list of one kind's records or a prime or integer column
-    table (see `_prime_columns`, `_integer_columns`); both are stored alike.  CSV appending is
-    resume-safe: an existing file is checked for a matching header and
-    column line before it is touched (see `can_append`), a partially written
-    final line is discarded, and new rows are added after the surviving ones.
-    JSON is whole-document only.
+    table (see `_prime_columns`, `_integer_columns`); both are stored alike.
+    CSV appending is resume-safe: an existing file is checked for a matching
+    header and column line before it is touched (see `can_append`), a
+    partially written final line is discarded, and new rows are added after
+    the surviving ones.  JSON is whole-document only.
+
+    Census rows go to CSV through `_csv_body`, 4,096 rows at a time; census
+    records are read into a column table first, so a value beyond int64
+    raises OverflowError before the file is touched.  Sweep rows go through
+    their `%` template (`_template_body`).
     """
     if not isinstance(records, np.ndarray):
         records = list(records)
@@ -972,16 +1051,21 @@ def store_results(
         raise ValueError(f"unknown format {fmt!r}")
 
     layout = _LAYOUTS[kind]
+    if kind != "sweep" and not isinstance(records, np.ndarray):
+        records = _records_table(records, kind)  # a cell beyond int64 raises here
     # a config the header cannot hold, or a mismatched file, raises first
     header = _header_line(kind, config)
     fresh = not (append and can_append(path, kind, config))
     if not fresh:
         _trim_partial_tail(path)
-    with open(path, "w" if fresh else "a", newline="\n") as fh:
+    with open(path, "wb" if fresh else "ab") as fh:
         if fresh:
-            fh.write(header + "\n")
-            fh.write(",".join(layout.columns) + "\n")
-        fh.writelines(map(layout.row.__mod__, layout.rows(records)))
+            fh.write(f"{header}\n{','.join(layout.columns)}\n".encode())
+        if kind == "sweep":
+            fh.write(_template_body(records, kind))
+        else:
+            for start in range(0, len(records), _CSV_ROWS):
+                fh.write(_csv_body(records[start : start + _CSV_ROWS], layout.types))
     return len(records)
 
 

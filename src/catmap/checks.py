@@ -32,7 +32,9 @@ from .arith import (
     primes_up_to,
 )
 from .census import (
+    _template_body,
     compute_integer_records,
+    compute_prime_records,
     load_results,
     prime_census,
     quantum_sweep,
@@ -41,6 +43,7 @@ from .census import (
     store_results,
 )
 from .quadorder import (
+    PrimeClass,
     _prime_orders,
     _smallest_prime_factors,
     congruence_count,
@@ -413,12 +416,21 @@ def _check_weyl_hermitian(s: _Scale, rng) -> str:
 def _check_census_round_trip(s: _Scale, rng) -> str:
     m = DEFAULT_MAP
     recs = compute_integer_records(m, s.census_x, ETA)
+    # primes to 1000 have chi = -1 and all three classes, so their rows take
+    # the CSV writer's sign and class-name branches
+    primes = compute_prime_records(m, 1000, ETA)
+    assert min(r.chi for r in primes) == -1
+    assert {r.prime_class for r in primes} == set(PrimeClass)
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp, "census.csv")
         cfg = {"x": s.census_x, "eta": ETA}
         store_results(recs, csv_path, config=cfg)
         full_bytes = csv_path.read_bytes()
+        assert full_bytes.split(b"\n", 2)[2] == _template_body(recs, "integers")
         assert load_results(csv_path).records == tuple(recs)
+        prime_path = Path(tmp, "primes.csv")
+        store_results(primes, prime_path)
+        assert prime_path.read_bytes().split(b"\n", 2)[2] == _template_body(primes, "primes")
         json_path = Path(tmp, "census.json")
         store_results(recs, json_path, config=cfg)
         assert load_results(json_path).records == tuple(recs)
@@ -432,7 +444,10 @@ def _check_census_round_trip(s: _Scale, rng) -> str:
         assert rec.order == order_mod_brute(m, rec.N), f"order at N={rec.N}"
         assert rec.d * rec.s**2 == rec.N
         assert all(rec.d % (q * q) for q in range(2, math.isqrt(rec.d) + 1))
-    return f"round trip + resume + brute-force spot checks at x={s.census_x}"
+    return (
+        f"round trip + resume + brute-force spot checks at x={s.census_x}; "
+        "CSV rows match their templates"
+    )
 
 
 def _check_prime_density(s: _Scale, rng) -> str:

@@ -1340,3 +1340,151 @@ def test_sweep_round_trip_any_floats(tmp_path_factory, rows):
         else:
             store_results(recs, path, kind="sweep", fmt=fmt)
         assert load_results(path).records == tuple(recs)
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer's digit kernel against the `%` template
+
+
+_CLASS_NAMES = [c.value for c in census._CLASSES]
+_INT64_EDGES = [-(1 << 63), (1 << 63) - 1, 0, 1, -1, 9, -9, 10, -10, 10**18, -(10**18)]
+
+
+def _template_rows(table, types) -> bytes:
+    """The rows of a column table by a `%` template, one row at a time."""
+    template = ",".join("%s" if t is PrimeClass else "%d" for t in types) + "\n"
+    cells = [
+        [_CLASS_NAMES[v] if t is PrimeClass else v for v, t in zip(row, types)]
+        for row in table.tolist()
+    ]
+    return "".join(template % tuple(row) for row in cells).encode()
+
+
+def _body(path) -> bytes:
+    """A stored CSV's rows: the bytes after its header and column line."""
+    return path.read_bytes().split(b"\n", 2)[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.lists(
+            st.lists(
+                st.one_of(st.sampled_from(_INT64_EDGES), st.integers(-(1 << 63), (1 << 63) - 1)),
+                min_size=k,
+                max_size=k,
+            ),
+            min_size=0,
+            max_size=12,
+        ).map(lambda rows: np.array(rows, np.int64).reshape(len(rows), k))
+    )
+)
+def test_csv_kernel_writes_any_int64_table_as_the_template_does(table):
+    types = (int,) * table.shape[1]
+    assert census._csv_body(table, types) == _template_rows(table, types)
+
+
+def test_csv_kernel_writes_an_empty_table_as_no_bytes(tmp_path):
+    for kind in ("primes", "integers"):
+        types = census._LAYOUTS[kind].types
+        assert census._csv_body(np.empty((0, len(types)), np.int64), types) == b""
+        store_results(np.empty((0, len(types)), np.int64), tmp_path / "e.csv", kind=kind)
+        assert _body(tmp_path / "e.csv") == b""
+
+
+@pytest.mark.parametrize("rows", [4095, 4096, 4097])
+def test_csv_rows_around_the_block_edge_are_the_template_rows(tmp_path, rows):
+    # the writer takes 4,096 rows per block; cells of each width and sign on
+    # both sides of the edge
+    rng = np.random.default_rng(rows)
+    table = rng.integers(-(10**12), 10**12, (rows, 11), dtype=np.int64)
+    table //= 10 ** rng.integers(0, 13, table.shape)
+    table[rows // 2 :: 97] = _INT64_EDGES
+    path = tmp_path / "t.csv"
+    assert store_results(table, path, kind="integers") == rows
+    assert _body(path) == _template_rows(table, census._LAYOUTS["integers"].types)
+    assert _body(path) == census._template_body(table, "integers")
+
+
+def test_a_prime_table_with_every_class_and_sign_is_stored_as_its_template(tmp_path):
+    table = census._prime_columns(A, 3000, ETA)
+    assert min(table[:, 1]) == -1 and set(table[:, 3].tolist()) == {0, 1, 2}
+    path = tmp_path / "p.csv"
+    store_results(table, path)
+    assert _body(path) == _template_rows(table, census._LAYOUTS["primes"].types)
+    assert _body(path) == census._template_body(compute_prime_records(A, 3000, ETA), "primes")
+
+
+@pytest.mark.parametrize(
+    "kind, make",
+    [
+        ("primes", lambda lo: census._prime_columns(A, 3000, ETA, lo)),
+        ("integers", lambda lo: census._integer_columns(A, 3000, ETA, lo)),
+    ],
+)
+def test_records_and_their_table_store_the_same_bytes_fresh_and_appended(tmp_path, kind, make):
+    table = make(2)
+    records = census._records(table, kind)
+    fresh = {}
+    for name, rows in (("records", records), ("table", table)):
+        fresh[name] = tmp_path / f"{name}.csv"
+        store_results(rows, fresh[name], kind=kind, config={"x": 3000})
+    assert fresh["records"].read_bytes() == fresh["table"].read_bytes()
+    full = fresh["table"].read_bytes()
+    cut = full[: len(full) // 2]
+    assert not cut.endswith(b"\n")
+    for name in ("records", "table"):
+        path = tmp_path / f"cut-{name}.csv"
+        path.write_bytes(cut)
+        lo = resume_point(path) + 1
+        rest = make(lo)
+        store_results(
+            census._records(rest, kind) if name == "records" else rest,
+            path,
+            kind=kind,
+            config={"x": 3000},
+            append=True,
+        )
+        assert path.read_bytes() == full
+
+
+def test_only_an_int64_table_is_stored(tmp_path):
+    table = census._prime_columns(A, 300, ETA)
+    table[0, 1] = np.iinfo(np.int32).min
+    for dtype in (np.int32, np.uint64, np.float64):
+        with pytest.raises(TypeError, match="int64"):
+            store_results(table.astype(dtype), tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
+    store_results(table, tmp_path / "t.csv")
+    assert _body(tmp_path / "t.csv").startswith(b"2,-2147483648,")
+
+
+def test_a_record_beyond_int64_raises_before_the_file_is_touched(tmp_path):
+    recs = _int_records(300)
+    huge = recs[:5] + [dataclasses.replace(recs[5], order=1 << 70)] + recs[6:]
+    path = tmp_path / "fresh.csv"
+    with pytest.raises(OverflowError):
+        store_results(huge, path, config={"x": 300})
+    assert not path.exists()
+    path = tmp_path / "kept.csv"
+    store_results(recs[:5], path, config={"x": 300})
+    kept = path.read_bytes()[:-3]  # cut mid-row: an append would trim it
+    path.write_bytes(kept)
+    with pytest.raises(OverflowError):
+        store_results(huge[5:], path, config={"x": 300}, append=True)
+    assert path.read_bytes() == kept
+
+
+def _omega_by_every_prime(limit: int) -> np.ndarray:
+    """omega(n) for 0 <= n <= limit, one strided slice per prime."""
+    omega = np.zeros(max(limit, 0) + 1, dtype=np.int8)
+    for p in primes_up_to(limit).tolist():
+        omega[p::p] += 1
+    return omega
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 31, 32, 33, 64, 100, 60_000, 10**6])
+def test_omega_sieve_matches_one_slice_per_prime(limit):
+    got = census._omega_sieve(limit)
+    want = _omega_by_every_prime(limit)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
