@@ -20,10 +20,14 @@ largest key already stored.
 Both censuses are computed, stored, read back and summarized as int64 column
 tables (:func:`_prime_columns`, :func:`_integer_columns`, :func:`_load_table`):
 one row per record, one column per field, the prime class as a code and flags
-as 0/1.  Every CSV reader takes its rows from `_stored_rows`, so all accept
-and reject the same files.  It reads a census body in one numpy pass
-(`_parse_table`); the per-row parser `_parse_rows` reads sweeps and any body
-numpy cannot take.  Census rows are written by one numpy kernel,
+as 0/1.  A summary counts over one table (`_prime_counts`,
+`_integer_counts`), in counts that add across tables, and divides once when
+it is finished (`_prime_summary`, `_integer_summary`), so a resumed census
+is summarized without joining its stored and new tables.  Every CSV reader
+takes its rows from `_stored_rows`, so all accept and reject the same files.
+It holds one copy of the stored body and reads a census body in one numpy
+pass (`_parse_table`); the per-row parser `_parse_rows` reads sweeps and any
+body numpy cannot take.  Census rows are written by one numpy kernel,
 `_csv_body`, and sweep rows by their `%` template.
 ``PrimeRecord`` and ``IntegerRecord`` objects are built from the columns only
 where the API returns records.
@@ -38,6 +42,7 @@ import math
 import operator
 import os
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import starmap
 from time import perf_counter
@@ -285,15 +290,21 @@ def _prime_columns(m: CatMap, x: int, eta: float, lo: int = 2) -> np.ndarray:
     return _prime_table(m, x, eta, primes[primes >= lo], spf)
 
 
+def _check_cutoff(x: int) -> None:
+    """The one cutoff bound of both censuses, checked before any sieve up to
+    x is built: x must be below 2**31, since the smallest-prime-factor sieve
+    is int32."""
+    if x >= 1 << 31:
+        raise ValueError(f"cutoff x must be below 2**31 for the int32 sieve, got {x}")
+
+
 def _sieved_primes(x: int) -> tuple[np.ndarray, np.ndarray]:
     """A smallest-prime-factor sieve up to x + 1, which reaches p - chi(p) for
     every prime p <= x, and the primes <= x read off it.
 
-    The sieve is int32, so x must be below 2**31 (else ValueError, before
-    anything is built); this is the one cutoff bound of both censuses.
+    The sieve is int32, so x must be below 2**31 (`_check_cutoff`).
     """
-    if x >= 1 << 31:
-        raise ValueError(f"cutoff x must be below 2**31 for the int32 sieve, got {x}")
+    _check_cutoff(x)
     spf = _smallest_prime_factors(x + 1)
     primes = np.flatnonzero(spf[2 : x + 1] == np.arange(2, x + 1, dtype=np.int32)) + 2
     return spf, primes
@@ -315,23 +326,29 @@ def compute_prime_records(
     return _records(_prime_columns(m, x, eta, lo), "primes")
 
 
-def summarize_prime_records(records, x: int, eta: float) -> PrimeCensusSummary:
-    """Exceedance fraction vs c(eta), class counts, and small-order tails.
+def _tail_bounds(x: int) -> list[float]:
+    return [float(x) ** expo for expo in (0.2, 0.3, 0.4)]
 
-    ``records`` is an iterable of PrimeRecord or a prime column table (see
-    `_prime_columns`); records are read once into such a table.  Each count
-    is one boolean mask or one bincount over its column.  ``failures`` is
-    always empty: no prime of a census can fail.
-    """
-    table = records if isinstance(records, np.ndarray) else _records_table(records, "primes")
-    total = len(table)
+
+def _prime_counts(table: np.ndarray, x: int) -> Counter:
+    """The counting step of `summarize_prime_records` over one prime column
+    table, as a Counter of plain ints: the primes, the exceedances, each
+    class, and under ("tail", y) the orders <= y for each tail bound y.
+    Counts of two tables add (Counter `+`), so a census counted in parts is
+    finished once (`_prime_summary`)."""
     order = table[:, 2]
-    exceed = int(np.count_nonzero(table[:, 4]))
-    good, bad, terrible = np.bincount(table[:, 3], minlength=len(_CLASSES)).tolist()
-    tails = []
-    for expo in (0.2, 0.3, 0.4):
-        y = float(x) ** expo
-        tails.append(TailCount(y, int(np.count_nonzero(order <= y)), y * y))
+    counts = Counter(prime_count=len(table), exceed_count=int(np.count_nonzero(table[:, 4])))
+    classes = np.bincount(table[:, 3], minlength=len(_CLASSES)).tolist()
+    counts.update(dict(zip(("good_count", "bad_count", "terrible_count"), classes)))
+    for y in _tail_bounds(x):
+        counts["tail", y] = int(np.count_nonzero(order <= y))
+    return counts
+
+
+def _prime_summary(counts: Counter, x: int, eta: float) -> PrimeCensusSummary:
+    """The finishing step of `summarize_prime_records`: the summary of the
+    counts of `_prime_counts`, summed over the tables of one census."""
+    total, exceed = counts["prime_count"], counts["exceed_count"]
     return PrimeCensusSummary(
         x=x,
         eta=eta,
@@ -339,12 +356,27 @@ def summarize_prime_records(records, x: int, eta: float) -> PrimeCensusSummary:
         exceed_count=exceed,
         fraction=exceed / total if total else 0.0,
         c_eta=c_eta(eta),
-        good_count=good,
-        bad_count=bad,
-        terrible_count=terrible,
-        tails=tuple(tails),
+        good_count=counts["good_count"],
+        bad_count=counts["bad_count"],
+        terrible_count=counts["terrible_count"],
+        tails=tuple(TailCount(y, counts["tail", y], y * y) for y in _tail_bounds(x)),
         failures=(),
     )
+
+
+def summarize_prime_records(records, x: int, eta: float) -> PrimeCensusSummary:
+    """Exceedance fraction vs c(eta), class counts, and small-order tails.
+
+    ``records`` is an iterable of PrimeRecord or a prime column table (see
+    `_prime_columns`); records are read once into such a table.  The summary
+    is the finishing step (`_prime_summary`) of the counting step
+    (`_prime_counts`) over that table; a census counted in parts gets the
+    same summary.  ``failures`` is always empty, since no prime of a census
+    can fail; it stays in the printed summary, which the benchmark compares
+    key for key with its references.
+    """
+    table = records if isinstance(records, np.ndarray) else _records_table(records, "primes")
+    return _prime_summary(_prime_counts(table, x), x, eta)
 
 
 def prime_census(
@@ -498,8 +530,10 @@ def _omega_sieve(limit: int) -> np.ndarray:
 
     A prime p <= limit // 32 counts at its multiples by one strided slice.
     Each larger prime has at most 31 multiples up to the limit, so the
-    multiples j * p of all of them count in one step per j < 32.
+    multiples j * p of all of them count in one step per j < 32.  The limit
+    is a census cutoff, so it must be below 2**31 (`_check_cutoff`).
     """
+    _check_cutoff(limit)
     omega = np.zeros(max(limit, 0) + 1, dtype=np.int8)
     primes = primes_up_to(limit)
     split = np.searchsorted(primes, limit // 32, side="right")
@@ -509,6 +543,87 @@ def _omega_sieve(limit: int) -> np.ndarray:
     for j in range(1, 32):
         omega[j * big[: np.searchsorted(big, limit // j, side="right")]] += 1
     return omega
+
+
+# the DecadeFractions fields of the five smallness statistics, in order
+_STATS = ("big_order", "large_square", "many_factors", "all_bad", "in_s")
+
+
+def _decade_bounds(x: int) -> list[int]:
+    return [bound for bound in (x, x // 10, x // 100) if bound >= 2]
+
+
+def _integer_counts(
+    table: np.ndarray,
+    x: int,
+    omega: np.ndarray | None = None,
+    delta_grid=DEFAULT_DELTA_GRID,
+) -> Counter:
+    """The counting step of `summarize_integer_records` over one integer
+    column table, as a Counter of plain ints: under "count" the rows; per
+    decade bound b, under (b, "count") the N <= b and under (b, stat) those
+    with each statistic of `_STATS`; under an int L the moduli with that L;
+    under ("growth", i) those with ord >= the i-th growth bound.  Counts of
+    two tables add (Counter `+`), so a census counted in parts is finished
+    once (`_integer_summary`).
+
+    ``omega`` is `_omega_sieve` up to min(x, largest N) or beyond; by
+    default it is built here.  The order is compared as float64, exact below
+    2**53, so ord**2 > N is exact for N < 2**32 (an order >= 2**16 squares
+    to >= 2**32 > N) and so is ord >= the float bound; N beyond the census
+    bound 2**31 raises OverflowError.
+    """
+    N, s, L, good_part, in_s = (table[:, k] for k in (0, 2, 4, 7, 10))
+    if N.max(initial=0) >= 1 << 31:
+        raise OverflowError("moduli must be below 2**31")
+    if omega is None:
+        omega = _omega_sieve(min(x, int(N.max(initial=0))))
+    order = table[:, 5].astype(np.float64)
+    log_n = np.log(N)
+    stats = (
+        order * order > N,
+        s > log_n,
+        # moduli beyond x lie in no decade, so their clipped omega is unused
+        omega[np.minimum(N, len(omega) - 1)] >= 1.5 * np.log(log_n),
+        good_part == 1,
+        in_s != 0,
+    )
+    counts = Counter(count=len(table))
+    for bound in _decade_bounds(x):
+        sub = N <= bound
+        counts[bound, "count"] = int(np.count_nonzero(sub))
+        for name, stat in zip(_STATS, stats):
+            counts[bound, name] = int(np.count_nonzero(stat & sub))
+    ls, l_counts = np.unique(L, return_counts=True)
+    counts.update(dict(zip(ls.tolist(), l_counts.tolist())))
+    for i, d in enumerate(delta_grid):
+        counts["growth", i] = int(np.count_nonzero(order >= np.exp(log_n**d) * np.sqrt(N)))
+    return counts
+
+
+def _integer_summary(
+    counts: Counter, x: int, eta: float, delta_grid=DEFAULT_DELTA_GRID
+) -> IntegerCensusSummary:
+    """The finishing step of `summarize_integer_records`: the summary of the
+    counts of `_integer_counts`, summed over the tables of one census."""
+    count = counts["count"]
+    decades = []
+    for bound in _decade_bounds(x):
+        total = counts[bound, "count"]
+        hits = (counts[bound, name] for name in _STATS)
+        decades.append(DecadeFractions(bound, total, *(h / max(total, 1) for h in hits)))
+    return IntegerCensusSummary(
+        x=x,
+        eta=eta,
+        count=count,
+        decades=tuple(decades),
+        l_distribution=tuple(sorted((k, n) for k, n in counts.items() if type(k) is int)),
+        growth_fractions=tuple(
+            (float(d), counts["growth", i] / max(count, 1)) for i, d in enumerate(delta_grid)
+        ),
+        unit_skipped=True,
+        failures=(),
+    )
 
 
 def summarize_integer_records(
@@ -528,52 +643,16 @@ def summarize_integer_records(
 
     ``records`` is an iterable of IntegerRecord or an integer column table
     (see `_integer_columns`); records are read once into such a table.  The
-    order is compared as float64, exact below 2**53, so ord**2 > N is exact
-    for N < 2**32 (an order >= 2**16 squares to >= 2**32 > N) and so is
-    ord >= the float bound; N beyond the census bound 2**31 raises
-    OverflowError.  ``failures`` is always empty: no modulus of a census can
-    fail.
+    summary is the finishing step (`_integer_summary`) of the counting step
+    (`_integer_counts`) over that table, with one `_omega_sieve` up to
+    min(x, largest N); a census counted in parts gets the same summary.
+    ``unit_skipped`` is always True and ``failures`` always empty, since no
+    modulus of a census can fail; both stay in the printed summary, which
+    the benchmark compares key for key with its references.
     """
     table = records if isinstance(records, np.ndarray) else _records_table(records, "integers")
-    count = len(table)
-    N, s, L, good_part, in_s = (table[:, k] for k in (0, 2, 4, 7, 10))
-    if N.max(initial=0) >= 1 << 31:
-        raise OverflowError("moduli must be below 2**31")
-    order = table[:, 5].astype(np.float64)
-    log_n = np.log(N)
-    limit = min(x, int(N.max(initial=0)))
-    omega = _omega_sieve(limit)
-    stats = (
-        order * order > N,
-        s > log_n,
-        # moduli beyond x lie in no decade, so their clipped omega is unused
-        omega[np.minimum(N, limit)] >= 1.5 * np.log(log_n),
-        good_part == 1,
-        in_s != 0,
-    )
-    decades = []
-    for bound in (x, x // 10, x // 100):
-        if bound < 2:
-            continue
-        sub = N <= bound
-        total = int(np.count_nonzero(sub))
-        hits = [int(np.count_nonzero(stat & sub)) for stat in stats]
-        decades.append(DecadeFractions(bound, total, *(h / max(total, 1) for h in hits)))
-    ls, l_counts = np.unique(L, return_counts=True)
-    growth = []
-    for d in delta_grid:
-        hits = np.count_nonzero(order >= np.exp(log_n**d) * np.sqrt(N))
-        growth.append((float(d), int(hits) / max(count, 1)))
-    return IntegerCensusSummary(
-        x=x,
-        eta=eta,
-        count=count,
-        decades=tuple(decades),
-        l_distribution=tuple(zip(ls.tolist(), l_counts.tolist())),
-        growth_fractions=tuple(growth),
-        unit_skipped=True,
-        failures=(),
-    )
+    counts = _integer_counts(table, x, delta_grid=delta_grid)
+    return _integer_summary(counts, x, eta, delta_grid)
 
 
 def integer_census(
@@ -949,23 +1028,28 @@ def _parse_header(line: str) -> dict[str, str]:
     return config
 
 
-def _trim_partial_tail(path) -> None:
-    """Drop a trailing line without its newline (interrupted append).
+def _stored_end(fh) -> int:
+    """The offset just past the last newline of a file open for binary
+    reading (0 if it has none), where its stored lines end.  Scans back in
+    1 MiB chunks, so a tail of any length (say, zeros left by a crash) goes
+    by one chunk at a time."""
+    pos = fh.seek(0, os.SEEK_END)
+    while pos > 0:
+        step = min(pos, 1 << 20)
+        pos = fh.seek(pos - step)
+        cut = fh.read(step).rfind(b"\n")
+        if cut >= 0:
+            return pos + cut + 1
+    return 0
 
-    Scans back in 1 MiB chunks, so a tail of any length (say, zeros left by a
-    crash) goes and every complete line before it stays.
-    """
+
+def _trim_partial_tail(path) -> None:
+    """Drop a trailing line without its newline (interrupted append); every
+    complete line before it stays (see `_stored_end`)."""
     with open(path, "rb+") as fh:
-        end = pos = fh.seek(0, os.SEEK_END)
-        while pos > 0:
-            step = min(pos, 1 << 20)
-            pos = fh.seek(pos - step)
-            cut = fh.read(step).rfind(b"\n")
-            if cut >= 0:
-                if pos + cut + 1 < end:
-                    fh.truncate(pos + cut + 1)
-                return
-        fh.truncate(0)
+        end = _stored_end(fh)
+        if end < fh.seek(0, os.SEEK_END):
+            fh.truncate(end)
 
 
 def can_append(path, kind: str, config=None) -> bool:
@@ -1135,33 +1219,36 @@ def _parse_table(kind: str, body: bytes) -> np.ndarray | None:
     return table
 
 
-def _stored_rows(blob: bytes) -> tuple[str, dict, np.ndarray | list]:
-    """(kind, config, rows) of a CSV's bytes, its header and column line
-    checked: the one reader of stored rows.
+def _stored_rows(fh) -> tuple[str, dict, np.ndarray | list]:
+    """(kind, config, rows) of a CSV open for binary reading, its header and
+    column line checked: the one reader of stored rows.
 
     The rows are the complete lines after the column line; a final line
-    without its newline (cut off mid-write) is left out.  For a census, rows
-    is one int64 column table: `_parse_table` reads it in one numpy pass, and
-    where it cannot, the row parser `_parse_rows` names the bad row (a cell
-    beyond int64 raises SchemaMismatch too).  For a sweep, rows is the list
-    of its records.
+    without its newline (cut off mid-write) is left out.  The header and the
+    column line are read by `readline`, and the body by one `read` that ends
+    at the last newline (`_stored_end`), so the body is the one copy of the
+    stored bytes held while it is parsed.  For a census, rows is one int64
+    column table: `_parse_table` reads it in one numpy pass, and where it
+    cannot, the row parser `_parse_rows` names the bad row (a cell beyond
+    int64 raises SchemaMismatch too).  For a sweep, rows is the list of its
+    records.
     """
-    stored = blob[: blob.rfind(b"\n") + 1]
-    if not stored:
+    end = _stored_end(fh)
+    if not end:
         raise SchemaMismatch("empty file")
-    header, _, rest = stored.partition(b"\n")
-    config = _parse_header(_text(header))
+    fh.seek(0)
+    config = _parse_header(_text(fh.readline()[:-1]))
     kind = config.pop("kind", None)
-    if not rest:
+    if fh.tell() == end:
         raise SchemaMismatch("missing column line")
-    columns, _, body = rest.partition(b"\n")
     by_columns = {",".join(v.columns): k for k, v in _LAYOUTS.items()}
-    columns = _text(columns)
+    columns = _text(fh.readline()[:-1])
     col_kind = by_columns.get(columns)
     if col_kind is None:
         raise SchemaMismatch(f"unknown column set {columns!r}")
     if kind is not None and kind != col_kind:
         raise SchemaMismatch(f"header kind {kind!r} does not match columns {col_kind!r}")
+    body = fh.read(end - fh.tell())
     if col_kind == "sweep":
         return col_kind, config, _parse_rows(col_kind, body)
     table = _parse_table(col_kind, body)
@@ -1183,19 +1270,19 @@ def load_results(path) -> LoadedResults:
     columns of its table.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:1] == b"{":
-        return _load_json(blob)
-    kind, config, rows = _stored_rows(blob)
+        if fh.peek(1)[:1] == b"{":  # a JSON document
+            return _load_json(fh.read())
+        kind, config, rows = _stored_rows(fh)
     records = rows if kind == "sweep" else _records(rows, kind)
     return LoadedResults(kind, config, tuple(records))
 
 
 def _load_table(path, kind: str) -> np.ndarray:
     """The stored rows of a census CSV of this kind as one int64 column
-    table, read by `_stored_rows` as `load_results` reads them."""
+    table, read by `_stored_rows` as `load_results` reads them: the table
+    and one copy of the stored body are all it holds."""
     with open(path, "rb") as fh:
-        stored, _, table = _stored_rows(fh.read())
+        stored, _, table = _stored_rows(fh)
     if stored != kind:
         raise SchemaMismatch(f"not a census of {kind}: {stored!r} rows")
     return table
@@ -1206,22 +1293,23 @@ def resume_point(path) -> int | None:
 
     Only stored rows count, so a file truncated mid-write (even inside the
     header or the column line) reports the last fully stored key.  The rows
-    are read as `load_results` reads them: a complete but alien header or
-    column line, or any stored row that does not parse, raises
-    SchemaMismatch.
+    are read as `load_results` reads them, by `_stored_rows` with one copy of
+    the stored body: a complete but alien header or column line, or any
+    stored row that does not parse, raises SchemaMismatch.
     """
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        fh = open(path, "rb")
     except FileNotFoundError:
         return None
-    if blob[:1] == b"{":
-        return max((r.key for r in _load_json(blob).records), default=None)
-    header, newline, rest = blob.partition(b"\n")
-    if b"\n" not in rest:  # cut inside the header or the column line
-        if newline:
-            _parse_header(_text(header))
-        return None
-    kind, _, rows = _stored_rows(blob)
-    keys = [r.key for r in rows] if kind == "sweep" else rows[:, 0].tolist()
-    return max(keys, default=None)
+    with fh:
+        if fh.peek(1)[:1] == b"{":
+            return max((r.key for r in _load_json(fh.read()).records), default=None)
+        header, columns = fh.readline(), fh.readline()
+        if not columns.endswith(b"\n"):  # cut inside the header or the column line
+            if header.endswith(b"\n"):
+                _parse_header(_text(header[:-1]))
+            return None
+        kind, _, rows = _stored_rows(fh)
+    if kind == "sweep":
+        return max((r.key for r in rows), default=None)
+    return int(rows[:, 0].max()) if len(rows) else None

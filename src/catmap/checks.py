@@ -13,6 +13,7 @@ import math
 import random
 import tempfile
 import traceback
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -32,6 +33,13 @@ from .arith import (
     primes_up_to,
 )
 from .census import (
+    _integer_columns,
+    _integer_counts,
+    _integer_summary,
+    _omega_sieve,
+    _prime_columns,
+    _prime_counts,
+    _prime_summary,
     _template_body,
     compute_integer_records,
     compute_prime_records,
@@ -41,6 +49,8 @@ from .census import (
     resume_point,
     small_order_report,
     store_results,
+    summarize_integer_records,
+    summarize_prime_records,
 )
 from .quadorder import (
     PrimeClass,
@@ -450,6 +460,24 @@ def _check_census_round_trip(s: _Scale, rng) -> str:
     )
 
 
+def _check_summary_merge(s: _Scale, rng) -> str:
+    """A census summarized from the added counts of four parts of its table
+    (split at three drawn rows) equals the summary of the whole table."""
+    m, x = DEFAULT_MAP, 2000
+    omega = _omega_sieve(x)
+    for kind, table, count, finish, summarize in (
+        ("primes", _prime_columns(m, x, ETA), lambda t: _prime_counts(t, x),
+         _prime_summary, summarize_prime_records),
+        ("integers", _integer_columns(m, x, ETA), lambda t: _integer_counts(t, x, omega),
+         _integer_summary, summarize_integer_records),
+    ):
+        cuts = sorted(rng.sample(range(len(table) + 1), 3))
+        parts = np.split(table, cuts)
+        merged = finish(sum(map(count, parts), Counter()), x, ETA)
+        assert merged == summarize(table, x, ETA), f"{kind} split at rows {cuts}"
+    return f"summaries of both censuses at x={x}, split at three drawn rows, add up"
+
+
 def _check_prime_density(s: _Scale, rng) -> str:
     m = DEFAULT_MAP
     _, summary = prime_census(m, s.density_x, 0.52)
@@ -482,6 +510,7 @@ _CHECKS = (
     ("sweep-invariants", _check_sweep_invariants),
     ("weyl-hermitian", _check_weyl_hermitian),
     ("census-round-trip", _check_census_round_trip),
+    ("summary-merge", _check_summary_merge),
     ("prime-density", _check_prime_density),
 )
 

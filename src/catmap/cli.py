@@ -16,24 +16,29 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
 from .arith import CatMap, order_mod, primes_up_to
 from .census import (
     DENSE_DIMENSION_LIMIT,
-    _integer_columns,
     _header_line,
+    _integer_columns,
+    _integer_counts,
+    _integer_summary,
     _json_records,
     _load_table,
+    _omega_sieve,
     _prime_columns,
+    _prime_counts,
+    _prime_summary,
     can_append,
     quantum_sweep,
     small_order_report,
     store_results,
-    summarize_integer_records,
-    summarize_prime_records,
 )
 from .checks import run_checks
 from .errors import CatmapError, SchemaMismatch
@@ -255,21 +260,30 @@ def _cmd_census(args, m: CatMap) -> int:
     config = _config(args)
     if args.out and args.fmt == "csv":
         _header_line(kind, config)  # a config the header cannot hold fails before any work
+    if primes:
+        columns, finish = _prime_columns, _prime_summary
+        count = partial(_prime_counts, x=args.x)
+    else:
+        # one omega sieve up to x serves the stored rows and the new ones
+        columns, finish = _integer_columns, _integer_summary
+        count = partial(_integer_counts, x=args.x, omega=_omega_sieve(args.x))
     resuming = bool(args.resume and args.out and args.fmt == "csv")
     # the stored header is checked and the stored rows are read once, before
     # any work, so a mismatched or corrupt file fails here and is left as it
-    # was; the census resumes after the last stored key
-    appendable = resuming and can_append(args.out, kind, config)
-    # a census stays one int64 column table throughout
-    stored = _load_table(args.out, kind) if appendable else None
-    lo = 2 if stored is None else _resume_after(stored[:, 0], primes, args.x)
-    rows = (_prime_columns if primes else _integer_columns)(m, args.x, args.eta, lo)
-    everything = rows if stored is None else np.concatenate([stored, rows])
+    # was; the census resumes after the last stored key.  The summary adds
+    # the counts of the stored rows to those of the new ones, so the stored
+    # table is dropped before the new rows are computed.
+    counts, lo = Counter(), 2
+    if resuming and can_append(args.out, kind, config):
+        stored = _load_table(args.out, kind)
+        lo = _resume_after(stored[:, 0], primes, args.x)
+        counts = count(stored)
+        del stored
+    rows = columns(m, args.x, args.eta, lo)
     if args.out:
         store_results(rows, args.out, kind=kind, config=config, fmt=args.fmt, append=resuming)
-    summarize = summarize_prime_records if primes else summarize_integer_records
-    summary = summarize(everything, args.x, args.eta)
-    doc = {"config": config, "summary": asdict(summary)}
+    counts += count(rows)
+    doc = {"config": config, "summary": asdict(finish(counts, args.x, args.eta))}
     if args.out:
         doc["rows_written"] = len(rows)
     else:

@@ -5,7 +5,9 @@ import functools
 import json
 import math
 import os
+import random
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -301,6 +303,39 @@ def test_integer_summary_at_square_boundaries():
     for grid in (census.DEFAULT_DELTA_GRID, (0.0, 0.5, 1.0)):
         want = _summary_oracle(recs, x, ETA, grid)
         assert repr(summarize_integer_records(recs, x, ETA, delta_grid=grid)) == repr(want)
+
+
+# three maps of different (t, g): (4, 1), (6, 2), (10, 1)
+_MERGE_MAPS = (A, OTHER, CatMap(0, 1, -1, 10))
+
+
+def _concatenated_summary(kind, parts, x, eta):
+    """The summary of the parts joined into one table: how a resumed census
+    was summarized before the counts of its parts were added, kept as the
+    oracle."""
+    summarize = summarize_prime_records if kind == "primes" else summarize_integer_records
+    return summarize(np.concatenate(parts), x, eta)
+
+
+@pytest.mark.parametrize("kind", ["primes", "integers"])
+@pytest.mark.parametrize("m", _MERGE_MAPS, ids=str)
+def test_counts_of_two_parts_add_to_the_whole_table_summary(m, kind):
+    x, eta = 3000, 0.52
+    if kind == "primes":
+        table = census._prime_columns(m, x, eta)
+        count, finish = functools.partial(census._prime_counts, x=x), census._prime_summary
+    else:
+        table = census._integer_columns(m, x, eta)
+        omega = census._omega_sieve(x)  # one sieve for both parts, as the CLI counts them
+        count = functools.partial(census._integer_counts, x=x, omega=omega)
+        finish = census._integer_summary
+    n = len(table)
+    for k in (0, 1, random.Random(str(m)).randrange(2, n - 1), n - 1, n):
+        parts = table[:k], table[k:]
+        merged = dataclasses.asdict(finish(count(parts[0]) + count(parts[1]), x, eta))
+        whole = dataclasses.asdict(_concatenated_summary(kind, parts, x, eta))
+        assert merged == whole, k
+        assert repr(merged) == repr(whole), k  # float for float
 
 
 def test_integer_census_rejects_bad_eta():
@@ -932,6 +967,11 @@ _ROW_EDITS = {
 }
 
 
+# What an interrupted write may leave after the stored rows (nothing, a cut
+# row, zero bytes); every reader leaves it out
+_TAILS = (b"", b"199,-1,2", bytes(3000))
+
+
 @pytest.mark.parametrize("edit", sorted(_ROW_EDITS))
 @pytest.mark.parametrize("kind", ["primes", "integers"])
 def test_census_rows_read_as_the_row_parser_reads_them(tmp_path, kind, edit):
@@ -940,20 +980,70 @@ def test_census_rows_read_as_the_row_parser_reads_them(tmp_path, kind, edit):
     store_results(_GOLDEN[kind][0], path, config={"x": 200})
     header, columns, *rows = path.read_bytes().split(b"\n")[:-1]
     body = b"".join(row + b"\n" for row in change(rows))
-    path.write_bytes(header + b"\n" + columns + b"\n" + body)
-    readers = (load_results, lambda path: census._load_table(path, kind))
-    if error:
-        with pytest.raises(SchemaMismatch, match=error) as per_row:
-            census._parse_rows(kind, body)
-        for read in readers:
-            with pytest.raises(SchemaMismatch, match=re.escape(str(per_row.value))):
-                read(path)
-    else:
-        records = census._parse_rows(kind, body)
-        assert load_results(path).records == tuple(records)
-        table = census._load_table(path, kind)
-        assert table.shape == (len(records), len(census._LAYOUTS[kind].columns))
-        assert table.tolist() == census._records_table(records, kind).tolist()
+    readers = (load_results, lambda path: census._load_table(path, kind), resume_point)
+    for tail in _TAILS:
+        path.write_bytes(header + b"\n" + columns + b"\n" + body + tail)
+        if error:
+            with pytest.raises(SchemaMismatch, match=error) as per_row:
+                census._parse_rows(kind, body)
+            for read in readers:
+                with pytest.raises(SchemaMismatch, match=re.escape(str(per_row.value))):
+                    read(path)
+        else:
+            records = census._parse_rows(kind, body)
+            assert load_results(path).records == tuple(records)
+            table = census._load_table(path, kind)
+            assert table.shape == (len(records), len(census._LAYOUTS[kind].columns))
+            assert table.tolist() == census._records_table(records, kind).tolist()
+            assert resume_point(path) == max((r.key for r in records), default=None)
+
+
+@pytest.mark.parametrize("cut", ["empty", "header", "column-line"])
+def test_a_file_cut_before_its_rows_reads_as_no_rows_stored(tmp_path, cut):
+    path = tmp_path / "r.csv"
+    store_results(_GOLDEN["primes"][0], path, config={"x": 200})
+    header, columns, _ = path.read_bytes().split(b"\n", 2)
+    stored, error = {
+        "empty": (b"", "empty file"),
+        "header": (header[:9], "empty file"),
+        "column-line": (header + b"\n" + columns[:5], "missing column line"),
+    }[cut]
+    path.write_bytes(stored)
+    assert resume_point(path) is None
+    for read in (load_results, lambda path: census._load_table(path, "primes")):
+        with pytest.raises(SchemaMismatch, match=error):
+            read(path)
+    assert path.read_bytes() == stored
+
+
+@pytest.mark.parametrize("kind", ["primes", "integers"])
+def test_json_files_read_through_the_csv_readers_entry_points(tmp_path, kind):
+    records = _GOLDEN[kind][0]
+    path = tmp_path / "r.json"
+    store_results(records, path, config={"x": 200})
+    assert load_results(path).records == tuple(records)
+    assert resume_point(path) == max(r.key for r in records)
+    store_results([], path, kind=kind)
+    assert load_results(path).records == ()
+    assert resume_point(path) is None
+
+
+def test_load_table_holds_one_copy_of_the_stored_bytes(tmp_path):
+    # the whole file, its rows after the header and their body, all alive
+    # while the body was parsed, peaked at 7.8 MiB here
+    path = tmp_path / "ints.csv"
+    store_results(census._integer_columns(A, 60_000, ETA), path, config={"x": 60_000})
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2 + 7])  # cut mid-row
+    del blob
+    tracemalloc.start()
+    try:
+        table = census._load_table(path, "integers")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) > 29_000
+    assert peak < 2 * path.stat().st_size + table.nbytes, peak
 
 
 def _integers_file(tmp_path, x=300):

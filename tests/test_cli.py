@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 
 import pytest
@@ -251,6 +252,26 @@ def test_fresh_census_summary_needs_no_read_back(
     x, eta = int(argv[2]), float(argv[4])
     reread = summarize(load_results(out).records, x, eta)
     assert json.loads(json.dumps(asdict(reread))) == printed
+
+
+def test_resumed_census_peaks_below_one_full_table(tmp_path, capsys):
+    # the stored table, the new rows and their concatenation, all alive while
+    # the summary ran, peaked at 12.6 MiB here
+    x = 60_000
+    out = tmp_path / "ints.csv"
+    argv = ["census-integers", "-x", str(x), "--out", str(out)]
+    assert main(argv) == 0
+    full = out.read_bytes()
+    out.write_bytes(full[: len(full) // 2 + 7])  # cut mid-row
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--resume"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes() == full
+    assert peak < (x - 1) * 11 * 8, peak  # the bytes of the census's full table
 
 
 def test_sweep_artifact_and_reproduction(tmp_path, capsys):
