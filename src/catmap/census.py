@@ -23,14 +23,16 @@ one row per record, one column per field, the prime class as a code and flags
 as 0/1.  A summary counts over one table (`_prime_counts`,
 `_integer_counts`), in counts that add across tables, and divides once when
 it is finished (`_prime_summary`, `_integer_summary`), so a resumed census
-is summarized without joining its stored and new tables.  Every CSV reader
+is summarized without joining its stored and new tables.  One function runs
+a census, `_run_census` (resume, compute, store, count, finish), for the CLI
+and for :func:`prime_census` and :func:`integer_census`.  Every CSV reader
 takes its rows from `_stored_rows`, so all accept and reject the same files.
 It holds one copy of the stored body and reads a census body in one numpy
 pass (`_parse_table`); the per-row parser `_parse_rows` reads sweeps and any
 body numpy cannot take.  Census rows are written by one numpy kernel,
 `_csv_body`, and sweep rows by their `%` template.
 ``PrimeRecord`` and ``IntegerRecord`` objects are built from the columns only
-where the API returns records.
+where the API returns records: by the two censuses and :func:`load_results`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import os
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import starmap
 from time import perf_counter
 from typing import Callable, NamedTuple
@@ -310,22 +313,6 @@ def _sieved_primes(x: int) -> tuple[np.ndarray, np.ndarray]:
     return spf, primes
 
 
-def compute_prime_records(
-    m: CatMap,
-    x: int,
-    eta: float,
-    *,
-    lo: int = 2,
-) -> list[PrimeRecord]:
-    """Order records for all primes in [lo, x], in order.
-
-    The column engine `_prime_columns` computes them as one int64 table; the
-    records are built here, at the API edge, from that table's columns.
-    x must be below 2**31.
-    """
-    return _records(_prime_columns(m, x, eta, lo), "primes")
-
-
 def _tail_bounds(x: int) -> list[float]:
     return [float(x) ** expo for expo in (0.2, 0.3, 0.4)]
 
@@ -383,8 +370,8 @@ def prime_census(
     m: CatMap, x: int, eta: float
 ) -> tuple[list[PrimeRecord], PrimeCensusSummary]:
     """Classify every prime up to x and compare the Good fraction with c(eta)."""
-    table = _prime_columns(m, x, eta)
-    return _records(table, "primes"), summarize_prime_records(table, x, eta)
+    table, summary = _run_census(m, "primes", x, eta)
+    return _records(table, "primes"), summary
 
 
 def _in_s_thresholds(x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -507,22 +494,6 @@ def _integer_columns(m: CatMap, x: int, eta: float, lo: int = 2) -> np.ndarray:
         N >= n_w[np.minimum(omega, len(n_w) - 1)]
     )
     return table
-
-
-def compute_integer_records(
-    m: CatMap,
-    x: int,
-    eta: float,
-    *,
-    lo: int = 2,
-) -> list[IntegerRecord]:
-    """Order profiles for every modulus in [max(lo, 2), x], in order.
-
-    The column engine `_integer_columns` computes them as one int64 table;
-    the records are built here, at the API edge, from that table's columns.
-    x must be below 2**31.
-    """
-    return _records(_integer_columns(m, x, eta, lo), "integers")
 
 
 def _omega_sieve(limit: int) -> np.ndarray:
@@ -655,12 +626,56 @@ def summarize_integer_records(
     return _integer_summary(counts, x, eta, delta_grid)
 
 
+def _resume_after(keys: np.ndarray, primes: bool, x: int) -> int:
+    """The first key a resumed census computes, after stored keys that must be
+    the start of what a fresh run writes: N = 2..k, or the primes <= k, with
+    k <= x.  Other keys raise SchemaMismatch."""
+    k = int(keys[-1]) if len(keys) else 1
+    if k <= x and np.array_equal(keys, primes_up_to(k) if primes else np.arange(2, k + 1)):
+        return k + 1
+    what = "the primes <= k" if primes else "N = 2..k"
+    raise SchemaMismatch(f"cannot resume: stored keys must be {what} with k <= x = {x}")
+
+
+def _run_census(
+    m: CatMap, kind: str, x: int, eta: float, path=None, *, fmt="csv", config=None, resume=False
+) -> tuple[np.ndarray, PrimeCensusSummary | IntegerCensusSummary]:
+    """One census run of kind "primes" or "integers": (new rows, summary).
+
+    A CSV resume checks the stored header and reads the stored rows once,
+    before any work, so a mismatched or corrupt file fails unchanged; the new
+    rows start after the last stored key and are stored at path if given.
+    The summary adds the counts of both tables, the stored one dropped first.
+    """
+    c_eta(eta)  # an eta out of range fails before any sieve is built
+    primes = kind == "primes"
+    if primes:
+        columns, finish = _prime_columns, _prime_summary
+        count = partial(_prime_counts, x=x)
+    else:
+        # one omega sieve up to x serves the stored rows and the new ones
+        columns, finish = _integer_columns, _integer_summary
+        count = partial(_integer_counts, x=x, omega=_omega_sieve(x))
+    resuming = bool(resume and path and fmt == "csv")
+    counts, lo = Counter(), 2
+    if resuming and can_append(path, kind, config):
+        stored = _load_table(path, kind)
+        lo = _resume_after(stored[:, 0], primes, x)
+        counts = count(stored)
+        del stored  # dropped before the new rows are computed
+    table = columns(m, x, eta, lo)
+    if path:
+        store_results(table, path, kind=kind, config=config, fmt=fmt, append=resuming)
+    counts += count(table)
+    return table, finish(counts, x, eta)
+
+
 def integer_census(
     m: CatMap, x: int, eta: float
 ) -> tuple[list[IntegerRecord], IntegerCensusSummary]:
     """Profile every modulus 2..x (N = 1 is skipped and flagged)."""
-    table = _integer_columns(m, x, eta)
-    return _records(table, "integers"), summarize_integer_records(table, x, eta)
+    table, summary = _run_census(m, "integers", x, eta)
+    return _records(table, "integers"), summary
 
 
 def small_order_report(m: CatMap, k_max: int) -> tuple[list[SmallOrderRow], list[int]]:

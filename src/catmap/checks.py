@@ -41,8 +41,7 @@ from .census import (
     _prime_counts,
     _prime_summary,
     _template_body,
-    compute_integer_records,
-    compute_prime_records,
+    integer_census,
     load_results,
     prime_census,
     quantum_sweep,
@@ -425,10 +424,10 @@ def _check_weyl_hermitian(s: _Scale, rng) -> str:
 
 def _check_census_round_trip(s: _Scale, rng) -> str:
     m = DEFAULT_MAP
-    recs = compute_integer_records(m, s.census_x, ETA)
+    recs = integer_census(m, s.census_x, ETA)[0]
     # primes to 1000 have chi = -1 and all three classes, so their rows take
     # the CSV writer's sign and class-name branches
-    primes = compute_prime_records(m, 1000, ETA)
+    primes = prime_census(m, 1000, ETA)[0]
     assert min(r.chi for r in primes) == -1
     assert {r.prime_class for r in primes} == set(PrimeClass)
     with tempfile.TemporaryDirectory() as tmp:
@@ -446,7 +445,7 @@ def _check_census_round_trip(s: _Scale, rng) -> str:
         assert load_results(json_path).records == tuple(recs)
         csv_path.write_bytes(full_bytes[: int(len(full_bytes) * 0.61)])
         last = resume_point(csv_path)
-        rest = compute_integer_records(m, s.census_x, ETA, lo=last + 1)
+        rest = _integer_columns(m, s.census_x, ETA, last + 1)
         store_results(rest, csv_path, append=True, config=cfg)
         assert csv_path.read_bytes() == full_bytes
     spot_rng = random.Random(rng.randrange(1 << 30))

@@ -16,32 +16,20 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import asdict
-from functools import partial
 
-import numpy as np
-
-from .arith import CatMap, order_mod, primes_up_to
+from .arith import CatMap, order_mod
 from .census import (
     DENSE_DIMENSION_LIMIT,
     _header_line,
-    _integer_columns,
-    _integer_counts,
-    _integer_summary,
     _json_records,
-    _load_table,
-    _omega_sieve,
-    _prime_columns,
-    _prime_counts,
-    _prime_summary,
-    can_append,
+    _run_census,
     quantum_sweep,
     small_order_report,
     store_results,
 )
 from .checks import run_checks
-from .errors import CatmapError, SchemaMismatch
+from .errors import CatmapError
 from .quadorder import (
     congruence_count,
     order_profile,
@@ -243,47 +231,15 @@ def _cmd_small_order(args, m: CatMap) -> int:
     return 0
 
 
-def _resume_after(keys: np.ndarray, primes: bool, x: int) -> int:
-    """The first key a resumed census computes, after stored keys that must be
-    the start of what a fresh run writes: N = 2..k, or the primes <= k, with
-    k <= x.  Other keys raise SchemaMismatch."""
-    k = int(keys[-1]) if len(keys) else 1
-    if k <= x and np.array_equal(keys, primes_up_to(k) if primes else np.arange(2, k + 1)):
-        return k + 1
-    what = "the primes <= k" if primes else "N = 2..k"
-    raise SchemaMismatch(f"cannot resume: stored keys must be {what} with k <= x = {x}")
-
-
 def _cmd_census(args, m: CatMap) -> int:
-    primes = args.command == "census-primes"
-    kind = "primes" if primes else "integers"
+    kind = "primes" if args.command == "census-primes" else "integers"
     config = _config(args)
     if args.out and args.fmt == "csv":
         _header_line(kind, config)  # a config the header cannot hold fails before any work
-    if primes:
-        columns, finish = _prime_columns, _prime_summary
-        count = partial(_prime_counts, x=args.x)
-    else:
-        # one omega sieve up to x serves the stored rows and the new ones
-        columns, finish = _integer_columns, _integer_summary
-        count = partial(_integer_counts, x=args.x, omega=_omega_sieve(args.x))
-    resuming = bool(args.resume and args.out and args.fmt == "csv")
-    # the stored header is checked and the stored rows are read once, before
-    # any work, so a mismatched or corrupt file fails here and is left as it
-    # was; the census resumes after the last stored key.  The summary adds
-    # the counts of the stored rows to those of the new ones, so the stored
-    # table is dropped before the new rows are computed.
-    counts, lo = Counter(), 2
-    if resuming and can_append(args.out, kind, config):
-        stored = _load_table(args.out, kind)
-        lo = _resume_after(stored[:, 0], primes, args.x)
-        counts = count(stored)
-        del stored
-    rows = columns(m, args.x, args.eta, lo)
-    if args.out:
-        store_results(rows, args.out, kind=kind, config=config, fmt=args.fmt, append=resuming)
-    counts += count(rows)
-    doc = {"config": config, "summary": asdict(finish(counts, args.x, args.eta))}
+    rows, summary = _run_census(
+        m, kind, args.x, args.eta, args.out, fmt=args.fmt, config=config, resume=args.resume
+    )
+    doc = {"config": config, "summary": asdict(summary)}
     if args.out:
         doc["rows_written"] = len(rows)
     else:

@@ -28,8 +28,7 @@ from catmap.arith import (
 )
 from catmap.census import (
     c_eta,
-    compute_integer_records,
-    compute_prime_records,
+    integer_census,
     prime_census,
     quantum_sweep,
     small_order_report,
@@ -331,7 +330,7 @@ def _trend_counts() -> dict[int, tuple[int, int, int, list[int]]]:
     distinct = _distinct_counts().tolist()
     trends = {}
     for x in _XS:
-        records = compute_integer_records(M, x, ETA)
+        records = integer_census(M, x, ETA)[0]
         s_hits = w_hits = 0
         mismatched = []
         for rec in records:
@@ -428,8 +427,8 @@ def test_criterion_12_determinism(announce, tmp_path):
     config = {"matrix": "2,1,3,2", "scope": "acceptance"}
     pairs = []
     for label, make in (
-        ("integers", lambda: compute_integer_records(M, 2500, ETA)),
-        ("primes", lambda: compute_prime_records(M, 3000, ETA)),
+        ("integers", lambda: integer_census(M, 2500, ETA)[0]),
+        ("primes", lambda: prime_census(M, 3000, ETA)[0]),
     ):
         blobs = []
         for run in (1, 2):

@@ -35,8 +35,6 @@ from catmap.census import (
     SweepRecord,
     TailCount,
     c_eta,
-    compute_integer_records,
-    compute_prime_records,
     integer_census,
     load_results,
     prime_census,
@@ -119,7 +117,7 @@ def _class_oracle(m, p, eta):
 
 
 def test_integer_records_cover_range_in_order():
-    recs = compute_integer_records(A, 300, ETA)
+    recs = integer_census(A, 300, ETA)[0]
     assert [r.N for r in recs] == list(range(2, 301))
 
 
@@ -128,7 +126,7 @@ def test_integer_records_match_profile_oracle():
     # characters; nothing here goes through the library's order engine
     for m in (A, OTHER):
         disc = _discriminant(m)
-        recs = compute_integer_records(m, 1000, ETA)
+        recs = integer_census(m, 1000, ETA)[0]
         assert [r.N for r in recs] == list(range(2, 1001))
         for rec in recs:
             N = rec.N
@@ -151,7 +149,7 @@ def test_integer_records_match_profile_oracle():
 
 
 def test_integer_record_internal_consistency():
-    for rec in compute_integer_records(A, 1000, ETA):
+    for rec in integer_census(A, 1000, ETA)[0]:
         assert rec.d * rec.s**2 == rec.N
         assert rec.d % rec.d0 == 0
         assert rec.good_part * rec.bad_part == rec.N
@@ -162,7 +160,7 @@ def test_integer_record_internal_consistency():
 
 
 def test_in_s_flag_matches_definition():
-    recs = compute_integer_records(A, 300, ETA)
+    recs = integer_census(A, 300, ETA)[0]
     omega = {}
     for rec in recs:
         n, w = rec.N, 0
@@ -202,7 +200,7 @@ def test_integer_summary_decades():
 
 
 def test_integer_summary_growth_fractions_decrease_in_delta():
-    recs = compute_integer_records(A, 2000, ETA)
+    recs = integer_census(A, 2000, ETA)[0]
     summary = summarize_integer_records(recs, 2000, ETA, delta_grid=(0.05, 0.2, 0.4))
     fracs = [f for _, f in summary.growth_fractions]
     assert fracs == sorted(fracs, reverse=True)
@@ -261,7 +259,7 @@ def _summary_oracle(records, x, eta, delta_grid=census.DEFAULT_DELTA_GRID):
 
 @functools.cache
 def _census_records(m, x):
-    return tuple(compute_integer_records(m, x, ETA))
+    return tuple(integer_census(m, x, ETA)[0])
 
 
 @pytest.mark.parametrize("m", [A, OTHER], ids=["default", "other"])
@@ -338,16 +336,21 @@ def test_counts_of_two_parts_add_to_the_whole_table_summary(m, kind):
         assert repr(merged) == repr(whole), k  # float for float
 
 
-def test_integer_census_rejects_bad_eta():
+def test_integer_census_rejects_bad_eta(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"omega sieve built up to {limit}")
+
+    monkeypatch.setattr(census, "_omega_sieve", no_sieve)  # eta fails before any work
     with pytest.raises(EtaOutOfRange):
-        compute_integer_records(A, 100, 0.7)
+        integer_census(A, 100, 0.7)
 
 
 @pytest.mark.parametrize("m", [A, OTHER], ids=["default", "other"])
 def test_integer_records_from_lo_are_the_tail_of_the_full_run(m):
-    full = compute_integer_records(m, 1000, ETA)
+    full = integer_census(m, 1000, ETA)[0]
     for lo in (2, 3, 31, 500, 999, 1000, 1001):
-        assert compute_integer_records(m, 1000, ETA, lo=lo) == full[lo - 2 :], lo
+        tail = census._records(census._integer_columns(m, 1000, ETA, lo), "integers")
+        assert tail == full[lo - 2 :], lo
 
 
 def test_integer_census_rejects_x_beyond_the_sieve_before_building_it(monkeypatch):
@@ -356,9 +359,9 @@ def test_integer_census_rejects_x_beyond_the_sieve_before_building_it(monkeypatc
 
     monkeypatch.setattr(census, "_smallest_prime_factors", no_sieve)
     with pytest.raises(ValueError, match="2\\*\\*31"):
-        compute_integer_records(A, 2**31, ETA)
+        census._integer_columns(A, 2**31, ETA)
     with pytest.raises(AssertionError):  # the largest x the int32 sieve takes
-        compute_integer_records(A, 2**31 - 1, ETA)
+        census._integer_columns(A, 2**31 - 1, ETA)
 
 
 def test_prime_census_rejects_x_beyond_the_sieve_before_building_it(monkeypatch):
@@ -424,7 +427,7 @@ def test_integer_columns_match_the_record_loop_field_by_field(m, x, lo):
     for row, expect in zip(table.tolist(), want):
         for name, got, value in zip(_FIELDS, row, expect):
             assert got == value, (row[0], name, got, value)
-    assert compute_integer_records(m, x, ETA, lo=lo) == [IntegerRecord(*r) for r in want]
+    assert census._records(table, "integers") == [IntegerRecord(*r) for r in want]
 
 
 @pytest.mark.parametrize("x", [2, 3, 7, 8, 44, 45, 1618, 1619, 60_000, 2**31 - 1])
@@ -448,10 +451,19 @@ def test_integer_census_builds_one_sieve(monkeypatch):
         built.append(n)
         return _smallest_prime_factors(n)
 
+    omegas = []
+    real_omega = census._omega_sieve
+
+    def counting_omega(limit):
+        omegas.append(limit)
+        return real_omega(limit)
+
     monkeypatch.setattr(census, "_smallest_prime_factors", counting)
     monkeypatch.setattr(quadorder, "_smallest_prime_factors", counting)
-    records = compute_integer_records(A, 6000, ETA)
+    monkeypatch.setattr(census, "_omega_sieve", counting_omega)
+    records = integer_census(A, 6000, ETA)[0]
     assert built == [6001]  # p - chi(p) <= x + 1
+    assert omegas == [6000]  # one omega sieve serves the summary
     assert records == [IntegerRecord(*r) for r in _record_loop(A, 6000, ETA)]
 
 
@@ -465,11 +477,11 @@ def test_prime_census_builds_one_sieve(monkeypatch):
     def no_sieve(x):
         raise AssertionError(f"second sieve up to {x}")
 
-    want = compute_prime_records(A, 6000, ETA)
+    want = prime_census(A, 6000, ETA)[0]
     monkeypatch.setattr(census, "_smallest_prime_factors", counting)
     monkeypatch.setattr(quadorder, "_smallest_prime_factors", counting)
     monkeypatch.setattr(census, "primes_up_to", no_sieve)
-    assert compute_prime_records(A, 6000, ETA) == want
+    assert prime_census(A, 6000, ETA)[0] == want
     assert built == [6001]  # the primes and every p - chi(p) from one sieve
 
 
@@ -493,10 +505,10 @@ def _small_order_primes(m, k_max, lo, hi):
 def test_prime_records_match_classifier_oracle():
     primes = [p for p in range(2, 2001) if _trial_factor(p) == {p: 1}]
     for m in (A, OTHER):
-        recs = compute_prime_records(m, 2000, ETA)
+        recs = prime_census(m, 2000, ETA)[0]
         assert [r.p for r in recs] == primes
         for p in _small_order_primes(m, 20, 2000, 200_000):
-            recs.extend(compute_prime_records(m, p, ETA, lo=p))
+            recs.extend(census._records(census._prime_columns(m, p, ETA, p), "primes"))
         for rec in recs:
             assert rec.order == _brute_order(m, rec.p), (m, rec.p)
             assert rec.chi == _chi_oracle(m, rec.p)
@@ -554,7 +566,7 @@ def test_prime_table_matches_the_scalar_route(m, lo, eta):
     if lo == 2:  # p = 2 and the primes dividing D, off the batched kernel, are rows too
         ramified = [p for p in primes_up_to(x).tolist() if m.discriminant % p == 0]
         assert [row[0] for row in want if row[1] == 0] == ramified and ramified[0] == 2
-    records = compute_prime_records(m, x, eta, lo=lo)
+    records = census._records(census._prime_columns(m, x, eta, lo), "primes")
     assert records == [
         PrimeRecord(p, chi, o, census._CLASSES[k], bool(e)) for p, chi, o, k, e in want
     ]
@@ -632,7 +644,7 @@ def test_prime_census_summary():
 def test_prime_small_order_tail_is_quadratic():
     # the count of primes with tiny order grows like y^2, so at most
     # y^2 = 100 primes below 1e4 have order <= 10
-    recs = compute_prime_records(A, 10_000, ETA)
+    recs = prime_census(A, 10_000, ETA)[0]
     tiny = [r.p for r in recs if r.order <= 10]
     assert len(tiny) <= 100
     assert len(tiny) >= 1  # e.g. ramified primes have small order
@@ -776,7 +788,7 @@ def test_sweep_is_deterministic():
 
 
 def _int_records(x=200):
-    return compute_integer_records(A, x, ETA)
+    return integer_census(A, x, ETA)[0]
 
 
 def test_csv_round_trip_integers(tmp_path):
@@ -791,7 +803,7 @@ def test_csv_round_trip_integers(tmp_path):
 
 
 def test_csv_round_trip_primes(tmp_path):
-    recs = compute_prime_records(A, 500, ETA)
+    recs = prime_census(A, 500, ETA)[0]
     path = tmp_path / "primes.csv"
     store_results(recs, path, config={"eta": ETA})
     loaded = load_results(path)
@@ -824,7 +836,7 @@ def test_json_round_trip(tmp_path):
 
 
 def test_round_trip_ten_thousand_records(tmp_path):
-    recs = compute_integer_records(A, 10_001, ETA)
+    recs = integer_census(A, 10_001, ETA)[0]
     assert len(recs) == 10_000
     path = tmp_path / "big.csv"
     store_results(recs, path, config={"x": 10_001})
@@ -1104,7 +1116,7 @@ def test_every_reader_rejects_a_bad_non_key_cell_naming_its_row(tmp_path, kind, 
     # a census cut mid-row, whose row 51 has a corrupt ord or class cell: the
     # key of every stored row parses, but the readers share one row reader
     path = tmp_path / "r.csv"
-    recs = compute_prime_records(A, 2000, ETA) if kind == "primes" else _int_records(300)
+    recs = prime_census(A, 2000, ETA)[0] if kind == "primes" else _int_records(300)
     store_results(recs, path, config={"x": 300})
     lines = path.read_bytes().split(b"\n")
     lines[50] = _set_cell(lines[50], cell, b"oops")
@@ -1120,7 +1132,7 @@ def test_every_reader_rejects_a_bad_non_key_cell_naming_its_row(tmp_path, kind, 
 
 
 def test_load_integer_table_takes_only_integer_csvs(tmp_path):
-    recs = compute_prime_records(A, 300, ETA)
+    recs = prime_census(A, 300, ETA)[0]
     store_results(recs, tmp_path / "p.csv")
     with pytest.raises(SchemaMismatch, match="primes"):
         census._load_table(tmp_path / "p.csv", "integers")
@@ -1134,7 +1146,7 @@ def test_load_integer_table_takes_only_integer_csvs(tmp_path):
 @pytest.mark.parametrize("x, lo", [(2500, 2), (2500, 1201), (2500, 2501)])
 def test_a_column_table_is_stored_as_its_records_are(tmp_path, x, lo):
     table = census._integer_columns(A, x, ETA, lo)
-    recs = compute_integer_records(A, x, ETA, lo=lo)
+    recs = census._records(census._integer_columns(A, x, ETA, lo), "integers")
     for name in ("t.csv", "t.json"):
         store_results(table, tmp_path / name, kind="integers", config={"x": x})
         store_results(recs, tmp_path / f"r{name}", kind="integers", config={"x": x})
@@ -1168,7 +1180,7 @@ def test_truncation_then_resume_reconstructs_bytes(tmp_path):
     path.write_bytes(full[: int(len(full) * 0.57)])  # kill mid-row
     last = resume_point(path)
     assert 2 <= last < 400
-    rest = compute_integer_records(A, 400, ETA, lo=last + 1)
+    rest = census._records(census._integer_columns(A, 400, ETA, last + 1), "integers")
     store_results(rest, path, append=True, config=cfg)
     assert path.read_bytes() == full
     assert load_results(path).records == tuple(recs)
@@ -1186,7 +1198,7 @@ def test_resume_after_long_unterminated_tail(tmp_path):
         fh.write(b"\0" * (2 << 20))
     last = resume_point(path)
     assert last == 501
-    rest = compute_integer_records(A, 1000, ETA, lo=last + 1)
+    rest = census._records(census._integer_columns(A, 1000, ETA, last + 1), "integers")
     store_results(rest, path, append=True, config=cfg)
     assert path.read_bytes() == full_path.read_bytes()
     assert [r.N for r in load_results(path)] == list(range(2, 1001))
@@ -1238,7 +1250,7 @@ def test_a_config_the_header_cannot_hold_raises_and_leaves_the_file(
 def test_append_other_kind_is_rejected(tmp_path):
     path = tmp_path / "mixed.csv"
     store_results(_int_records(120), path, config={})
-    primes = compute_prime_records(A, 500, ETA)
+    primes = prime_census(A, 500, ETA)[0]
     with pytest.raises(SchemaMismatch):
         store_results(primes, path, append=True, config={})
 
@@ -1275,7 +1287,7 @@ def test_load_rejects_alien_and_corrupt_files(tmp_path):
 @pytest.mark.parametrize("kind", ["primes", "integers"])
 def test_a_stored_byte_that_is_not_utf8_raises_schema_mismatch(tmp_path, kind, line):
     path = tmp_path / "bad.csv"
-    recs = compute_prime_records(A, 300, ETA) if kind == "primes" else _int_records(300)
+    recs = prime_census(A, 300, ETA)[0] if kind == "primes" else _int_records(300)
     store_results(recs, path, config={"x": 300})
     lines = path.read_bytes().split(b"\n")
     lines[line] = lines[line][:3] + b"\xff" + lines[line][3:]
@@ -1361,7 +1373,7 @@ def test_resume_point_inside_the_column_line_checks_only_the_header(tmp_path):
 
 
 def test_an_append_to_a_missing_file_writes_a_fresh_one(tmp_path):
-    recs = compute_prime_records(A, 300, ETA)
+    recs = prime_census(A, 300, ETA)[0]
     store_results(recs, tmp_path / "fresh.csv", config={"x": 300})
     store_results(recs, tmp_path / "appended.csv", config={"x": 300}, append=True)
     assert (tmp_path / "appended.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
@@ -1379,7 +1391,7 @@ def test_empty_stream_gives_loadable_header_only_file(tmp_path):
 def test_store_validates_inputs(tmp_path):
     with pytest.raises(ValueError):
         store_results([], tmp_path / "x.csv")  # kind unknowable
-    mixed = [_int_records(110)[0], compute_prime_records(A, 300, ETA)[0]]
+    mixed = [_int_records(110)[0], prime_census(A, 300, ETA)[0][0]]
     with pytest.raises(TypeError):
         store_results(mixed, tmp_path / "x.csv")
     with pytest.raises(ValueError):
@@ -1392,8 +1404,8 @@ def test_resume_point_missing_file(tmp_path):
 
 def test_repeated_census_runs_are_byte_identical(tmp_path):
     for label, x, make in (
-        ("integers", 2500, lambda x: compute_integer_records(A, x, ETA)),
-        ("primes", 3000, lambda x: compute_prime_records(A, x, ETA)),
+        ("integers", 2500, lambda x: integer_census(A, x, ETA)[0]),
+        ("primes", 3000, lambda x: prime_census(A, x, ETA)[0]),
     ):
         a, b = tmp_path / f"{label}-a.csv", tmp_path / f"{label}-b.csv"
         store_results(make(x), a, config={"x": x})
@@ -1502,7 +1514,7 @@ def test_a_prime_table_with_every_class_and_sign_is_stored_as_its_template(tmp_p
     path = tmp_path / "p.csv"
     store_results(table, path)
     assert _body(path) == _template_rows(table, census._LAYOUTS["primes"].types)
-    assert _body(path) == census._template_body(compute_prime_records(A, 3000, ETA), "primes")
+    assert _body(path) == census._template_body(prime_census(A, 3000, ETA)[0], "primes")
 
 
 @pytest.mark.parametrize(

@@ -246,12 +246,15 @@ def test_fresh_census_summary_needs_no_read_back(
     printed = json.loads(capsys.readouterr().out)["summary"]
     out = tmp_path / f"artifact.{fmt}"
     with monkeypatch.context() as patched:
-        patched.setattr(cli, "_load_table", None)  # nothing was resumed
+        patched.setattr(census, "_load_table", None)  # nothing was resumed
         assert main(argv + ["--fmt", fmt, "--out", str(out)]) == 0
     assert json.loads(capsys.readouterr().out)["summary"] == printed
     x, eta = int(argv[2]), float(argv[4])
     reread = summarize(load_results(out).records, x, eta)
     assert json.loads(json.dumps(asdict(reread))) == printed
+    # the library's census runs the CLI's path and gives the same summary
+    run = census.prime_census if argv[0] == "census-primes" else census.integer_census
+    assert json.loads(json.dumps(asdict(run(DEFAULT_MAP, x, eta)[1]))) == printed
 
 
 def test_resumed_census_peaks_below_one_full_table(tmp_path, capsys):
@@ -263,7 +266,7 @@ def test_resumed_census_peaks_below_one_full_table(tmp_path, capsys):
     assert main(argv) == 0
     full = out.read_bytes()
     out.write_bytes(full[: len(full) // 2 + 7])  # cut mid-row
-    capsys.readouterr()
+    whole = json.loads(capsys.readouterr().out)
     tracemalloc.start()
     try:
         assert main(argv + ["--resume"]) == 0
@@ -271,6 +274,7 @@ def test_resumed_census_peaks_below_one_full_table(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert out.read_bytes() == full
+    assert json.loads(capsys.readouterr().out)["summary"] == whole["summary"]
     assert peak < (x - 1) * 11 * 8, peak  # the bytes of the census's full table
 
 
@@ -308,13 +312,14 @@ def test_census_artifact_reproduction(tmp_path, capsys):
 def test_cli_resume_reconstructs_bytes(tmp_path, capsys):
     out = tmp_path / "ints.csv"
     assert main(["census-integers", "-x", "300", "--out", str(out)]) == 0
-    capsys.readouterr()
+    whole = json.loads(capsys.readouterr().out)
     full = out.read_bytes()
     out.write_bytes(full[: int(len(full) * 0.5)])
     assert main(["census-integers", "-x", "300", "--out", str(out), "--resume"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert out.read_bytes() == full
     assert doc["summary"]["count"] == 299  # stored rows plus the new ones
+    assert doc["summary"] == whole["summary"]
     assert doc["rows_written"] < 299
 
 
@@ -341,8 +346,16 @@ def test_cli_resume_gives_uninterrupted_bytes_and_summary(kind, cut, tmp_path, c
 def test_cli_resume_parses_each_stored_row_once(tmp_path, capsys, monkeypatch):
     out = tmp_path / "ints.csv"
     argv = ["census-integers", "-x", "600", "--out", str(out)]
+    omegas = []
+    real_omega, real_load = census._omega_sieve, census._load_table
+
+    def counting_omega(limit):
+        omegas.append(limit)
+        return real_omega(limit)
+
+    monkeypatch.setattr(census, "_omega_sieve", counting_omega)
     assert main(argv) == 0
-    capsys.readouterr()
+    whole = json.loads(capsys.readouterr().out)
     full = out.read_bytes()
     head = full[: len(full) // 2]
     stored = head.count(b"\n") - 2  # complete lines past header and columns
@@ -350,14 +363,16 @@ def test_cli_resume_parses_each_stored_row_once(tmp_path, capsys, monkeypatch):
     parsed = []
 
     def counting_load(path, kind):
-        table = census._load_table(path, kind)
+        table = real_load(path, kind)
         parsed.append(len(table))
         return table
 
-    monkeypatch.setattr(cli, "_load_table", counting_load)
+    monkeypatch.setattr(census, "_load_table", counting_load)
     monkeypatch.setattr(census, "load_results", None)  # no second read of the rows
     assert main(argv + ["--resume"]) == 0
     assert parsed == [stored]
+    assert omegas == [600, 600]  # one omega sieve per run, fresh and resumed
+    assert json.loads(capsys.readouterr().out)["summary"] == whole["summary"]
 
 
 @pytest.mark.parametrize("cell", [0, 5], ids=["key", "order"])
@@ -439,8 +454,8 @@ def test_cli_resume_with_another_config_fails_before_work(
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before the header was checked")
 
-    monkeypatch.setattr(cli, "_integer_columns", no_compute)
-    monkeypatch.setattr(cli, "_prime_columns", no_compute)
+    monkeypatch.setattr(census, "_integer_columns", no_compute)
+    monkeypatch.setattr(census, "_prime_columns", no_compute)
     assert main([command, "-x", "1200", "--out", str(out), "--resume"]) == 1
     assert "cannot append: header" in capsys.readouterr().err
     assert out.read_bytes() == head
@@ -565,8 +580,10 @@ def test_a_config_the_csv_header_cannot_hold_fails_before_work(
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before the header was built")
 
-    for engine in ("_integer_columns", "_prime_columns", "quantum_sweep"):
-        monkeypatch.setattr(cli, engine, no_compute)
+    for module, engine in (
+        (census, "_integer_columns"), (census, "_prime_columns"), (cli, "quantum_sweep")
+    ):
+        monkeypatch.setattr(module, engine, no_compute)
     out = tmp_path / "artifact.csv"
     if existing:
         out.write_bytes(b"#stored; kind=other\nunrelated\n")
