@@ -14,23 +14,24 @@ row per record) or as a JSON document with identical field names.  A CSV row
 is stored once its newline is written: every reader ignores a final line
 without one, the trace of an interrupted write.  So CSV files can be appended
 to and survive truncation mid-row: :func:`store_results` with ``append=True``
-drops that partial line before writing, and :func:`resume_point` reports the
-largest key already stored.
+writes at the stored end that :func:`can_append` finds, over that partial
+line, and :func:`resume_point` reports the largest key already stored.
 
-Both censuses are computed, stored, read back and summarized as int64 column
-tables (:func:`_prime_columns`, :func:`_integer_columns`, :func:`_load_table`):
-one row per record, one column per field, the prime class as a code and flags
-as 0/1.  A summary counts over one table (`_prime_counts`,
-`_integer_counts`), in counts that add across tables, and divides once when
-it is finished (`_prime_summary`, `_integer_summary`), so a resumed census
-is summarized without joining its stored and new tables.  One function runs
-a census, `_run_census` (resume, compute, store, count, finish), for the CLI
-and for :func:`prime_census` and :func:`integer_census`.  Every CSV reader
-takes its rows from `_stored_rows`, so all accept and reject the same files.
-It holds one copy of the stored body and reads a census body in one numpy
-pass (`_parse_table`); the per-row parser `_parse_rows` reads sweeps and any
-body numpy cannot take.  Census rows are written by one numpy kernel,
-`_csv_body`, and sweep rows by their `%` template.
+Both censuses are computed, stored (in CSV and JSON alike), read back and
+summarized as int64 column tables (:func:`_prime_columns`,
+:func:`_integer_columns`, :func:`_load_table`): one row per record, one column
+per field, the prime class as a code and flags as 0/1.  A summary counts over
+one table (`_prime_counts`, `_integer_counts`), in counts that add across
+tables, and divides once when it is finished (`_prime_summary`,
+`_integer_summary`), so a resumed census is summarized without joining its
+stored and new tables.  One function runs a census, `_run_census` (resume,
+compute, store, count, finish), for the CLI and for :func:`prime_census` and
+:func:`integer_census`.  Every reader, CSV or JSON, takes its rows from
+`_stored_rows`, so all accept and reject the same files.  It holds one copy
+of the stored body and reads a census CSV body in one numpy pass
+(`_parse_table`); the per-row parser `_parse_rows` reads sweeps and any body
+numpy cannot take.  Census rows are written by one numpy kernel, `_csv_body`,
+and sweep rows by their `%` template.
 ``PrimeRecord`` and ``IntegerRecord`` objects are built from the columns only
 where the API returns records: by the two censuses and :func:`load_results`.
 """
@@ -642,13 +643,18 @@ def _run_census(
 ) -> tuple[np.ndarray, PrimeCensusSummary | IntegerCensusSummary]:
     """One census run of kind "primes" or "integers": (new rows, summary).
 
-    A CSV resume checks the stored header and reads the stored rows once,
-    before any work, so a mismatched or corrupt file fails unchanged; the new
+    A CSV resume checks the stored header and keys before any work, the
+    omega sieve too, so a mismatched or corrupt file fails unchanged; the new
     rows start after the last stored key and are stored at path if given.
     The summary adds the counts of both tables, the stored one dropped first.
     """
     c_eta(eta)  # an eta out of range fails before any sieve is built
     primes = kind == "primes"
+    stored, lo = None, 2
+    resuming = bool(resume and path and fmt == "csv")
+    if resuming and can_append(path, kind, config):
+        stored = _load_table(path, kind)
+        lo = _resume_after(stored[:, 0], primes, x)
     if primes:
         columns, finish = _prime_columns, _prime_summary
         count = partial(_prime_counts, x=x)
@@ -656,13 +662,8 @@ def _run_census(
         # one omega sieve up to x serves the stored rows and the new ones
         columns, finish = _integer_columns, _integer_summary
         count = partial(_integer_counts, x=x, omega=_omega_sieve(x))
-    resuming = bool(resume and path and fmt == "csv")
-    counts, lo = Counter(), 2
-    if resuming and can_append(path, kind, config):
-        stored = _load_table(path, kind)
-        lo = _resume_after(stored[:, 0], primes, x)
-        counts = count(stored)
-        del stored  # dropped before the new rows are computed
+    counts = Counter() if stored is None else count(stored)
+    del stored  # dropped before the new rows are computed
     table = columns(m, x, eta, lo)
     if path:
         store_results(table, path, kind=kind, config=config, fmt=fmt, append=resuming)
@@ -1058,30 +1059,23 @@ def _stored_end(fh) -> int:
     return 0
 
 
-def _trim_partial_tail(path) -> None:
-    """Drop a trailing line without its newline (interrupted append); every
-    complete line before it stays (see `_stored_end`)."""
-    with open(path, "rb+") as fh:
-        end = _stored_end(fh)
-        if end < fh.seek(0, os.SEEK_END):
-            fh.truncate(end)
+def can_append(path, kind: str, config=None) -> int:
+    """Where rows of this kind and config can be appended to the CSV at path:
+    the offset just past its last stored newline (see `_stored_end`), once
+    its header and column line are stored.
 
-
-def can_append(path, kind: str, config=None) -> bool:
-    """Whether the CSV at path has stored its header and column line, so rows
-    of this kind and config can be appended after its stored rows.
-
-    False for a missing file or one cut off before the column line's newline,
+    0 for a missing file or one cut off before the column line's newline,
     which a CSV append rewrites from scratch.  A stored header or column line
     that differs raises SchemaMismatch; the file is only read.
     """
     try:
         with open(path, "rb") as fh:
             stored = [fh.readline() for _ in range(2)]
+            if not stored[1].endswith(b"\n"):
+                return 0
+            end = _stored_end(fh)
     except FileNotFoundError:
-        return False
-    if not stored[1].endswith(b"\n"):
-        return False
+        return 0
     for what, line, want in (
         ("header", stored[0], _header_line(kind, config)),
         ("columns", stored[1], ",".join(_LAYOUTS[kind].columns)),
@@ -1089,7 +1083,7 @@ def can_append(path, kind: str, config=None) -> bool:
         got = _text(line[:-1])
         if got != want:
             raise SchemaMismatch(f"cannot append: {what} {got!r} != {want!r}")
-    return True
+    return end
 
 
 @dataclass(frozen=True)
@@ -1118,19 +1112,21 @@ def store_results(
 
     `records` is a list of one kind's records or a prime or integer column
     table (see `_prime_columns`, `_integer_columns`); both are stored alike.
+    Census records are read into a column table first, in JSON as in CSV, so
+    a value beyond int64 raises OverflowError before the file is touched.
     CSV appending is resume-safe: an existing file is checked for a matching
-    header and column line before it is touched (see `can_append`), a
-    partially written final line is discarded, and new rows are added after
-    the surviving ones.  JSON is whole-document only.
+    header and column line before it is touched (see `can_append`), and new
+    rows are written at its stored end, which drops a partially written final
+    line.  JSON is whole-document only.
 
-    Census rows go to CSV through `_csv_body`, 4,096 rows at a time; census
-    records are read into a column table first, so a value beyond int64
-    raises OverflowError before the file is touched.  Sweep rows go through
-    their `%` template (`_template_body`).
+    Census rows go to CSV through `_csv_body`, 4,096 rows at a time, and
+    sweep rows through their `%` template (`_template_body`).
     """
     if not isinstance(records, np.ndarray):
         records = list(records)
     kind = _infer_kind(records, kind)
+    if kind != "sweep" and not isinstance(records, np.ndarray):
+        records = _records_table(records, kind)  # a cell beyond int64 raises here
     if fmt is None:
         fmt = "json" if str(path).endswith(".json") else "csv"
     if fmt == "json":
@@ -1150,15 +1146,13 @@ def store_results(
         raise ValueError(f"unknown format {fmt!r}")
 
     layout = _LAYOUTS[kind]
-    if kind != "sweep" and not isinstance(records, np.ndarray):
-        records = _records_table(records, kind)  # a cell beyond int64 raises here
     # a config the header cannot hold, or a mismatched file, raises first
     header = _header_line(kind, config)
-    fresh = not (append and can_append(path, kind, config))
-    if not fresh:
-        _trim_partial_tail(path)
-    with open(path, "wb" if fresh else "ab") as fh:
-        if fresh:
+    end = can_append(path, kind, config) if append else 0
+    with open(path, "r+b" if end else "wb") as fh:
+        fh.seek(end)
+        fh.truncate()  # drops a final line cut off mid-write
+        if not end:
             fh.write(f"{header}\n{','.join(layout.columns)}\n".encode())
         if kind == "sweep":
             fh.write(_template_body(records, kind))
@@ -1168,7 +1162,8 @@ def store_results(
     return len(records)
 
 
-def _load_json(blob: bytes) -> LoadedResults:
+def _load_json(blob: bytes) -> tuple[str, dict, np.ndarray | list]:
+    """(kind, config, rows) of a JSON document, rows in `_stored_rows`' form."""
     try:
         doc = json.loads(blob)
     except ValueError as exc:  # bytes that are not UTF-8, or not one JSON document
@@ -1181,7 +1176,8 @@ def _load_json(blob: bytes) -> LoadedResults:
     records, config = doc.get("records", []), doc.get("config", {})
     if not isinstance(records, list) or not isinstance(config, dict):
         raise SchemaMismatch("a JSON document needs a list of records and a config object")
-    return LoadedResults(kind, config, tuple(_from_json_value(kind, obj) for obj in records))
+    rows = [_from_json_value(kind, obj) for obj in records]
+    return kind, config, rows if kind == "sweep" else _records_table(rows, kind)
 
 
 def _parse_rows(kind: str, body: bytes) -> list:
@@ -1234,28 +1230,42 @@ def _parse_table(kind: str, body: bytes) -> np.ndarray | None:
     return table
 
 
+class _NothingStored(SchemaMismatch):
+    """A CSV cut off before its column line's newline: no row is stored yet."""
+
+
 def _stored_rows(fh) -> tuple[str, dict, np.ndarray | list]:
-    """(kind, config, rows) of a CSV open for binary reading, its header and
-    column line checked: the one reader of stored rows.
+    """(kind, config, rows) of a CSV (`_csv_rows`) or, if it starts with `{`,
+    a JSON document (`_load_json`), open for binary reading: the one reader
+    of stored rows.  A census's rows are one int64 column table, so a stored
+    value beyond int64 raises SchemaMismatch; a sweep's are its records."""
+    try:
+        if fh.peek(1)[:1] == b"{":
+            return _load_json(fh.read())
+        return _csv_rows(fh)
+    except OverflowError as exc:
+        raise SchemaMismatch(f"a stored value exceeds int64: {exc}") from exc
+
+
+def _csv_rows(fh) -> tuple[str, dict, np.ndarray | list]:
+    """(kind, config, rows) of a CSV, its header and column line checked.
 
     The rows are the complete lines after the column line; a final line
     without its newline (cut off mid-write) is left out.  The header and the
     column line are read by `readline`, and the body by one `read` that ends
     at the last newline (`_stored_end`), so the body is the one copy of the
-    stored bytes held while it is parsed.  For a census, rows is one int64
-    column table: `_parse_table` reads it in one numpy pass, and where it
-    cannot, the row parser `_parse_rows` names the bad row (a cell beyond
-    int64 raises SchemaMismatch too).  For a sweep, rows is the list of its
-    records.
+    stored bytes held while it is parsed.  A census body is read in one
+    numpy pass by `_parse_table`; where it cannot be, the row parser
+    `_parse_rows` names the bad row.
     """
     end = _stored_end(fh)
     if not end:
-        raise SchemaMismatch("empty file")
+        raise _NothingStored("empty file")
     fh.seek(0)
     config = _parse_header(_text(fh.readline()[:-1]))
     kind = config.pop("kind", None)
     if fh.tell() == end:
-        raise SchemaMismatch("missing column line")
+        raise _NothingStored("missing column line")
     by_columns = {",".join(v.columns): k for k, v in _LAYOUTS.items()}
     columns = _text(fh.readline()[:-1])
     col_kind = by_columns.get(columns)
@@ -1268,10 +1278,7 @@ def _stored_rows(fh) -> tuple[str, dict, np.ndarray | list]:
         return col_kind, config, _parse_rows(col_kind, body)
     table = _parse_table(col_kind, body)
     if table is None:
-        try:
-            table = _records_table(_parse_rows(col_kind, body), col_kind)
-        except OverflowError as exc:
-            raise SchemaMismatch(f"a stored value exceeds int64: {exc}") from exc
+        table = _records_table(_parse_rows(col_kind, body), col_kind)
     return col_kind, config, table
 
 
@@ -1280,22 +1287,19 @@ def load_results(path) -> LoadedResults:
 
     Only stored rows count: a final CSV line without its newline (cut off
     mid-write) is left out, and any stored row that does not parse raises
-    SchemaMismatch.  JSON files are detected by their leading brace.  A CSV's
-    rows come from `_stored_rows`; a census's records are built from the
-    columns of its table.
+    SchemaMismatch.  The rows come from `_stored_rows`, CSV or JSON; a
+    census's records are built from the columns of its table.
     """
     with open(path, "rb") as fh:
-        if fh.peek(1)[:1] == b"{":  # a JSON document
-            return _load_json(fh.read())
         kind, config, rows = _stored_rows(fh)
     records = rows if kind == "sweep" else _records(rows, kind)
     return LoadedResults(kind, config, tuple(records))
 
 
 def _load_table(path, kind: str) -> np.ndarray:
-    """The stored rows of a census CSV of this kind as one int64 column
-    table, read by `_stored_rows` as `load_results` reads them: the table
-    and one copy of the stored body are all it holds."""
+    """The stored rows of a census of this kind, CSV or JSON, as one int64
+    column table, read by `_stored_rows` as `load_results` reads them: the
+    table and one copy of the stored body are all it holds."""
     with open(path, "rb") as fh:
         stored, _, table = _stored_rows(fh)
     if stored != kind:
@@ -1308,23 +1312,15 @@ def resume_point(path) -> int | None:
 
     Only stored rows count, so a file truncated mid-write (even inside the
     header or the column line) reports the last fully stored key.  The rows
-    are read as `load_results` reads them, by `_stored_rows` with one copy of
-    the stored body: a complete but alien header or column line, or any
-    stored row that does not parse, raises SchemaMismatch.
+    are read as `load_results` reads them, by `_stored_rows`: a complete but
+    alien header or column line, or any stored row that does not parse,
+    raises SchemaMismatch.
     """
     try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
+        with open(path, "rb") as fh:
+            kind, _, rows = _stored_rows(fh)
+    except (FileNotFoundError, _NothingStored):
         return None
-    with fh:
-        if fh.peek(1)[:1] == b"{":
-            return max((r.key for r in _load_json(fh.read()).records), default=None)
-        header, columns = fh.readline(), fh.readline()
-        if not columns.endswith(b"\n"):  # cut inside the header or the column line
-            if header.endswith(b"\n"):
-                _parse_header(_text(header[:-1]))
-            return None
-        kind, _, rows = _stored_rows(fh)
     if kind == "sweep":
         return max((r.key for r in rows), default=None)
     return int(rows[:, 0].max()) if len(rows) else None

@@ -357,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-x", type=int, required=True)
         p.add_argument("--eta", type=float, default=DEFAULT_ETA)
         p.add_argument("--fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--resume", action="store_true")
+        p.add_argument("--resume", action="store_true", help="continue a CSV census after its "
+                       "last stored row; JSON output is written whole")
 
     p = add("propagator", _cmd_propagator, help="unitary propagator matrix")
     p.add_argument("-N", type=int, required=True)

@@ -65,3 +65,17 @@ def test_a_cli_sweep_loads_no_numpy_ma(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("False\n")
+
+
+def test_the_readme_library_tour_runs():
+    # every public name the tour shows must keep working under that name
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        blocks = fh.read().split("```python\n")[1:]
+    assert len(blocks) == 1
+    code = blocks[0].split("```")[0]
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -301,6 +301,9 @@ def test_integer_summary_at_square_boundaries():
     for grid in (census.DEFAULT_DELTA_GRID, (0.0, 0.5, 1.0)):
         want = _summary_oracle(recs, x, ETA, grid)
         assert repr(summarize_integer_records(recs, x, ETA, delta_grid=grid)) == repr(want)
+    beyond = recs + [dataclasses.replace(recs[-1], N=1 << 31)]
+    with pytest.raises(OverflowError, match="below 2\\*\\*31"):
+        summarize_integer_records(beyond, x, ETA)
 
 
 # three maps of different (t, g): (4, 1), (6, 2), (10, 1)
@@ -351,6 +354,8 @@ def test_integer_records_from_lo_are_the_tail_of_the_full_run(m):
     for lo in (2, 3, 31, 500, 999, 1000, 1001):
         tail = census._records(census._integer_columns(m, 1000, ETA, lo), "integers")
         assert tail == full[lo - 2 :], lo
+    with pytest.raises(ValueError, match="x must be >= 2"):
+        census._integer_columns(m, 1, ETA)
 
 
 def test_integer_census_rejects_x_beyond_the_sieve_before_building_it(monkeypatch):
@@ -744,7 +749,7 @@ def test_sweep_pinned_row_n5():
     assert abs(row.ratio - row.s4 / row.bound) < 1e-15
 
 
-def test_sweep_invariants_across_primes():
+def test_sweep_invariants_across_primes(monkeypatch):
     sizes = [3, 5, 7, 11, 13, 17, 19]
     recs, fails = quantum_sweep(A, sizes, Observable.cosine(1), (1, 0))
     assert fails == []
@@ -754,6 +759,16 @@ def test_sweep_invariants_across_primes():
         assert row.max_dev**4 <= row.bound * (1 + 1e-6)
         assert row.max_dev**4 <= row.s4 * (1 + 1e-9)
         assert row.rstar >= 1
+    # the ceiling is checked again per record: a moment above it aborts the sweep
+    real = census.fourth_moment
+
+    def above_the_ceiling(*args, **kwargs):
+        moment = real(*args, **kwargs)
+        return dataclasses.replace(moment, s4=2 * moment.bound)
+
+    monkeypatch.setattr(census, "fourth_moment", above_the_ceiling)
+    with pytest.raises(AssertionError, match="ceiling violated at N=5"):
+        quantum_sweep(A, [5], Observable.cosine(1), (1, 0))
 
 
 def test_sweep_collects_failures_and_continues():
@@ -799,6 +814,7 @@ def test_csv_round_trip_integers(tmp_path):
     loaded = load_results(path)
     assert loaded.kind == "integers"
     assert loaded.records == tuple(recs)
+    assert len(loaded) == len(recs)
     assert loaded.config == {"matrix": "2,1,3,2", "x": "200"}
 
 
@@ -818,6 +834,7 @@ def test_csv_round_trip_sweep_floats_exact(tmp_path):
     loaded = load_results(path)
     assert loaded.kind == "sweep"
     assert loaded.records == tuple(recs)  # bit-exact floats through .17g
+    assert resume_point(path) == 11
 
 
 def test_json_round_trip(tmp_path):
@@ -833,6 +850,7 @@ def test_json_round_trip(tmp_path):
     spath = tmp_path / "sweep.json"
     store_results(sweep, spath)
     assert load_results(spath).records == tuple(sweep)
+    assert resume_point(spath) == 5
 
 
 def test_round_trip_ten_thousand_records(tmp_path):
@@ -1038,6 +1056,39 @@ def test_json_files_read_through_the_csv_readers_entry_points(tmp_path, kind):
     store_results([], path, kind=kind)
     assert load_results(path).records == ()
     assert resume_point(path) is None
+
+
+@pytest.mark.parametrize("kind", ["primes", "integers"])
+def test_a_json_census_reads_into_the_table_of_its_csv_twin(tmp_path, kind):
+    # a census is stored as its int64 table in both containers, and JSON is
+    # written from that table as from its records
+    make = census._prime_columns if kind == "primes" else census._integer_columns
+    table = make(A, 2000, ETA)
+    for name, rows in (("t.csv", table), ("t.json", table), ("r.json", census._records(table, kind))):
+        store_results(rows, tmp_path / name, config={"x": 2000})
+    assert (tmp_path / "t.json").read_bytes() == (tmp_path / "r.json").read_bytes()
+    got = census._load_table(tmp_path / "t.json", kind)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, census._load_table(tmp_path / "t.csv", kind))
+    assert np.array_equal(got, table)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_reader_refuses_a_stored_cell_beyond_int64_in_csv_and_json(tmp_path, fmt):
+    path = tmp_path / f"ints.{fmt}"
+    store_results(_int_records(300), path, config={"x": 300})
+    if fmt == "json":
+        doc = json.loads(path.read_bytes())
+        doc["records"][18]["ord"] = 1 << 63
+        path.write_text(json.dumps(doc))
+    else:
+        lines = path.read_bytes().split(b"\n")
+        lines[20] = _set_cell(lines[20], 5, str(1 << 63).encode())
+        path.write_bytes(b"\n".join(lines))
+    readers = (load_results, resume_point, lambda path: census._load_table(path, "integers"))
+    for read in readers:
+        with pytest.raises(SchemaMismatch, match="int64"):
+            read(path)
 
 
 def test_load_table_holds_one_copy_of_the_stored_bytes(tmp_path):
@@ -1396,6 +1447,13 @@ def test_store_validates_inputs(tmp_path):
         store_results(mixed, tmp_path / "x.csv")
     with pytest.raises(ValueError):
         store_results(_int_records(110), tmp_path / "x.json", append=True)
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        store_results(_int_records(110), tmp_path / "x.csv", fmt="xml")
+    with pytest.raises(TypeError, match="unknown record type object"):
+        store_results([object()], tmp_path / "x.csv")
+    with pytest.raises(ValueError, match="unknown record kind 'nope'"):
+        store_results(_int_records(110), tmp_path / "x.csv", kind="nope")
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
 
 
 def test_resume_point_missing_file(tmp_path):
@@ -1564,10 +1622,10 @@ def test_only_an_int64_table_is_stored(tmp_path):
 def test_a_record_beyond_int64_raises_before_the_file_is_touched(tmp_path):
     recs = _int_records(300)
     huge = recs[:5] + [dataclasses.replace(recs[5], order=1 << 70)] + recs[6:]
-    path = tmp_path / "fresh.csv"
-    with pytest.raises(OverflowError):
-        store_results(huge, path, config={"x": 300})
-    assert not path.exists()
+    for path in (tmp_path / "fresh.csv", tmp_path / "fresh.json"):
+        with pytest.raises(OverflowError):
+            store_results(huge, path, config={"x": 300})
+        assert not path.exists()
     path = tmp_path / "kept.csv"
     store_results(recs[:5], path, config={"x": 300})
     kept = path.read_bytes()[:-3]  # cut mid-row: an append would trim it

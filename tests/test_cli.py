@@ -375,8 +375,12 @@ def test_cli_resume_parses_each_stored_row_once(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["summary"] == whole["summary"]
 
 
+def _no_omega_sieve(limit):
+    raise AssertionError(f"omega sieve built up to {limit} before the stored file was checked")
+
+
 @pytest.mark.parametrize("cell", [0, 5], ids=["key", "order"])
-def test_cli_resume_of_corrupt_file_fails_before_work(cell, tmp_path, capsys):
+def test_cli_resume_of_corrupt_file_fails_before_work(cell, tmp_path, capsys, monkeypatch):
     out = tmp_path / "ints.csv"
     argv = ["census-integers", "-x", "300", "--out", str(out)]
     assert main(argv) == 0
@@ -389,6 +393,7 @@ def test_cli_resume_of_corrupt_file_fails_before_work(cell, tmp_path, capsys):
     corrupt = corrupt[: int(len(corrupt) * 0.6)]  # and cut mid-row later on
     assert not corrupt.endswith(b"\n")
     out.write_bytes(corrupt)
+    monkeypatch.setattr(census, "_omega_sieve", _no_omega_sieve)
     assert main(argv + ["--resume"]) == 1
     assert "error:" in capsys.readouterr().err
     assert out.read_bytes() == corrupt
@@ -410,7 +415,9 @@ _KEY_EDITS = {
 
 
 @pytest.mark.parametrize("edit", sorted(_KEY_EDITS))
-def test_cli_resume_of_keys_that_are_not_the_census_start_exits_1(edit, tmp_path, capsys):
+def test_cli_resume_of_keys_that_are_not_the_census_start_exits_1(
+    edit, tmp_path, capsys, monkeypatch
+):
     kind, change = _KEY_EDITS[edit]
     out = tmp_path / "census.csv"
     argv = _CENSUS_ARGV[kind] + ["--out", str(out)]
@@ -419,6 +426,7 @@ def test_cli_resume_of_keys_that_are_not_the_census_start_exits_1(edit, tmp_path
     lines = out.read_bytes().split(b"\n")[:200]
     stored = b"".join(line + b"\n" for line in change(lines))
     out.write_bytes(stored)
+    monkeypatch.setattr(census, "_omega_sieve", _no_omega_sieve)
     assert main(argv + ["--resume"]) == 1
     assert "error: cannot resume" in capsys.readouterr().err
     assert out.read_bytes() == stored
@@ -456,6 +464,7 @@ def test_cli_resume_with_another_config_fails_before_work(
 
     monkeypatch.setattr(census, "_integer_columns", no_compute)
     monkeypatch.setattr(census, "_prime_columns", no_compute)
+    monkeypatch.setattr(census, "_omega_sieve", _no_omega_sieve)
     assert main([command, "-x", "1200", "--out", str(out), "--resume"]) == 1
     assert "cannot append: header" in capsys.readouterr().err
     assert out.read_bytes() == head
