@@ -26,12 +26,13 @@ tables, and divides once when it is finished (`_prime_summary`,
 `_integer_summary`), so a resumed census is summarized without joining its
 stored and new tables.  One function runs a census, `_run_census` (resume,
 compute, store, count, finish), for the CLI and for :func:`prime_census` and
-:func:`integer_census`.  Every reader, CSV or JSON, takes its rows from
-`_stored_rows`, so all accept and reject the same files.  It holds one copy
-of the stored body and reads a census CSV body in one numpy pass
-(`_parse_table`); the per-row parser `_parse_rows` reads sweeps and any body
-numpy cannot take.  Census rows are written by one numpy kernel, `_csv_body`,
-and sweep rows by their `%` template.
+:func:`integer_census`.  Stored bytes become rows in one place,
+`_stored_rows`, so every reader accepts and rejects the same files: a JSON
+document is read as the CSV rows it prints as, and an append reads a CSV's
+head as every reader does (`_csv_head`).  A census body is read in one numpy
+pass (`_parse_table`); the per-row parser `_parse_rows` reads sweeps and any
+body numpy cannot take.  Census rows are written by one numpy kernel,
+`_csv_body`, and sweep rows by their `%` template.
 ``PrimeRecord`` and ``IntegerRecord`` objects are built from the columns only
 where the API returns records: by the two censuses and :func:`load_results`.
 """
@@ -869,6 +870,8 @@ class _Layout:
 
 _LAYOUTS = {kind: _Layout(*entry) for kind, entry in _SCHEMA.items()}
 _KIND_OF = {lay.record: kind for kind, lay in _LAYOUTS.items()}
+# the kind of each stored column line
+_KIND_OF_COLUMNS = {",".join(lay.columns): kind for kind, lay in _LAYOUTS.items()}
 # the kinds a column table can hold, by table width
 _TABLE_KINDS = {
     len(lay.columns): kind for kind, lay in _LAYOUTS.items() if None not in lay.table_cells
@@ -972,23 +975,6 @@ def _json_records(records, kind: str | None = None) -> list[dict]:
     return [layout.json_value(values) for values in layout.rows(records)]
 
 
-def _from_json_value(kind: str, obj: dict):
-    lay = _LAYOUTS[kind]
-    try:
-        cells = []
-        for name in lay.columns:
-            v = obj[name]
-            if isinstance(v, bool):
-                cells.append(str(int(v)))
-            elif isinstance(v, float):
-                cells.append(format(v, ".17g"))
-            else:
-                cells.append(str(v))
-        return lay.parse(cells)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise SchemaMismatch(f"bad {kind} record {obj!r}: {exc}") from exc
-
-
 def _infer_kind(records, kind: str | None) -> str:
     """The kind of a list of records or of a column table."""
     if isinstance(records, np.ndarray):
@@ -1061,28 +1047,19 @@ def _stored_end(fh) -> int:
 
 def can_append(path, kind: str, config=None) -> int:
     """Where rows of this kind and config can be appended to the CSV at path:
-    the offset just past its last stored newline (see `_stored_end`), once
-    its header and column line are stored.
-
-    0 for a missing file or one cut off before the column line's newline,
-    which a CSV append rewrites from scratch.  A stored header or column line
-    that differs raises SchemaMismatch; the file is only read.
+    its stored end, read with its head by `_csv_head` as every reader reads
+    it.  0 for a missing file or one cut off before the column line's
+    newline, which a CSV append rewrites from scratch.  A head that readers
+    reject, or another header, raises SchemaMismatch; the file is only read.
     """
     try:
         with open(path, "rb") as fh:
-            stored = [fh.readline() for _ in range(2)]
-            if not stored[1].endswith(b"\n"):
-                return 0
-            end = _stored_end(fh)
-    except FileNotFoundError:
+            header, _, _, end = _csv_head(fh)
+    except (FileNotFoundError, _NothingStored):
         return 0
-    for what, line, want in (
-        ("header", stored[0], _header_line(kind, config)),
-        ("columns", stored[1], ",".join(_LAYOUTS[kind].columns)),
-    ):
-        got = _text(line[:-1])
-        if got != want:
-            raise SchemaMismatch(f"cannot append: {what} {got!r} != {want!r}")
+    want = _header_line(kind, config)
+    if header != want:
+        raise SchemaMismatch(f"cannot append: header {header!r} != {want!r}")
     return end
 
 
@@ -1162,8 +1139,23 @@ def store_results(
     return len(records)
 
 
-def _load_json(blob: bytes) -> tuple[str, dict, np.ndarray | list]:
-    """(kind, config, rows) of a JSON document, rows in `_stored_rows`' form."""
+def _json_cell(value) -> str:
+    """A JSON record value as the CSV cell it prints as: a flag as 0/1, a
+    float in 17 digits, an int or a string as it is.  Other values, and a
+    string holding `,` or a newline (more cells or rows), raise ValueError."""
+    if isinstance(value, int):
+        return str(int(value))  # a flag as 0/1
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, str) and "," not in value and "\n" not in value:
+        return value
+    raise ValueError(f"{value!r} is not one CSV cell")
+
+
+def _load_json(blob: bytes) -> tuple[str, dict, bytes]:
+    """(kind, config, body) of a JSON document: the body holds each record
+    printed as one CSV row (`_json_cell`), so `_stored_rows` parses it as it
+    parses a CSV body."""
     try:
         doc = json.loads(blob)
     except ValueError as exc:  # bytes that are not UTF-8, or not one JSON document
@@ -1176,8 +1168,12 @@ def _load_json(blob: bytes) -> tuple[str, dict, np.ndarray | list]:
     records, config = doc.get("records", []), doc.get("config", {})
     if not isinstance(records, list) or not isinstance(config, dict):
         raise SchemaMismatch("a JSON document needs a list of records and a config object")
-    rows = [_from_json_value(kind, obj) for obj in records]
-    return kind, config, rows if kind == "sweep" else _records_table(rows, kind)
+    values = operator.itemgetter(*_LAYOUTS[kind].columns)
+    try:
+        body = "".join(",".join(map(_json_cell, values(obj))) + "\n" for obj in records)
+        return kind, config, body.encode()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"bad {kind} record: {exc!r}") from exc
 
 
 def _parse_rows(kind: str, body: bytes) -> list:
@@ -1235,60 +1231,62 @@ class _NothingStored(SchemaMismatch):
 
 
 def _stored_rows(fh) -> tuple[str, dict, np.ndarray | list]:
-    """(kind, config, rows) of a CSV (`_csv_rows`) or, if it starts with `{`,
-    a JSON document (`_load_json`), open for binary reading: the one reader
-    of stored rows.  A census's rows are one int64 column table, so a stored
-    value beyond int64 raises SchemaMismatch; a sweep's are its records."""
+    """(kind, config, rows) of a CSV or, if it starts with `{`, a JSON
+    document, open for binary reading: the one place where stored bytes
+    become rows.
+
+    A CSV body is read after its head (`_csv_head`) in one `read` that ends
+    at the stored end, so a final line cut off mid-write is left out; a JSON
+    body is its records printed as CSV rows (`_load_json`).  Either is
+    parsed alike: a census body by `_parse_table` in one numpy pass, or else
+    by the row parser `_parse_rows`, which names a bad row.  A census's rows
+    are one int64 column table, so a stored value beyond int64 raises
+    SchemaMismatch; a sweep's are its records.
+    """
     try:
         if fh.peek(1)[:1] == b"{":
-            return _load_json(fh.read())
-        return _csv_rows(fh)
+            kind, config, body = _load_json(fh.read())
+        else:
+            _, kind, config, end = _csv_head(fh)
+            body = fh.read(end - fh.tell())
+        if kind == "sweep":
+            return kind, config, _parse_rows(kind, body)
+        table = _parse_table(kind, body)
+        if table is None:
+            table = _records_table(_parse_rows(kind, body), kind)
+        return kind, config, table
     except OverflowError as exc:
         raise SchemaMismatch(f"a stored value exceeds int64: {exc}") from exc
 
 
-def _csv_rows(fh) -> tuple[str, dict, np.ndarray | list]:
-    """(kind, config, rows) of a CSV, its header and column line checked.
-
-    The rows are the complete lines after the column line; a final line
-    without its newline (cut off mid-write) is left out.  The header and the
-    column line are read by `readline`, and the body by one `read` that ends
-    at the last newline (`_stored_end`), so the body is the one copy of the
-    stored bytes held while it is parsed.  A census body is read in one
-    numpy pass by `_parse_table`; where it cannot be, the row parser
-    `_parse_rows` names the bad row.
-    """
+def _csv_head(fh) -> tuple[str, str, dict, int]:
+    """(header line, kind, config, `_stored_end`) of a CSV open for binary
+    reading, left at its first row.  A complete header is parsed before a cut
+    column line raises `_NothingStored`; the column line must be of its kind."""
     end = _stored_end(fh)
     if not end:
         raise _NothingStored("empty file")
     fh.seek(0)
-    config = _parse_header(_text(fh.readline()[:-1]))
+    header = _text(fh.readline()[:-1])
+    config = _parse_header(header)
     kind = config.pop("kind", None)
     if fh.tell() == end:
         raise _NothingStored("missing column line")
-    by_columns = {",".join(v.columns): k for k, v in _LAYOUTS.items()}
     columns = _text(fh.readline()[:-1])
-    col_kind = by_columns.get(columns)
+    col_kind = _KIND_OF_COLUMNS.get(columns)
     if col_kind is None:
         raise SchemaMismatch(f"unknown column set {columns!r}")
     if kind is not None and kind != col_kind:
         raise SchemaMismatch(f"header kind {kind!r} does not match columns {col_kind!r}")
-    body = fh.read(end - fh.tell())
-    if col_kind == "sweep":
-        return col_kind, config, _parse_rows(col_kind, body)
-    table = _parse_table(col_kind, body)
-    if table is None:
-        table = _records_table(_parse_rows(col_kind, body), col_kind)
-    return col_kind, config, table
+    return header, col_kind, config, end
 
 
 def load_results(path) -> LoadedResults:
     """Read a stored census back; the inverse of store_results.
 
-    Only stored rows count: a final CSV line without its newline (cut off
-    mid-write) is left out, and any stored row that does not parse raises
-    SchemaMismatch.  The rows come from `_stored_rows`, CSV or JSON; a
-    census's records are built from the columns of its table.
+    The rows come from `_stored_rows`, CSV or JSON, so a CSV line cut off
+    mid-write is left out and a stored row that does not parse raises
+    SchemaMismatch; a census's records are built from its table's columns.
     """
     with open(path, "rb") as fh:
         kind, config, rows = _stored_rows(fh)
@@ -1312,9 +1310,8 @@ def resume_point(path) -> int | None:
 
     Only stored rows count, so a file truncated mid-write (even inside the
     header or the column line) reports the last fully stored key.  The rows
-    are read as `load_results` reads them, by `_stored_rows`: a complete but
-    alien header or column line, or any stored row that does not parse,
-    raises SchemaMismatch.
+    are read by `_stored_rows`: a complete but alien header or column line,
+    or a stored row that does not parse, raises SchemaMismatch.
     """
     try:
         with open(path, "rb") as fh:

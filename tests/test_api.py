@@ -4,12 +4,14 @@ import doctest
 import importlib
 import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import catmap
+from catmap import cli
 
 MODULES = sorted(
     f"catmap.{info.name}" for info in pkgutil.iter_modules(catmap.__path__)
@@ -79,3 +81,24 @@ def test_the_readme_library_tour_runs():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _readme_cli_lines() -> list[str]:
+    """Every `catmap ...` line of the README's sh blocks, comment stripped."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        blocks = [block.split("```")[0] for block in fh.read().split("```sh\n")[1:]]
+    lines = [line.split("#")[0].strip() for block in blocks for line in block.splitlines()]
+    return [line for line in lines if line.startswith("catmap ")]
+
+
+def test_the_readme_cli_examples_parse(capsys):
+    # a flag renamed in the CLI cannot leave the README stale
+    lines = _readme_cli_lines()
+    assert len(lines) >= 13
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
+    assert "catmap order --matrix 2,1,3,2 -N 55" in lines
+    assert cli.main(["order", "--matrix", "2,1,3,2", "-N", "55"]) == 0
+    assert capsys.readouterr().out == "30\n"  # as the README says

@@ -143,6 +143,16 @@ def test_pair_pow_exact_and_reduced(m):
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         mat_pow_mod(A, -1, 5)
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        mat_pow_mod(A, 3, 0)
+
+
+def test_mat2mod_checks_its_moduli():
+    assert Mat2Mod.reduce(A, 5).entries == (2, 1, 3, 2)
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        Mat2Mod.reduce(A, 0)
+    with pytest.raises(ValueError, match="moduli differ"):
+        Mat2Mod.reduce(A, 5).mul(Mat2Mod.reduce(A, 7))
 
 
 # --- factorization ---------------------------------------------------------
@@ -177,6 +187,15 @@ def test_factorize_two_big_primes_rho_path():
     # both factors exceed the trial-division limit
     p, q = 10_000_019, 10_000_079
     assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_a_prime_beyond_the_proof_bound_is_not_certified():
+    # 2^89 - 1 is prime and above the deterministic Miller-Rabin bound, so it
+    # passes the probabilistic test only
+    p = 2**89 - 1
+    f = factorize(p)
+    assert f.factors == ((p, 1),)
+    assert not f.certified
 
 
 def test_factorize_at_the_trial_division_bounds():
@@ -234,12 +253,16 @@ def test_order_examples():
     assert order_mod(A, 7) == 8
     assert order_mod(A, 11) == 10
     assert order_mod(A, 55) == 30
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        order_mod(A, 0)
 
 
 def test_order_brute_examples():
     assert order_mod_brute(A, 1) == 1
     assert order_mod_brute(A, 5) == 3
     assert order_mod_brute(A, 7) == 8
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        order_mod_brute(A, 0)
 
 
 def test_order_matches_brute_small_range():
@@ -304,6 +327,8 @@ def test_order_dividing_reduces():
 def test_order_dividing_rejects_non_multiple():
     with pytest.raises(NotAMultiple):
         order_dividing(A, 5, 4)
+    with pytest.raises(ValueError, match="multiple must be >= 1"):
+        order_dividing(A, 5, 0)
 
 
 def test_order_divides_p_minus_chi():

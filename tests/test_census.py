@@ -490,6 +490,73 @@ def test_prime_census_builds_one_sieve(monkeypatch):
     assert built == [6001]  # the primes and every p - chi(p) from one sieve
 
 
+# Census tables depend on the map only through t = tr A and
+# g = gcd(b, c, a - d): A^k = u_k I + v_k A with u_k, v_k polynomials in t,
+# and A is scalar mod p exactly where p | g.
+def _census_tables(m):
+    return census._integer_columns(m, 3000, ETA), census._prime_columns(m, 5000, ETA)
+
+
+def _trace_and_content(m):
+    return m.trace, math.gcd(m.b, m.c, m.a - m.d)
+
+
+def _times(x, y):
+    return (
+        x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def _theta_conjugate(m, rng):
+    """W A W^-1 for a drawn product W of S = [[0, -1], [1, 0]] and T^2k; the
+    theta group keeps the parity condition, and conjugation keeps t and g."""
+    w = (1, 0, 0, 1)
+    for _ in range(rng.randint(1, 4)):
+        k = rng.choice([-2, -1, 1, 2])
+        w = _times(w, rng.choice([(0, -1, 1, 0), (1, 2 * k, 0, 1)]))
+    inverse = (w[3], -w[1], -w[2], w[0])
+    return CatMap(*_times(_times(w, m.entries), inverse))
+
+
+_BASE_MAPS = ["2,1,3,2", "0,1,-1,6", "1,2,2,5", "-3,-2,-4,-3", "7,12,4,7"]
+_TRACE_GROUPS = {
+    "pool-t4-g1": ["2,1,3,2", "2,3,1,2", "4,1,-1,0", "0,1,-1,4"],
+    "t6-g1": ["0,1,-1,6", "6,1,-1,0"],
+    "t6-g2": ["1,2,2,5", "3,2,4,3"],
+    **{f"conjugates-of-{base}": [base] for base in _BASE_MAPS},
+}
+
+
+@pytest.mark.parametrize("group", sorted(_TRACE_GROUPS))
+def test_census_tables_depend_only_on_trace_and_content(group):
+    maps = [CatMap(*map(int, entries.split(","))) for entries in _TRACE_GROUPS[group]]
+    if len(maps) == 1:  # the map and three conjugates other than it
+        rng, conjugates = random.Random(group), set(maps)
+        while len(conjugates) < 4:
+            conjugates.add(_theta_conjugate(maps[0], rng))
+        maps += sorted(conjugates - set(maps), key=lambda m: m.entries)
+    assert len({_trace_and_content(m) for m in maps}) == 1
+    integers, primes = _census_tables(maps[0])
+    for m in maps[1:]:
+        other_integers, other_primes = _census_tables(m)
+        assert np.array_equal(other_integers, integers), m
+        assert np.array_equal(other_primes, primes), m
+
+
+def test_census_tables_of_equal_trace_differ_only_where_the_content_does():
+    # 1,2,2,5 (g = 2) and 0,1,-1,6 (g = 1) share t = 6: A is scalar mod 2
+    # for the first only, so the tables agree at every odd N and every p > 2
+    (ints_g2, primes_g2), (ints_g1, primes_g1) = (
+        _census_tables(CatMap(1, 2, 2, 5)), _census_tables(CatMap(0, 1, -1, 6))
+    )
+    odd = ints_g1[:, 0] % 2 == 1
+    assert np.array_equal(ints_g2[odd], ints_g1[odd])
+    assert not np.array_equal(ints_g2, ints_g1)
+    assert np.array_equal(primes_g2[1:], primes_g1[1:])
+    assert primes_g2[0, 0] == 2 and not np.array_equal(primes_g2[0], primes_g1[0])
+
+
 # ---------------------------------------------------------------------------
 # prime census
 
@@ -1308,12 +1375,6 @@ def test_append_other_kind_is_rejected(tmp_path):
 
 def test_load_rejects_alien_and_corrupt_files(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("#other-format v3; kind=primes\np,chi,ord,class,exceeds\n")
-    with pytest.raises(SchemaMismatch):
-        load_results(path)
-    path.write_text("#catmap-census v1; kind=primes\nwho,knows\n")
-    with pytest.raises(SchemaMismatch):
-        load_results(path)
     path.write_text(
         "#catmap-census v1; kind=primes\n"
         "p,chi,ord,class,exceeds\n"
@@ -1323,15 +1384,36 @@ def test_load_rejects_alien_and_corrupt_files(tmp_path):
     )
     with pytest.raises(SchemaMismatch):
         load_results(path)
-    for text, match in [
+    head_only = [
         ("", "empty file"),
         ("#catmap-census v1; kind=primes\n", "missing column line"),
         ("#catmap-census v1; kind=integers\np,chi,ord,class,exceeds\n", "does not match columns"),
         ("catmap-census v1; kind=primes\np,chi,ord,class,exceeds\n", "missing header comment"),
-    ]:
+        # a complete alien header over a cut column line
+        ("#other-format v3; kind=primes\np,chi", "unsupported format tag"),
+        ("#other-format v3; kind=primes\np,chi,ord,class,exceeds\n", "unsupported format tag"),
+        ("#catmap-census v1; kind=primes\nwho,knows\n", "unknown column set"),
+    ]
+    for text, match in head_only:
         path.write_text(text)
         with pytest.raises(SchemaMismatch, match=match):
             load_results(path)
+    # an append reads the head as the readers do: it raises exactly where
+    # resume_point raises, and starts afresh where nothing is stored
+    for text, match in head_only:
+        path.write_text(text)
+        try:
+            stored = resume_point(path)
+        except SchemaMismatch:
+            with pytest.raises(SchemaMismatch, match=match):
+                census.can_append(path, "primes")
+        else:
+            assert stored is None
+            assert census.can_append(path, "primes") == 0
+    path.write_text("#other-format v3; kind=primes\np,chi")
+    for read in (resume_point, lambda path: census.can_append(path, "primes", {"x": 300})):
+        with pytest.raises(SchemaMismatch, match="unsupported format tag"):
+            read(path)
 
 
 @pytest.mark.parametrize("line", [0, 1, 5], ids=["header", "columns", "row"])
@@ -1359,34 +1441,74 @@ def _edit_first_record(blob: bytes, edit) -> bytes:
     return json.dumps(doc).encode()
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda blob: blob[: len(blob) // 2],
-        lambda blob: blob.replace(b'"x"', b'"\xff"'),
-        lambda blob: json.dumps({**json.loads(blob), "records": 5}).encode(),
-        lambda blob: json.dumps({**json.loads(blob), "records": {"N": 2}}).encode(),
-        lambda blob: json.dumps({**json.loads(blob), "config": 5}).encode(),
-        lambda blob: json.dumps({**json.loads(blob), "config": "x=120"}).encode(),
-        lambda blob: json.dumps({**json.loads(blob), "config": [["x", "120"]]}).encode(),
-        lambda blob: json.dumps({**json.loads(blob), "version": "v9"}).encode(),
-        lambda blob: json.dumps({**json.loads(blob), "kind": "nope"}).encode(),
-        lambda blob: _edit_first_record(blob, lambda rec: rec.pop("L")),
-        lambda blob: _edit_first_record(blob, lambda rec: rec.update(N="two")),
-    ],
-    ids=[
-        "truncated", "not-utf8", "records-int", "records-object", "config-int",
-        "config-string", "config-pairs", "version-v9", "kind-nope", "record-without-L",
-        "record-N-two",
-    ],
-)
+def _edit_doc(**fields):
+    return lambda blob: json.dumps({**json.loads(blob), **fields}).encode()
+
+
+def _edit_cell(name, value):
+    return lambda blob: _edit_first_record(blob, lambda rec: rec.update({name: value}))
+
+
+# Edits of a stored JSON document of the given kind that every reader refuses
+_JSON_EDITS = {
+    "truncated": ("integers", lambda blob: blob[: len(blob) // 2]),
+    "not-utf8": ("integers", lambda blob: blob.replace(b'"x"', b'"\xff"')),
+    "records-int": ("integers", _edit_doc(records=5)),
+    "records-object": ("integers", _edit_doc(records={"N": 2})),
+    "config-int": ("integers", _edit_doc(config=5)),
+    "config-string": ("integers", _edit_doc(config="x=120")),
+    "config-pairs": ("integers", _edit_doc(config=[["x", "120"]])),
+    "version-v9": ("integers", _edit_doc(version="v9")),
+    "kind-nope": ("integers", _edit_doc(kind="nope")),
+    "record-without-L": (
+        "integers", lambda blob: _edit_first_record(blob, lambda rec: rec.pop("L"))
+    ),
+    "record-N-two": ("integers", _edit_cell("N", "two")),
+    # a cell that prints as no CSV cell, or as more cells or rows than one
+    "ord-2.5": ("integers", _edit_cell("ord", 2.5)),
+    "ord-null": ("integers", _edit_cell("ord", None)),
+    "ord-list": ("integers", _edit_cell("ord", [1])),
+    "ord-comma": ("integers", _edit_cell("ord", "1,2")),
+    "ord-newline": ("integers", _edit_cell("ord", "5\n")),
+    "class-GOOD": ("primes", _edit_cell("class", "GOOD")),
+    "class-row-injection": ("primes", _edit_cell("class", "terrible,0\n5,1,4,good")),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_JSON_EDITS))
 def test_a_malformed_json_document_raises_schema_mismatch(tmp_path, edit):
+    kind, change = _JSON_EDITS[edit]
     path = tmp_path / "r.json"
-    store_results(_int_records(120), path, config={"x": 120})
-    path.write_bytes(edit(path.read_bytes()))
+    recs = _int_records(120) if kind == "integers" else prime_census(A, 300, ETA)[0]
+    store_results(recs, path, config={"x": 120})
+    path.write_bytes(change(path.read_bytes()))
     for read in (load_results, resume_point):
         with pytest.raises(SchemaMismatch):
             read(path)
+
+
+@pytest.mark.parametrize(
+    "name, value, cell",
+    [("ord", "7", "7"), ("ord", 2.0, "2"), ("ord", " 5", " 5"), ("exceeds", 2, "2")],
+    ids=["ord-string", "ord-float", "ord-spaced-string", "exceeds-2"],
+)
+def test_an_accepted_json_cell_reads_as_its_csv_twin(tmp_path, name, value, cell):
+    # a JSON document reads as the CSV rows it prints as
+    recs = prime_census(A, 300, ETA)[0]
+    doc, twin = tmp_path / "r.json", tmp_path / "r.csv"
+    store_results(recs, doc, config={"x": 300})
+    store_results(recs, twin, config={"x": 300})
+    doc.write_bytes(_edit_cell(name, value)(doc.read_bytes()))
+    column = census._LAYOUTS["primes"].columns.index(name)
+    lines = twin.read_text().split("\n")
+    row = lines[2].split(",")
+    row[column] = cell
+    lines[2] = ",".join(row)
+    twin.write_text("\n".join(lines))
+    table = census._load_table(doc, "primes")
+    assert np.array_equal(table, census._load_table(twin, "primes"))
+    assert table[0, column] == (1 if name == "exceeds" else int(float(value)))
+    assert load_results(doc).records == load_results(twin).records
 
 
 def test_load_drops_partial_final_row_only(tmp_path):

@@ -8,7 +8,7 @@ from dataclasses import asdict
 
 import pytest
 
-from catmap import arith, census, cli
+from catmap import arith, census, checks, cli
 from catmap.arith import DEFAULT_MAP
 from catmap.census import (
     DENSE_DIMENSION_LIMIT,
@@ -59,6 +59,8 @@ def test_parse_sizes():
         parse_sizes("9-5")
     with pytest.raises(ValueError):
         parse_sizes("")
+    with pytest.raises(ValueError, match="step must be >= 1"):
+        parse_sizes("3-9:0")
 
 
 @pytest.mark.parametrize("text, repeated", [("3,3,5", 3), ("3-6,5-7", 5)])
@@ -468,6 +470,12 @@ def test_cli_resume_with_another_config_fails_before_work(
     assert main([command, "-x", "1200", "--out", str(out), "--resume"]) == 1
     assert "cannot append: header" in capsys.readouterr().err
     assert out.read_bytes() == head
+    # a first line that is not a catmap header, over a cut column line
+    alien = b"#other-format v3; kind=primes\np,chi"
+    out.write_bytes(alien)
+    assert main([command, "-x", "600", "--out", str(out), "--resume"]) == 1
+    assert "unsupported format tag" in capsys.readouterr().err
+    assert out.read_bytes() == alien
 
 
 @pytest.mark.parametrize(
@@ -516,6 +524,8 @@ def test_argv_from_config_round_trip():
     assert argv_from_config({**config, "timing": "1"}).count("--timing") == 1
     with pytest.raises(ValueError):
         argv_from_config({"command": "sweep", "mystery": "3"})
+    with pytest.raises(ValueError, match="unknown command"):
+        argv_from_config({"command": "mystery"})
 
 
 # every command that writes an artifact, in each format it writes
@@ -635,6 +645,23 @@ def test_check_failure_exits_3(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] beta" in out
     assert "FAILED 1/2" in out
+
+
+@pytest.mark.parametrize(
+    "error, detail",
+    [(AssertionError("ratio 1.5 above 1"), "ratio 1.5 above 1"),
+     (AssertionError(), "assertion failed"),
+     (ZeroDivisionError("division by zero"), "ZeroDivisionError: division by zero")],
+    ids=["assertion", "bare-assertion", "other-exception"],
+)
+def test_run_checks_turns_a_failing_check_into_a_failed_result(error, detail, monkeypatch):
+    def failing(scale, rng):
+        raise error
+
+    name = checks._CHECKS[0][0]
+    monkeypatch.setattr(checks, "_CHECKS", ((name, failing), *checks._CHECKS[1:]))
+    [result] = checks.run_checks(quick=True, names=[name])
+    assert (result.name, result.ok, result.detail) == (name, False, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,8 @@ def test_norm_one_examples():
     assert norm_one_count(A, 1) == 1
     assert norm_one_count(A, 5) == 6
     assert norm_one_count(A, 25) == 30
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        norm_one_count(A, 0)
 
 
 def test_norm_one_against_brute():
@@ -209,6 +211,8 @@ def test_lcm_defect_examples():
     assert lcm_defect([6, 10]) == math.gcd(6, 10)
     assert lcm_defect([6, 10, 15]) == 30
     assert lcm_defect([]) == 1
+    with pytest.raises(ValueError, match="entries must be >= 1"):
+        lcm_defect([0])
 
 
 @given(
@@ -236,6 +240,9 @@ def test_profile_55():
     p = order_profile(A, 55)
     assert (p.d, p.s, p.d0, p.L, p.ord, p.lower_bound) == (55, 1, 55, 2, 30, 15)
     assert p.omega == 2
+    assert order_profile(A, 1).in_s is False  # the small set starts at N = 2
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        order_profile(A, 0)
 
 
 def test_profile_360():
@@ -527,6 +534,8 @@ def test_split_by_class_examples():
     assert split_by_class(A, 8, 0.55) == ClassSplit(1, 8, 8, 0.55)
     assert split_by_class(A, 55, 0.55) == ClassSplit(55, 1, 1, 0.55)
     assert split_by_class(A, 110, 0.55) == ClassSplit(55, 2, 2, 0.55)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        split_by_class(A, 0, 0.55)
 
 
 def test_split_by_class_invariants():
@@ -543,6 +552,8 @@ def test_small_order_k1_degenerate():
     assert so.det_value == 2
     assert so.N_k == 1
     assert so.degenerate
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        small_order_modulus(A, 0)
 
 
 def test_small_order_k2():
@@ -616,6 +627,8 @@ def test_nu_N7_exact():
 def test_nu_zero_vector():
     with pytest.raises(ZeroVector):
         congruence_count(A, 5, (5, 5))
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        congruence_count(A, 1, (1, 0))
 
 
 def test_nu_matches_brute():
@@ -637,6 +650,8 @@ def test_trivial_count_r1():
     m = CatMap(10, 3, 33, 10)
     assert order_mod(m, 3) == 1
     assert trivial_solution_count(m, 3, (1, 0)) == 1
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        trivial_solution_count(m, 1, (1, 0))
 
 
 def test_nu_prime_bound():

@@ -173,6 +173,8 @@ def test_weyl_single_harmonic_is_translation():
 def test_weyl_constant():
     op = weyl_quantize(6, Observable.constant(2.5 - 1j))
     assert np.abs(op.matrix - (2.5 - 1j) * np.eye(6)).max() < 1e-12
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        weyl_quantize(0, Observable.constant(1.0))
 
 
 def test_weyl_cosine_hermitian():
@@ -441,6 +443,8 @@ def test_spectrum_identity_operator():
     assert sp.scalar_period == 1
     assert sp.multiplicities() == (7,)
     assert abs(sp.levels[0].eigenphase - 1) < 1e-12
+    with pytest.raises(ValueError, match="order hint must be positive"):
+        spectrum(Operator.identity(7), 0)
 
 
 def test_spectrum_completeness_and_orthonormality():
@@ -914,6 +918,8 @@ def test_expectation_requires_normalized_state():
     psi = StateVector(4, 2 * np.ones(4))
     with pytest.raises(NotNormalized):
         expectation(Operator.identity(4), psi)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        expectation(Operator.identity(5), psi.normalized())
 
 
 def test_expectation_hermitian_real_and_bounded():
@@ -940,6 +946,8 @@ def test_state_vector_basics():
         StateVector(3, [1, 2])
     with pytest.raises(ValueError):
         StateVector(2, [0, 0]).normalized()
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        StateVector(0, [])
 
 
 # ------------------------------------------------------------------ statistics
@@ -1084,6 +1092,10 @@ def test_operator_json_roundtrip():
     assert data["N"] == 6
     back = Operator.from_jsonable(data)
     assert np.abs(back.matrix - U.matrix).max() < 1e-15
+    with pytest.raises(ValueError, match="expected a 6x6 matrix"):
+        Operator(6, U.matrix[:5])
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        Operator(0, np.zeros((0, 0)))
 
 
 def test_spectrum_jsonable_layout():
