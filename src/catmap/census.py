@@ -1176,20 +1176,21 @@ def _load_json(blob: bytes) -> tuple[str, dict, bytes]:
         raise SchemaMismatch(f"bad {kind} record: {exc!r}") from exc
 
 
-def _parse_rows(kind: str, body: bytes) -> list:
+def _parse_rows(kind: str, body: bytes, first: int = 3, name: str = "row") -> list:
     """One record per stored row; a row that does not parse raises
-    SchemaMismatch naming its line number in the file."""
+    SchemaMismatch naming it as `name` and its number, counting from
+    `first`: a CSV's line in the file, a JSON record's place in `records`."""
     layout = _LAYOUTS[kind]
     want = len(layout.columns)
     records = []
-    for i, line in enumerate(_text(body).split("\n")[:-1], start=3):
+    for i, line in enumerate(_text(body).split("\n")[:-1], start=first):
         cells = line.split(",")
         try:
             if len(cells) != want:
                 raise ValueError(f"expected {want} cells, got {len(cells)}")
             records.append(layout.parse(cells))
         except (ValueError, IndexError) as exc:
-            raise SchemaMismatch(f"bad row {i}: {line!r}: {exc}") from exc
+            raise SchemaMismatch(f"bad {name} {i}: {line!r}: {exc}") from exc
     return records
 
 
@@ -1239,21 +1240,24 @@ def _stored_rows(fh) -> tuple[str, dict, np.ndarray | list]:
     at the stored end, so a final line cut off mid-write is left out; a JSON
     body is its records printed as CSV rows (`_load_json`).  Either is
     parsed alike: a census body by `_parse_table` in one numpy pass, or else
-    by the row parser `_parse_rows`, which names a bad row.  A census's rows
-    are one int64 column table, so a stored value beyond int64 raises
-    SchemaMismatch; a sweep's are its records.
+    by the row parser `_parse_rows`, which names a bad CSV row by its line
+    in the file and a bad JSON record by its place in `records`, from 1.  A
+    census's rows are one int64 column table, so a stored value beyond int64
+    raises SchemaMismatch; a sweep's are its records.
     """
     try:
         if fh.peek(1)[:1] == b"{":
             kind, config, body = _load_json(fh.read())
+            first, name = 1, "record"
         else:
             _, kind, config, end = _csv_head(fh)
             body = fh.read(end - fh.tell())
+            first, name = 3, "row"
         if kind == "sweep":
-            return kind, config, _parse_rows(kind, body)
+            return kind, config, _parse_rows(kind, body, first, name)
         table = _parse_table(kind, body)
         if table is None:
-            table = _records_table(_parse_rows(kind, body), kind)
+            table = _records_table(_parse_rows(kind, body, first, name), kind)
         return kind, config, table
     except OverflowError as exc:
         raise SchemaMismatch(f"a stored value exceeds int64: {exc}") from exc

@@ -198,16 +198,21 @@ def _check_order_divides_p_minus_chi(s: _Scale, rng) -> str:
 
 
 def _check_prime_kernel_vs_scalar(s: _Scale, rng) -> str:
-    m = DEFAULT_MAP
-    primes = primes_up_to(s.chi_prime_limit)
-    kept, chi, order = _prime_orders(m, primes, _smallest_prime_factors(s.chi_prime_limit + 1))
-    assert kept.tolist() == [p for p in primes.tolist() if p > 2 and m.discriminant % p]
-    for p, c, o in zip(kept.tolist(), chi.tolist(), order.tolist()):
-        assert c == _legendre(m.discriminant, p), f"chi({p}) = {c} from the kernel"
-        assert o == _order_mod_prime_power(m, p, 1), f"ord(A,{p}) = {o} from the kernel"
-        assert p > 300 or o == order_mod_brute(m, p), f"ord(A,{p}) = {o} is not brute"
-    return (f"batched chi and ord == scalar route at {kept.size} primes <= "
-            f"{s.chi_prime_limit}, == brute at those <= 300")
+    # two traces, so that the 2-part of the order is decided at other primes
+    # by the split test (2, t) and the inert test (t, 2) of the kernel
+    spf = _smallest_prime_factors(s.chi_prime_limit + 1)
+    counts = []
+    for m, limit in ((DEFAULT_MAP, s.chi_prime_limit),
+                     (CatMap(1, 2, 2, 5), min(s.chi_prime_limit, 20_000))):
+        primes = primes_up_to(limit)
+        kept, chi, order = _prime_orders(m, primes, spf)
+        assert kept.tolist() == [p for p in primes.tolist() if p > 2 and m.discriminant % p]
+        for p, c, o in zip(kept.tolist(), chi.tolist(), order.tolist()):
+            assert c == _legendre(m.discriminant, p), f"chi({p}) = {c} from the kernel for {m}"
+            assert o == _order_mod_prime_power(m, p, 1), f"ord(A,{p}) = {o} from the kernel for {m}"
+            assert p > 300 or o == order_mod_brute(m, p), f"ord(A,{p}) = {o} is not brute for {m}"
+        counts.append(f"{kept.size} primes <= {limit} for t = {m.trace}")
+    return f"batched chi and ord == scalar route at {' and '.join(counts)}, == brute at those <= 300"
 
 
 def _coprime_pairs(rng, hi: int, count: int):

@@ -11,9 +11,10 @@ take chi(p) and ord(A, p) for all their primes at once from a batched int64
 kernel, `_prime_orders`: a Montgomery ladder on the Lucas sequence
 V_k = tr(A^k) mod p, one square and one product per exponent bit, tests
 A^k = I as (V_k, V_(k+1)) = (2, t), which is exact at odd p coprime to
-t^2 - 4; one ladder to p - 1 gives chi, a smallest-prime-factor sieve
-factors M = p - chi, and the order is M with each prime q of M divided out
-on its own, once per s = 1, 2, ... with A^(M/q^s) = I.  The kernel is exact
+t^2 - 4.  One ladder to p - 1 gives chi and, from the pairs it passes, the
+2-part of the order; a smallest-prime-factor sieve factors the odd part of
+M = p - chi, and each odd prime q of M is divided out of the order on its
+own, once per s = 1, 2, ... with A^(M/q^s) = I.  The kernel is exact
 for p < INT64_PRIME_BOUND = 2^31; larger primes, primes dividing the
 discriminant and prime powers take the scalar route, its oracle.
 """
@@ -165,10 +166,10 @@ class OrderProfile:
 INT64_PRIME_BOUND = 1 << 31
 
 
-def _lucas_ladder(
-    t: np.ndarray, k: np.ndarray, p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(V_k, V_(k+1)) mod p elementwise, V_j = tr(A^j), for 0 <= t < p, p > 2.
+def _lucas_steps(t: np.ndarray, k: np.ndarray, p: np.ndarray):
+    """Yield (s, V_j, V_(j+1)) mod p elementwise with j = k >> s, V_j = tr(A^j),
+    for 0 <= t < p, p > 2: first (2, t) at s = the bit length of max(k), then
+    the pair after each bit of k, from the top bit down to s = 0.
 
     A Montgomery ladder on V_0 = 2, V_1 = t: each bit of k maps (V_j, V_(j+1))
     to (V_2j, V_(2j+1)) or (V_(2j+1), V_(2j+2)) by V_2j = V_j^2 - 2 and
@@ -178,13 +179,24 @@ def _lucas_ladder(
     k leave (2, t) fixed.
     """
     v, w = np.full_like(p, 2), t.copy()
-    for bit in range(int(k.max(initial=0)).bit_length() - 1, -1, -1):
+    top = int(k.max(initial=0)).bit_length()
+    yield top, v, w
+    for bit in range(top - 1, -1, -1):
         b = k >> bit & 1
         square = v + b * (w - v)  # V_(j+b)
         square = (square * square - 2) % p  # V_(2j+2b)
         product = (v * w - t) % p  # V_(2j+1)
         swap = b * (product - square)
         v, w = square + swap, product - swap
+        yield bit, v, w
+
+
+def _lucas_ladder(
+    t: np.ndarray, k: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(V_k, V_(k+1)) mod p elementwise: the last pair of `_lucas_steps`."""
+    for _, v, w in _lucas_steps(t, k, p):
+        pass
     return v, w
 
 
@@ -197,6 +209,32 @@ def _smallest_prime_factors(n: int) -> np.ndarray:
     unset = np.flatnonzero(spf == 0)
     spf[unset] = unset  # primes are their own smallest factor
     return spf
+
+
+def _two_adic_levels(n: np.ndarray) -> dict[int, np.ndarray]:
+    """{s: the indices i with 2^s | n[i]} for s = 2, 3, ... while any."""
+    levels, at, s = {}, np.arange(n.size), 2
+    while (at := at[n[at] & ((1 << s) - 1) == 0]).size:
+        levels[s], s = at, s + 1
+    return levels
+
+
+def _chi_ladder(
+    tp: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V_(p-1), V_p, hits) mod p: the ladder to p - 1, with the number of
+    s >= 1 where 2^s | p - 1 and A^((p-1)/2^s) = I, or 2^s | p + 1 and
+    A^((p+1)/2^s) = I, read off its pairs as `_prime_orders` sets out."""
+    minus, plus = _two_adic_levels(p - 1), _two_adic_levels(p + 1)
+    hits = np.zeros(p.size, np.int8)  # at most 31: one byte an entry
+    for s, v, w in _lucas_steps(tp, p - 1, p):
+        if s == 1:  # 2 divides both p - 1 and p + 1
+            hits += (v == 2) & (w == tp) | (v == tp) & (w == 2)
+        if (i := minus.get(s)) is not None:  # A^((p-1)/2^s) = I
+            hits[i] += (v[i] == 2) & (w[i] == tp[i])
+        if (i := plus.get(s)) is not None:  # A^((p+1)/2^s) = A^(j+1) = I
+            hits[i] += (v[i] == tp[i]) & (w[i] == 2)
+    return v, w, hits
 
 
 def _prime_orders(
@@ -214,11 +252,22 @@ def _prime_orders(
     recurrence steps V_(j+1) = t*V_j - V_(j-1) on: A^(p-1) = I where p
     splits, A^(p+1) = I where p is inert, and NotAMultiple for neither.  An
     entry sharing a factor with 2(t^2 - 4), where the test is not exact, is
-    no prime and raises NotAMultiple too.  M = p - chi is a multiple of
-    the order, and for q^e || M, A^(M/q^s) = I exactly when
-    v_q(ord) <= e - s: so each prime q of M is divided out of the order on
-    its own for s = 1, 2, ... up to the first miss (Cohen, Alg. 1.4.3).  M
-    is factored by the smallest-prime-factor sieve `spf`, which must reach
+    no prime and raises NotAMultiple too.
+
+    M = p - chi is a multiple of the order, and for q^e || M,
+    A^(M/q^s) = I exactly when v_q(ord) <= e - s; so the hits for
+    s = 1, 2, ... number e - v_q(ord) (Cohen, Alg. 1.4.3).  For q = 2 the
+    ladder to p - 1 has them on its way (`_chi_ladder`): after the bits
+    above position s it holds the pair at j = (p - 1) >> s.  Where 2^s | p - 1,
+    j = M/2^s at a split p, and the test is (2, t).  Where 2^s | p + 1,
+    s >= 1, j = M/2^s - 1 at an inert p, and A^(j+1) = I exactly when the
+    pair is (V_-1, V_0) = (t, 2): the pair fixes A^j, as (t^2 - 4)*U_j and
+    2U_(j-1) follow from it and both factors are units, and A^-1 has that
+    pair.  One count serves both kinds, for a hit of the wrong kind means
+    A^2 = I, so t^2 = 4 mod p.  The order starts as M shifted right by the
+    count.  Each odd prime q of M is then divided out on its own, for
+    s = 1, 2, ... up to the first miss.  The odd part of M is factored by
+    the smallest-prime-factor sieve `spf`, which must reach
     max(primes) + 1: the caller builds it, as it knows the range it needs.
     """
     t = m.trace
@@ -230,7 +279,7 @@ def _prime_orders(
     p, tp = p[keep], tp[keep]
     if (np.gcd(2 * ((tp * tp - 4) % p), p) != 1).any():
         raise NotAMultiple("an entry shares a factor with 2(t^2 - 4): not a prime")
-    v, w = _lucas_ladder(tp, p - 1, p)
+    v, w, hits = _chi_ladder(tp, p)
     split = (v == 2) & (w == tp)
     v = (tp * w - v) % p  # V_(p+1)
     inert = (v == 2) & ((tp * v - w) % p == tp)  # V_(p+2) = t
@@ -238,9 +287,9 @@ def _prime_orders(
         raise NotAMultiple("neither A^(p - 1) nor A^(p + 1) is I mod p at some prime")
     chi = np.where(split, 1, -1)
     multiple = p - chi
-    order = multiple.copy()
-    rest = multiple.copy()  # M with the primes already stripped divided out
-    at = np.arange(p.size)  # the entries whose rest is above 1
+    order = multiple >> hits
+    rest = multiple // (multiple & -multiple)  # the odd primes of M left to strip
+    at = np.flatnonzero(rest > 1)
     while at.size:
         q = spf[rest[at]].astype(np.int64)
         i, k, qi = at, multiple[at], q
@@ -251,9 +300,11 @@ def _prime_orders(
             order[i[hit]] //= qi[hit]
             more = hit & (k % qi == 0)
             i, k, qi = i[more], k[more], qi[more]
-        r = rest[at]
-        while (more := r % q == 0).any():
-            r[more] //= q[more]
+        r = rest[at] // q
+        j = np.flatnonzero(r % q == 0)
+        while j.size:
+            r[j] //= q[j]
+            j = j[r[j] % q[j] == 0]
         rest[at] = r
         at = at[r > 1]
     return p, chi, order

@@ -1382,7 +1382,7 @@ def test_load_rejects_alien_and_corrupt_files(tmp_path):
         "oops,not,a,row,!\n"
         "7,-1,8,good,1\n"
     )
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(SchemaMismatch, match="^bad row 4: 'oops,not,a,row,!'"):
         load_results(path)
     head_only = [
         ("", "empty file"),
@@ -1435,9 +1435,9 @@ def test_a_stored_byte_that_is_not_utf8_raises_schema_mismatch(tmp_path, kind, l
             read(path)
 
 
-def _edit_first_record(blob: bytes, edit) -> bytes:
+def _edit_record(blob: bytes, edit, i: int = 0) -> bytes:
     doc = json.loads(blob)
-    edit(doc["records"][0])
+    edit(doc["records"][i])
     return json.dumps(doc).encode()
 
 
@@ -1445,8 +1445,8 @@ def _edit_doc(**fields):
     return lambda blob: json.dumps({**json.loads(blob), **fields}).encode()
 
 
-def _edit_cell(name, value):
-    return lambda blob: _edit_first_record(blob, lambda rec: rec.update({name: value}))
+def _edit_cell(name, value, i: int = 0):
+    return lambda blob: _edit_record(blob, lambda rec: rec.update({name: value}), i)
 
 
 # Edits of a stored JSON document of the given kind that every reader refuses
@@ -1461,7 +1461,7 @@ _JSON_EDITS = {
     "version-v9": ("integers", _edit_doc(version="v9")),
     "kind-nope": ("integers", _edit_doc(kind="nope")),
     "record-without-L": (
-        "integers", lambda blob: _edit_first_record(blob, lambda rec: rec.pop("L"))
+        "integers", lambda blob: _edit_record(blob, lambda rec: rec.pop("L"))
     ),
     "record-N-two": ("integers", _edit_cell("N", "two")),
     # a cell that prints as no CSV cell, or as more cells or rows than one
@@ -1472,6 +1472,14 @@ _JSON_EDITS = {
     "ord-newline": ("integers", _edit_cell("ord", "5\n")),
     "class-GOOD": ("primes", _edit_cell("class", "GOOD")),
     "class-row-injection": ("primes", _edit_cell("class", "terrible,0\n5,1,4,good")),
+    "record-5-ord-oops": ("primes", _edit_cell("ord", "oops", 4)),
+}
+
+# The error of some of those edits: a bad cell names its record, from 1
+_JSON_ERRORS = {
+    "record-N-two": "^bad record 1: 'two,2,",
+    "class-GOOD": "^bad record 1: '2,0,2,GOOD,0'",
+    "record-5-ord-oops": "^bad record 5: '11,1,oops,good,0'",
 }
 
 
@@ -1483,7 +1491,7 @@ def test_a_malformed_json_document_raises_schema_mismatch(tmp_path, edit):
     store_results(recs, path, config={"x": 120})
     path.write_bytes(change(path.read_bytes()))
     for read in (load_results, resume_point):
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(SchemaMismatch, match=_JSON_ERRORS.get(edit)):
             read(path)
 
 

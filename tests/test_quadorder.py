@@ -461,6 +461,61 @@ def test_kernel_chi_and_order_just_below_int64_bound(m):
         assert (c, o) == (_legendre(m.discriminant, p), _order_mod_prime_power(m, p, 1))
 
 
+# primes where p - 1 or p + 1 carries a large power of 2, so that the ladder
+# to p - 1 decides the 2-part of the order at many of its prefixes: Fermat
+# primes, k*2^m + 1 (786433 = 3*2^18 + 1 up to 2013265921 = 15*2^27 + 1) and
+# Mersenne primes, up to 2^31 - 1
+TWO_ADIC_PRIMES = [3, 5, 7, 17, 257, 8191, 65537, 131071, 524287, 786433, 7340033,
+                   167772161, 469762049, 998244353, 2013265921, 2**31 - 1]
+
+
+@pytest.mark.parametrize(
+    "m", KERNEL_MAPS + [CatMap(0, 1, -1, 6), CatMap(0, 1, -1, 10)], ids=str
+)
+def test_kernel_two_part_where_p_plus_or_minus_one_is_rich_in_twos(m):
+    primes = np.array(TWO_ADIC_PRIMES, dtype=np.int64)
+    kept, chi, order = _prime_orders(m, primes, FactoredSpf())
+    assert kept.tolist() == [p for p in TWO_ADIC_PRIMES if m.discriminant % p]
+    for p, c, o in zip(kept.tolist(), chi.tolist(), order.tolist()):
+        assert (c, o) == (_legendre(m.discriminant, p), _order_mod_prime_power(m, p, 1))
+
+
+def test_kernel_two_part_of_both_kinds():
+    # 2^31 - 1 is inert for A with ord = 2^31, so its (t, 2) test runs at
+    # s = 1, ..., 31 without a hit; 786433 splits with ord = 3*2^16, two hits of
+    # (2, t); for 1,2,2,5 (discriminant 2^7) chi(p) = (2/p), so all but 3
+    # and 5 split
+    primes = np.array(TWO_ADIC_PRIMES, dtype=np.int64)
+    kept, chi, order = _prime_orders(A, primes, FactoredSpf())
+    got = dict(zip(kept.tolist(), zip(chi.tolist(), order.tolist())))
+    assert got[2**31 - 1] == (-1, 2**31)
+    assert got[786433] == (1, 3 << 16)
+    kept, chi, _ = _prime_orders(CatMap(1, 2, 2, 5), primes, FactoredSpf())
+    assert kept.tolist() == TWO_ADIC_PRIMES
+    assert chi.tolist() == [-1, -1] + [1] * (len(TWO_ADIC_PRIMES) - 2)
+
+
+class RecordingSpf:
+    """A smallest-prime-factor sieve that keeps every value looked up."""
+
+    def __init__(self, spf: np.ndarray):
+        self.spf, self.looked_up = spf, []
+
+    def __getitem__(self, n):
+        self.looked_up.extend(n.tolist())
+        return self.spf[n]
+
+
+@pytest.mark.parametrize("m", KERNEL_MAPS, ids=str)
+def test_kernel_strips_only_odd_primes(m):
+    # the ladder to p - 1 gives the 2-part of the order, so the sieve is only
+    # asked for the odd part of p - chi: no round for q = 2 runs
+    primes = primes_up_to(200_000)
+    spf = RecordingSpf(sieve_to(primes))
+    _prime_orders(m, primes, spf)
+    assert spf.looked_up and all(n % 2 for n in spf.looked_up)
+
+
 SMALL_PRIMES = primes_up_to(5000)
 
 
@@ -471,6 +526,7 @@ def test_kernel_matches_scalar_route_on_random_maps(word):
     for primes, spf in [
         (SMALL_PRIMES, sieve_to(SMALL_PRIMES)),
         (np.array(PRIMES_BELOW_BOUND, dtype=np.int64), FactoredSpf()),
+        (np.array(TWO_ADIC_PRIMES, dtype=np.int64), FactoredSpf()),
     ]:
         kept, chi, order = _prime_orders(m, primes, spf)
         assert kept.tolist() == [p for p in primes.tolist() if p > 2 and m.discriminant % p]
