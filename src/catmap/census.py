@@ -10,12 +10,14 @@ Three kinds of tabulated records:
   dimensions, produced by :func:`quantum_sweep`.
 
 Records go to disk as CSV (one header comment line, one column line, then one
-row per record) or as a JSON document with identical field names.  A CSV row
-is stored once its newline is written: every reader ignores a final line
-without one, the trace of an interrupted write.  So CSV files can be appended
-to and survive truncation mid-row: :func:`store_results` with ``append=True``
-writes at the stored end that :func:`can_append` finds, over that partial
-line, and :func:`resume_point` reports the largest key already stored.
+row per record) or as a JSON document with the same column names, which
+`_SCHEMA` states once per kind; a column's cell type is the annotation of its
+field in the record class.  A CSV row is stored once its newline is written:
+every reader ignores a final line without one, the trace of an interrupted
+write.  So CSV files can be appended to and survive truncation mid-row:
+:func:`store_results` with ``append=True`` writes at the stored end that
+:func:`can_append` finds, over that partial line, and :func:`resume_point`
+reports the largest key already stored.
 
 Both censuses are computed, stored (in CSV and JSON alike), read back and
 summarized as int64 column tables (:func:`_prime_columns`,
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import starmap
 from time import perf_counter
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -69,7 +71,8 @@ from .quadorder import (
 from .quantum import Observable, fourth_moment, propagator_spectrum, variance_stat
 
 FORMAT_TAG = "catmap-census v1"
-DEFAULT_DELTA_GRID = (0.05, 0.1, 0.2, 0.3)
+# the exponents delta of the growth fractions of an integer census summary
+DELTA_GRID = (0.05, 0.1, 0.2, 0.3)
 DENSE_DIMENSION_LIMIT = 300
 
 
@@ -226,8 +229,11 @@ def c_eta(eta: float) -> float:
 
 
 # the PrimeClass of each class code in a prime column table
-_CLASSES = (PrimeClass.GOOD, PrimeClass.BAD, PrimeClass.TERRIBLE)
+_CLASSES = tuple(PrimeClass)
 _GOOD, _BAD, _TERRIBLE = range(3)
+# the PrimeCensusSummary fields that count primes: all, exceeding, each class
+_PRIME_COUNTS = tuple(f.name for f in dataclasses.fields(PrimeCensusSummary) if "_count" in f.name)
+_CUTOFF_BOUND = 1 << 31  # both censuses take x below it (`_check_cutoff`)
 
 
 def _class_codes(p: np.ndarray, order: np.ndarray, eta: float) -> np.ndarray:
@@ -290,16 +296,16 @@ def _prime_columns(m: CatMap, x: int, eta: float, lo: int = 2) -> np.ndarray:
     """
     if x < 100:
         raise ValueError(f"cutoff x must be >= 100, got {x}")
-    c_eta(eta)  # validates the range
+    _check_eta(eta)
     spf, primes = _sieved_primes(x)
     return _prime_table(m, x, eta, primes[primes >= lo], spf)
 
 
 def _check_cutoff(x: int) -> None:
     """The one cutoff bound of both censuses, checked before any sieve up to
-    x is built: x must be below 2**31, since the smallest-prime-factor sieve
-    is int32."""
-    if x >= 1 << 31:
+    x is built: x must be below `_CUTOFF_BOUND` = 2**31, since the
+    smallest-prime-factor sieve is int32."""
+    if x >= _CUTOFF_BOUND:
         raise ValueError(f"cutoff x must be below 2**31 for the int32 sieve, got {x}")
 
 
@@ -321,14 +327,14 @@ def _tail_bounds(x: int) -> list[float]:
 
 def _prime_counts(table: np.ndarray, x: int) -> Counter:
     """The counting step of `summarize_prime_records` over one prime column
-    table, as a Counter of plain ints: the primes, the exceedances, each
-    class, and under ("tail", y) the orders <= y for each tail bound y.
-    Counts of two tables add (Counter `+`), so a census counted in parts is
-    finished once (`_prime_summary`)."""
+    table, as a Counter of plain ints: under the names of `_PRIME_COUNTS`
+    the primes, the exceedances and each class, and under ("tail", y) the
+    orders <= y for each tail bound y.  Counts of two tables add (Counter
+    `+`), so a census counted in parts is finished once (`_prime_summary`)."""
     order = table[:, 2]
-    counts = Counter(prime_count=len(table), exceed_count=int(np.count_nonzero(table[:, 4])))
     classes = np.bincount(table[:, 3], minlength=len(_CLASSES)).tolist()
-    counts.update(dict(zip(("good_count", "bad_count", "terrible_count"), classes)))
+    exceed = int(np.count_nonzero(table[:, 4]))
+    counts = Counter(dict(zip(_PRIME_COUNTS, [len(table), exceed, *classes], strict=True)))
     for y in _tail_bounds(x):
         counts["tail", y] = int(np.count_nonzero(order <= y))
     return counts
@@ -341,15 +347,11 @@ def _prime_summary(counts: Counter, x: int, eta: float) -> PrimeCensusSummary:
     return PrimeCensusSummary(
         x=x,
         eta=eta,
-        prime_count=total,
-        exceed_count=exceed,
         fraction=exceed / total if total else 0.0,
         c_eta=c_eta(eta),
-        good_count=counts["good_count"],
-        bad_count=counts["bad_count"],
-        terrible_count=counts["terrible_count"],
         tails=tuple(TailCount(y, counts["tail", y], y * y) for y in _tail_bounds(x)),
         failures=(),
+        **{name: counts[name] for name in _PRIME_COUNTS},
     )
 
 
@@ -443,7 +445,7 @@ def _integer_columns(m: CatMap, x: int, eta: float, lo: int = 2) -> np.ndarray:
     """
     if x < 2:
         raise ValueError(f"cutoff x must be >= 2, got {x}")
-    c_eta(eta)
+    _check_eta(eta)
     lo = max(lo, 2)
     primes, cofactor, ords, good, terrible, in_d0, power_orders = _census_primes(
         m, x, eta, lo
@@ -518,27 +520,22 @@ def _omega_sieve(limit: int) -> np.ndarray:
     return omega
 
 
-# the DecadeFractions fields of the five smallness statistics, in order
-_STATS = ("big_order", "large_square", "many_factors", "all_bad", "in_s")
+# the five smallness statistics: the DecadeFractions fields after bound, count
+_STATS = tuple(f.name for f in dataclasses.fields(DecadeFractions))[2:]
 
 
 def _decade_bounds(x: int) -> list[int]:
     return [bound for bound in (x, x // 10, x // 100) if bound >= 2]
 
 
-def _integer_counts(
-    table: np.ndarray,
-    x: int,
-    omega: np.ndarray | None = None,
-    delta_grid=DEFAULT_DELTA_GRID,
-) -> Counter:
+def _integer_counts(table: np.ndarray, x: int, omega: np.ndarray | None = None) -> Counter:
     """The counting step of `summarize_integer_records` over one integer
     column table, as a Counter of plain ints: under "count" the rows; per
     decade bound b, under (b, "count") the N <= b and under (b, stat) those
     with each statistic of `_STATS`; under an int L the moduli with that L;
-    under ("growth", i) those with ord >= the i-th growth bound.  Counts of
-    two tables add (Counter `+`), so a census counted in parts is finished
-    once (`_integer_summary`).
+    under ("growth", delta) those with ord >= sqrt(N) * exp((log N)**delta)
+    for each delta of `DELTA_GRID`.  Counts of two tables add (Counter `+`),
+    so a census counted in parts is finished once (`_integer_summary`).
 
     ``omega`` is `_omega_sieve` up to min(x, largest N) or beyond; by
     default it is built here.  The order is compared as float64, exact below
@@ -547,7 +544,7 @@ def _integer_counts(
     bound 2**31 raises OverflowError.
     """
     N, s, L, good_part, in_s = (table[:, k] for k in (0, 2, 4, 7, 10))
-    if N.max(initial=0) >= 1 << 31:
+    if N.max(initial=0) >= _CUTOFF_BOUND:
         raise OverflowError("moduli must be below 2**31")
     if omega is None:
         omega = _omega_sieve(min(x, int(N.max(initial=0))))
@@ -569,14 +566,12 @@ def _integer_counts(
             counts[bound, name] = int(np.count_nonzero(stat & sub))
     ls, l_counts = np.unique(L, return_counts=True)
     counts.update(dict(zip(ls.tolist(), l_counts.tolist())))
-    for i, d in enumerate(delta_grid):
-        counts["growth", i] = int(np.count_nonzero(order >= np.exp(log_n**d) * np.sqrt(N)))
+    for d in DELTA_GRID:
+        counts["growth", d] = int(np.count_nonzero(order >= np.exp(log_n**d) * np.sqrt(N)))
     return counts
 
 
-def _integer_summary(
-    counts: Counter, x: int, eta: float, delta_grid=DEFAULT_DELTA_GRID
-) -> IntegerCensusSummary:
+def _integer_summary(counts: Counter, x: int, eta: float) -> IntegerCensusSummary:
     """The finishing step of `summarize_integer_records`: the summary of the
     counts of `_integer_counts`, summed over the tables of one census."""
     count = counts["count"]
@@ -592,27 +587,21 @@ def _integer_summary(
         decades=tuple(decades),
         l_distribution=tuple(sorted((k, n) for k, n in counts.items() if type(k) is int)),
         growth_fractions=tuple(
-            (float(d), counts["growth", i] / max(count, 1)) for i, d in enumerate(delta_grid)
+            (float(d), counts["growth", d] / max(count, 1)) for d in DELTA_GRID
         ),
         unit_skipped=True,
         failures=(),
     )
 
 
-def summarize_integer_records(
-    records,
-    x: int,
-    eta: float,
-    *,
-    delta_grid=DEFAULT_DELTA_GRID,
-) -> IntegerCensusSummary:
+def summarize_integer_records(records, x: int, eta: float) -> IntegerCensusSummary:
     """Decade fractions of the five smallness statistics plus growth fractions.
 
     Per decade bound (x, x/10, x/100): the fractions of moduli with
     ord > sqrt(N), with s > log N, with omega(N) >= 1.5 * log log N, with no
     Good prime factor, and lying in the small set.  The L distribution is
     tabulated over the full range, and the growth fractions count moduli with
-    ord >= sqrt(N) * exp((log N)**delta) for each delta in the grid.
+    ord >= sqrt(N) * exp((log N)**delta) for each delta in `DELTA_GRID`.
 
     ``records`` is an iterable of IntegerRecord or an integer column table
     (see `_integer_columns`); records are read once into such a table.  The
@@ -624,8 +613,7 @@ def summarize_integer_records(
     the benchmark compares key for key with its references.
     """
     table = records if isinstance(records, np.ndarray) else _records_table(records, "integers")
-    counts = _integer_counts(table, x, delta_grid=delta_grid)
-    return _integer_summary(counts, x, eta, delta_grid)
+    return _integer_summary(_integer_counts(table, x), x, eta)
 
 
 def _resume_after(keys: np.ndarray, primes: bool, x: int) -> int:
@@ -649,7 +637,7 @@ def _run_census(
     rows start after the last stored key and are stored at path if given.
     The summary adds the counts of both tables, the stored one dropped first.
     """
-    c_eta(eta)  # an eta out of range fails before any sieve is built
+    _check_eta(eta)  # an eta out of range fails before any sieve is built
     primes = kind == "primes"
     stored, lo = None, 2
     resuming = bool(resume and path and fmt == "csv")
@@ -771,30 +759,12 @@ def quantum_sweep(
 # storage
 
 
-# kind -> (record class, ((column, cell type), ...)), columns in field order
+# kind -> (record class, stored column line), one column per field in field
+# order; a column's cell type is its field's annotation
 _SCHEMA = {
-    "primes": (
-        PrimeRecord,
-        (
-            ("p", int), ("chi", int), ("ord", int), ("class", PrimeClass),
-            ("exceeds", bool),
-        ),
-    ),
-    "integers": (
-        IntegerRecord,
-        (
-            ("N", int), ("d", int), ("s", int), ("d0", int), ("L", int), ("ord", int),
-            ("lower_bound", int), ("NG", int), ("NB", int), ("NT", int), ("in_S", bool),
-        ),
-    ),
-    "sweep": (
-        SweepRecord,
-        (
-            ("N", int), ("n1", int), ("n2", int), ("S4", float), ("bound", float),
-            ("ratio", float), ("variance", float), ("max_dev", float), ("rstar", int),
-            ("ms", int),
-        ),
-    ),
+    "primes": (PrimeRecord, "p,chi,ord,class,exceeds"),
+    "integers": (IntegerRecord, "N,d,s,d0,L,ord,lower_bound,NG,NB,NT,in_S"),
+    "sweep": (SweepRecord, "N,n1,n2,S4,bound,ratio,variance,max_dev,rstar,ms"),
 }
 
 class _Cell(NamedTuple):
@@ -831,13 +801,19 @@ _CELL_TYPES = {
 
 
 class _Layout:
-    """One record kind's stored layout, derived from its _SCHEMA entry."""
+    """One record kind's stored layout, derived from its _SCHEMA entry: the
+    column names, one per field of the record class, and each column's cell
+    type, read off its field's annotation; a column count off raises."""
 
-    def __init__(self, record: type, spec):
+    def __init__(self, record: type, column_line: str):
+        fields = dataclasses.fields(record)
+        self.columns = tuple(column_line.split(","))
+        if len(self.columns) != len(fields):
+            raise TypeError(f"{record.__name__} has {len(fields)} fields, not {len(self.columns)}")
+        hints = get_type_hints(record)
         self.record = record
-        self.columns = tuple(name for name, _ in spec)
-        self.types = tuple(t for _, t in spec)
-        cells = [_CELL_TYPES[t] for _, t in spec]
+        self.types = tuple(hints[f.name] for f in fields)
+        cells = [_CELL_TYPES[t] for t in self.types]
         self.row = ",".join(c.template for c in cells) + "\n"
         self.parsers = tuple(c.parse for c in cells)
         self.to_json = tuple(c.to_json for c in cells)
@@ -849,7 +825,7 @@ class _Layout:
         self.values = operator.attrgetter(
             *(
                 f.name + (".value" if t is PrimeClass else "")
-                for f, (_, t) in zip(dataclasses.fields(record), spec)
+                for f, t in zip(fields, self.types)
             )
         )
 
@@ -871,7 +847,7 @@ class _Layout:
 _LAYOUTS = {kind: _Layout(*entry) for kind, entry in _SCHEMA.items()}
 _KIND_OF = {lay.record: kind for kind, lay in _LAYOUTS.items()}
 # the kind of each stored column line
-_KIND_OF_COLUMNS = {",".join(lay.columns): kind for kind, lay in _LAYOUTS.items()}
+_KIND_OF_COLUMNS = {line: kind for kind, (_, line) in _SCHEMA.items()}
 # the kinds a column table can hold, by table width
 _TABLE_KINDS = {
     len(lay.columns): kind for kind, lay in _LAYOUTS.items() if None not in lay.table_cells
@@ -1155,7 +1131,8 @@ def _json_cell(value) -> str:
 def _load_json(blob: bytes) -> tuple[str, dict, bytes]:
     """(kind, config, body) of a JSON document: the body holds each record
     printed as one CSV row (`_json_cell`), so `_stored_rows` parses it as it
-    parses a CSV body."""
+    parses a CSV body.  A key no column of its kind has, and so no CSV row
+    holds, raises SchemaMismatch naming it and its record, from 1."""
     try:
         doc = json.loads(blob)
     except ValueError as exc:  # bytes that are not UTF-8, or not one JSON document
@@ -1168,12 +1145,18 @@ def _load_json(blob: bytes) -> tuple[str, dict, bytes]:
     records, config = doc.get("records", []), doc.get("config", {})
     if not isinstance(records, list) or not isinstance(config, dict):
         raise SchemaMismatch("a JSON document needs a list of records and a config object")
-    values = operator.itemgetter(*_LAYOUTS[kind].columns)
+    columns = _LAYOUTS[kind].columns
+    values = operator.itemgetter(*columns)
+    lines = []
     try:
-        body = "".join(",".join(map(_json_cell, values(obj))) + "\n" for obj in records)
-        return kind, config, body.encode()
+        for i, obj in enumerate(records, start=1):
+            lines.append(",".join(map(_json_cell, values(obj))) + "\n")
+            if len(obj) > len(columns):  # it holds every column and more
+                extra = next(key for key in obj if key not in columns)
+                raise SchemaMismatch(f"bad record {i}: {extra!r} is not a {kind} column")
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatch(f"bad {kind} record: {exc!r}") from exc
+    return kind, config, "".join(lines).encode()
 
 
 def _parse_rows(kind: str, body: bytes, first: int = 3, name: str = "row") -> list:
@@ -1208,20 +1191,21 @@ def _parse_table(kind: str, body: bytes) -> np.ndarray | None:
     row per newline (it skips blank lines).  The class column goes through
     its `_Cell.code`, and flags read as 0/1, as bool(int(cell)) does.
     """
-    spec = _SCHEMA[kind][1]
+    layout = _LAYOUTS[kind]
+    width = len(layout.columns)
     if not body:  # numpy warns on no data, as it does on blank lines only
-        return np.empty((0, len(spec)), np.int64)
+        return np.empty((0, width), np.int64)
     rows = body.count(b"\n")
     if rows == len(body) or body.translate(None, _TABLE_BYTES):
         return None
-    codes = {i: code for i, code in enumerate(_LAYOUTS[kind].codes) if code}
+    codes = {i: code for i, code in enumerate(layout.codes) if code}
     try:
         table = np.loadtxt(io.BytesIO(body), np.int64, delimiter=",", ndmin=2, converters=codes)
     except ValueError:  # a cell that is not an int64 or a class name
         return None
-    if table.shape != (rows, len(spec)):
+    if table.shape != (rows, width):
         return None
-    for column, (_, cell) in zip(table.T, spec):
+    for column, cell in zip(table.T, layout.types):
         if cell is bool:
             column[:] = column != 0
     return table

@@ -199,14 +199,16 @@ def test_integer_summary_decades():
     assert summary.l_distribution[0][0] == 1
 
 
-def test_integer_summary_growth_fractions_decrease_in_delta():
+def test_integer_summary_growth_fractions_decrease_in_delta(monkeypatch):
     recs = integer_census(A, 2000, ETA)[0]
-    summary = summarize_integer_records(recs, 2000, ETA, delta_grid=(0.05, 0.2, 0.4))
+    monkeypatch.setattr(census, "DELTA_GRID", (0.05, 0.2, 0.4))
+    summary = summarize_integer_records(recs, 2000, ETA)
+    assert [d for d, _ in summary.growth_fractions] == [0.05, 0.2, 0.4]
     fracs = [f for _, f in summary.growth_fractions]
     assert fracs == sorted(fracs, reverse=True)
 
 
-def _summary_oracle(records, x, eta, delta_grid=census.DEFAULT_DELTA_GRID):
+def _summary_oracle(records, x, eta, delta_grid=census.DELTA_GRID):
     """The record-by-record summary: 19 passes, omega by trial division."""
     recs = list(records)
     decades = []
@@ -264,7 +266,7 @@ def _census_records(m, x):
 
 @pytest.mark.parametrize("m", [A, OTHER], ids=["default", "other"])
 @pytest.mark.parametrize("x", [2, 3, 150, 2000])
-def test_integer_summary_matches_record_by_record_oracle(m, x):
+def test_integer_summary_matches_record_by_record_oracle(m, x, monkeypatch):
     recs = _census_records(m, x)
     for part in (recs, recs[len(recs) // 2 :]):
         # repr, not ==, so a numpy scalar in place of a float shows
@@ -272,7 +274,8 @@ def test_integer_summary_matches_record_by_record_oracle(m, x):
         assert repr(summarize_integer_records(part, x, ETA)) == want
         assert repr(summarize_integer_records(iter(part), x, ETA)) == want
     grid = (0.05, 0.2, 0.4)
-    assert repr(summarize_integer_records(recs, x, ETA, delta_grid=grid)) == repr(
+    monkeypatch.setattr(census, "DELTA_GRID", grid)
+    assert repr(summarize_integer_records(recs, x, ETA)) == repr(
         _summary_oracle(recs, x, ETA, grid)
     )
 
@@ -284,7 +287,7 @@ def test_integer_summary_of_no_records():
         )
 
 
-def test_integer_summary_at_square_boundaries():
+def test_integer_summary_at_square_boundaries(monkeypatch):
     # N = k**2 - 1, k**2, k**2 + 1 with ord = k - 1, k, k + 1 (ord**2 on both
     # sides of N and equal to it) and 2**40 (beyond int32); k = 46340 puts N
     # just below 2**31, beyond x and so in no decade
@@ -298,9 +301,10 @@ def test_integer_summary_at_square_boundaries():
                     IntegerRecord(N, N, k % 4, N, order % 5 + 1, order, 1, good, 1, 1, k < 50)
                 )
     assert max(r.N for r in recs) > x
-    for grid in (census.DEFAULT_DELTA_GRID, (0.0, 0.5, 1.0)):
+    for grid in (census.DELTA_GRID, (0.0, 0.5, 1.0)):
         want = _summary_oracle(recs, x, ETA, grid)
-        assert repr(summarize_integer_records(recs, x, ETA, delta_grid=grid)) == repr(want)
+        monkeypatch.setattr(census, "DELTA_GRID", grid)
+        assert repr(summarize_integer_records(recs, x, ETA)) == repr(want)
     beyond = recs + [dataclasses.replace(recs[-1], N=1 << 31)]
     with pytest.raises(OverflowError, match="below 2\\*\\*31"):
         summarize_integer_records(beyond, x, ETA)
@@ -940,6 +944,51 @@ def test_header_and_layout(tmp_path):
     assert len(lines) == 2 + len(recs)
 
 
+def test_each_kind_stores_its_columns_in_the_cell_types_of_its_record_fields():
+    # the layouts stated a second time, literally: the code states them once
+    want = {
+        "primes": [
+            ("p", int), ("chi", int), ("ord", int), ("class", PrimeClass), ("exceeds", bool),
+        ],
+        "integers": [
+            ("N", int), ("d", int), ("s", int), ("d0", int), ("L", int), ("ord", int),
+            ("lower_bound", int), ("NG", int), ("NB", int), ("NT", int), ("in_S", bool),
+        ],
+        "sweep": [
+            ("N", int), ("n1", int), ("n2", int), ("S4", float), ("bound", float),
+            ("ratio", float), ("variance", float), ("max_dev", float), ("rstar", int),
+            ("ms", int),
+        ],
+    }
+    assert {
+        kind: list(zip(layout.columns, layout.types)) for kind, layout in census._LAYOUTS.items()
+    } == want
+
+
+def test_a_layout_with_a_column_short_of_its_record_fields_raises():
+    with pytest.raises(TypeError, match="PrimeRecord has 5 fields, not 4"):
+        census._Layout(PrimeRecord, "p,chi,ord,class")
+    with pytest.raises(TypeError, match="SweepRecord has 10 fields, not 11"):
+        census._Layout(SweepRecord, "N,n1,n2,S4,bound,ratio,variance,max_dev,rstar,ms,extra")
+    layout = census._Layout(PrimeRecord, "p,chi,ord,class,exceeds")
+    assert layout.columns == census._LAYOUTS["primes"].columns
+
+
+def test_summary_count_names_are_the_fields_of_the_summary_classes():
+    assert census._STATS == ("big_order", "large_square", "many_factors", "all_bad", "in_s")
+    assert census._PRIME_COUNTS == (
+        "prime_count", "exceed_count", "good_count", "bad_count", "terrible_count"
+    )
+    decade = {f.name for f in dataclasses.fields(census.DecadeFractions)}
+    prime = {f.name for f in dataclasses.fields(census.PrimeCensusSummary)}
+    assert set(census._STATS) == decade - {"bound", "count"}
+    assert set(census._PRIME_COUNTS) <= prime
+    assert census._CLASSES == (PrimeClass.GOOD, PrimeClass.BAD, PrimeClass.TERRIBLE)
+    # the class counts follow the class codes
+    counts = census._prime_counts(np.array([[2, 0, 1, 2, 0], [5, 1, 4, 0, 1]]), 200)
+    assert [counts[name] for name in census._PRIME_COUNTS] == [2, 1, 1, 0, 1]
+
+
 # Literal records of each kind and the exact bytes they are stored as: a
 # Terrible, a Bad and a Good prime; an in_S modulus with L = 2 next to one
 # with a terrible part; a sweep row whose floats need 17 significant digits
@@ -1473,6 +1522,8 @@ _JSON_EDITS = {
     "class-GOOD": ("primes", _edit_cell("class", "GOOD")),
     "class-row-injection": ("primes", _edit_cell("class", "terrible,0\n5,1,4,good")),
     "record-5-ord-oops": ("primes", _edit_cell("ord", "oops", 4)),
+    # a key that no CSV row can hold
+    "record-extra-key": ("primes", _edit_cell("extra", 7, 1)),
 }
 
 # The error of some of those edits: a bad cell names its record, from 1
@@ -1480,6 +1531,7 @@ _JSON_ERRORS = {
     "record-N-two": "^bad record 1: 'two,2,",
     "class-GOOD": "^bad record 1: '2,0,2,GOOD,0'",
     "record-5-ord-oops": "^bad record 5: '11,1,oops,good,0'",
+    "record-extra-key": "^bad record 2: 'extra' is not a primes column$",
 }
 
 
