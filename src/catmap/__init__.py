@@ -1,4 +1,10 @@
-"""Quantized hyperbolic torus maps: exact arithmetic, quantization, censuses."""
+"""Quantized hyperbolic torus maps: exact arithmetic, quantization, censuses.
+
+`import catmap`, and every CLI command but the quantum ones and `check`,
+leave `catmap.quantum` unimported: its names here resolve on first access
+(PEP 562), so an order or census call does not pay for compiling and
+importing the propagator, spectrum and moment code it never runs.
+"""
 
 from .arith import (
     CatMap,
@@ -31,23 +37,6 @@ from .quadorder import (
     splitting_character,
     trivial_solution_count,
 )
-from .quantum import (
-    Observable,
-    Operator,
-    Spectrum,
-    StateVector,
-    egorov_residual,
-    expectation,
-    fourth_moment,
-    max_deviation,
-    propagator,
-    propagator_spectrum,
-    spectrum,
-    translation,
-    translation_trace,
-    variance_stat,
-    weyl_quantize,
-)
 from .census import (
     IntegerRecord,
     PrimeRecord,
@@ -64,3 +53,42 @@ from .census import (
 from . import errors
 
 __version__ = "0.1.0"
+
+# `catmap.quantum` and its names here, which resolve on first access
+_QUANTUM_NAMES = frozenset({
+    "Observable",
+    "Operator",
+    "Spectrum",
+    "StateVector",
+    "egorov_residual",
+    "expectation",
+    "fourth_moment",
+    "max_deviation",
+    "propagator",
+    "propagator_spectrum",
+    "spectrum",
+    "translation",
+    "translation_trace",
+    "variance_stat",
+    "weyl_quantize",
+    "quantum",
+})
+
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")} | _QUANTUM_NAMES
+)
+
+
+def __getattr__(name: str):
+    if name not in _QUANTUM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    quantum = importlib.import_module(".quantum", __name__)  # binds catmap.quantum
+    if name != "quantum":
+        globals()[name] = getattr(quantum, name)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _QUANTUM_NAMES)

@@ -53,11 +53,11 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import starmap
 from time import perf_counter
-from typing import Callable, NamedTuple, get_type_hints
+from typing import TYPE_CHECKING, Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .arith import CatMap, _order_mod_prime_power, order_dividing, primes_up_to
+from .arith import CatMap, _power_is_identity, order_dividing, primes_up_to
 from .errors import CatmapError, FactorizationTimeout, SchemaMismatch
 from .quadorder import (
     PrimeClass,
@@ -68,7 +68,9 @@ from .quadorder import (
     _smallest_prime_factors,
     small_order_modulus,
 )
-from .quantum import Observable, fourth_moment, propagator_spectrum, variance_stat
+
+if TYPE_CHECKING:
+    from .quantum import Observable
 
 FORMAT_TAG = "catmap-census v1"
 # the exponents delta of the growth fractions of an integer census summary
@@ -404,8 +406,9 @@ def _census_primes(m: CatMap, x: int, eta: float, lo: int):
     Returns (primes, p - chi(p), ord(A, p), Good, Terrible, p not dividing D,
     and for each p <= sqrt(x) the list of ord(A, p**e) for 0 <= e with
     p**e <= x).  The per-prime columns come from one prime column table over
-    one smallest-prime-factor sieve; only the orders for e >= 2 are lifted
-    one prime power at a time, by `_order_mod_prime_power`.
+    one smallest-prime-factor sieve; the orders for e >= 2 are lifted from
+    ord(A, p) up one chain of powers, by the rule of `_order_mod_prime_power`:
+    ord(A, p**e) is ord(A, p**(e-1)) or p times it.
     """
     spf, primes = _sieved_primes(x)
     table = _prime_table(m, x, eta, primes[x // primes * primes >= lo], spf)
@@ -416,7 +419,9 @@ def _census_primes(m: CatMap, x: int, eta: float, lo: int):
             break
         orders, q = [1, o], p * p
         while q <= x:
-            orders.append(_order_mod_prime_power(m, p, len(orders)))
+            if not _power_is_identity(m, o, q):
+                o *= p
+            orders.append(o)
             q *= p
         power_orders.append(orders)
     return (
@@ -714,6 +719,8 @@ def quantum_sweep(
     list and do not abort the sweep.  ``ms`` stays 0 unless ``timing`` is
     set, so default sweeps are deterministic byte-for-byte.
     """
+    from .quantum import fourth_moment, propagator_spectrum, variance_stat
+
     n1, n2 = int(n[0]), int(n[1])
     records: list[SweepRecord] = []
     failures: list[tuple[int, str]] = []
@@ -1131,8 +1138,9 @@ def _json_cell(value) -> str:
 def _load_json(blob: bytes) -> tuple[str, dict, bytes]:
     """(kind, config, body) of a JSON document: the body holds each record
     printed as one CSV row (`_json_cell`), so `_stored_rows` parses it as it
-    parses a CSV body.  A key no column of its kind has, and so no CSV row
-    holds, raises SchemaMismatch naming it and its record, from 1."""
+    parses a CSV body.  A record that lacks a column, holds a value that is
+    no CSV cell, or has a key no column of its kind has (so no CSV row holds
+    it) raises SchemaMismatch naming its place in `records`, from 1."""
     try:
         doc = json.loads(blob)
     except ValueError as exc:  # bytes that are not UTF-8, or not one JSON document
@@ -1148,14 +1156,16 @@ def _load_json(blob: bytes) -> tuple[str, dict, bytes]:
     columns = _LAYOUTS[kind].columns
     values = operator.itemgetter(*columns)
     lines = []
-    try:
-        for i, obj in enumerate(records, start=1):
+    for i, obj in enumerate(records, start=1):
+        try:
             lines.append(",".join(map(_json_cell, values(obj))) + "\n")
-            if len(obj) > len(columns):  # it holds every column and more
-                extra = next(key for key in obj if key not in columns)
-                raise SchemaMismatch(f"bad record {i}: {extra!r} is not a {kind} column")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaMismatch(f"bad {kind} record: {exc!r}") from exc
+        except KeyError as exc:
+            raise SchemaMismatch(f"bad record {i}: no {exc.args[0]!r} column") from exc
+        except (TypeError, ValueError) as exc:
+            raise SchemaMismatch(f"bad record {i}: {exc}") from exc
+        if len(obj) > len(columns):  # it holds every column and more
+            extra = next(key for key in obj if key not in columns)
+            raise SchemaMismatch(f"bad record {i}: {extra!r} is not a {kind} column")
     return kind, config, "".join(lines).encode()
 
 

@@ -8,6 +8,10 @@ regenerated byte-for-byte.
 
 Exit codes: 0 success, 1 validation or engine error, 2 usage error,
 3 invariant-check failure.
+
+The quantum commands (`propagator`, `spectrum`, `fourth-moment`, `sweep`)
+import `catmap.quantum`, and `check` imports `catmap.checks`, inside their
+handlers, so an order or census call starts without either.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
 from .arith import CatMap, order_mod
 from .census import (
@@ -28,14 +33,15 @@ from .census import (
     small_order_report,
     store_results,
 )
-from .checks import run_checks
 from .errors import CatmapError
 from .quadorder import (
     congruence_count,
     order_profile,
     split_by_class,
 )
-from .quantum import Observable, fourth_moment, propagator, propagator_spectrum
+
+if TYPE_CHECKING:
+    from .quantum import Observable
 
 DEFAULT_MATRIX = "2,1,3,2"
 DEFAULT_ETA = 0.55
@@ -97,6 +103,8 @@ def parse_sizes(text: str) -> list[int]:
 
 def parse_observable(text: str) -> Observable:
     """`cos1` / `cos2` shorthands, or terms `c:(n1,n2)=re,im` joined by `;`."""
+    from .quantum import Observable
+
     if text == "cos1":
         return Observable.cosine(1)
     if text == "cos2":
@@ -249,6 +257,8 @@ def _cmd_census(args, m: CatMap) -> int:
 
 
 def _cmd_propagator(args, m: CatMap) -> int:
+    from .quantum import propagator
+
     u = propagator(m, args.N)
     doc = {"config": _config(args), "operator": u.to_jsonable()}
     _emit(_dump(doc), args.out)
@@ -256,6 +266,8 @@ def _cmd_propagator(args, m: CatMap) -> int:
 
 
 def _cmd_spectrum(args, m: CatMap) -> int:
+    from .quantum import propagator_spectrum
+
     eig = propagator_spectrum(m, args.N)
     doc = {"config": _config(args), "spectrum": eig.to_jsonable()}
     _emit(_dump(doc), args.out)
@@ -263,6 +275,8 @@ def _cmd_spectrum(args, m: CatMap) -> int:
 
 
 def _cmd_fourth_moment(args, m: CatMap) -> int:
+    from .quantum import fourth_moment
+
     fm = fourth_moment(m, args.N, parse_vector(args.n))
     body = {
         "N": fm.N,
@@ -300,6 +314,8 @@ def _cmd_sweep(args, m: CatMap) -> int:
 
 
 def _cmd_check(args, m: CatMap) -> int:
+    from .checks import run_checks
+
     names = args.only.split(",") if args.only else None
     results = run_checks(quick=args.quick, seed=args.seed, names=names)
     for r in results:

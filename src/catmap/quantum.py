@@ -202,11 +202,17 @@ def _apply_weyl(N: int, f: Observable, X: np.ndarray) -> np.ndarray:
     Q = np.arange(N)
     out = np.zeros(X.shape, dtype=np.complex128)
     for (n1, n2), coeff in f.items():
-        half = (n1 * n2) % (2 * N)
-        ramp = ((n2 % N) * Q) % N
-        phase = np.exp(1j * pi * half / N) * np.exp(2j * pi * ramp / N)
-        out += (coeff * phase)[:, None] * X[(Q + n1 % N) % N]
+        out += (coeff * _weyl_phase(N, (n1, n2), Q))[:, None] * X[(Q + n1 % N) % N]
     return out
+
+
+def _weyl_phase(N: int, n, Q: np.ndarray) -> np.ndarray:
+    """exp(i*pi*n1*n2/N) * exp(2*pi*i*n2*Q/N) at the integers Q mod N, the
+    phase of row Q of T(n); both arguments are reduced as exact integers."""
+    n1, n2 = n
+    half = (n1 * n2) % (2 * N)
+    ramp = ((n2 % N) * Q) % N
+    return np.exp(1j * pi * half / N) * np.exp(2j * pi * ramp / N)
 
 
 def weyl_quantize(N: int, f: Observable) -> Operator:
@@ -273,15 +279,19 @@ def _intertwining_defect(U: np.ndarray, m: CatMap, vectors) -> float:
     For unitary U this matrix is U (U* T(n) U - T(nA)): it vanishes exactly
     when conjugation by U takes T(n) to T(nA), it has the same operator norm,
     and its largest entry is within a factor sqrt(N) of the other's.
-    U T(v) is computed as (T(-v) U^H)^H, so no translation matrix is formed.
+    No translation matrix is formed: T(n) U gathers the rows of U, row Q
+    being U[Q + n1] times the phase of row Q of T(n), and U T(v) gathers
+    its columns, column k being U[:, j] times the phase of row j of T(v),
+    for j = k - v1 (indices mod N).
     """
     N = len(U)
-    Uh = U.conj().T
+    Q = np.arange(N)
     worst = 0.0
     for n in vectors:
         v = _row_times(m, n)
-        lhs = _apply_weyl(N, Observable.harmonic(n), U)
-        rhs = _apply_weyl(N, Observable.harmonic((-v[0], -v[1])), Uh).conj().T
+        j = (Q - v[0] % N) % N
+        lhs = _weyl_phase(N, n, Q)[:, None] * U[(Q + n[0] % N) % N]
+        rhs = U[:, j] * _weyl_phase(N, v, j)[None, :]
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 

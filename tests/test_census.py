@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catmap import arith, census, quadorder
+from catmap import arith, census, quadorder, quantum
 from catmap.arith import (
     DEFAULT_MAP,
     CatMap,
@@ -414,6 +414,24 @@ def _record_loop(m, x, eta, lo=2):
 
 
 _FIELDS = [f.name for f in dataclasses.fields(IntegerRecord)]
+
+
+# 2 and 3 divide the discriminant 4 (t^2 - 4) of each; 3^3 and 5^2 that of t = 52
+@pytest.mark.parametrize(
+    "m",
+    [A, CatMap(0, 1, -1, 10), CatMap(0, -1, 1, -4), CatMap(0, 1, -1, 52), CatMap(2, 3, 1, 2)],
+    ids=str,
+)
+@pytest.mark.parametrize("x, lo", [(60_000, 31_467), (3000, 2), (1024, 2)])
+def test_census_power_orders_match_the_scalar_lift(m, x, lo):
+    # one chain up the powers of each p <= sqrt(x) gives every ord(A, p^e)
+    primes, *_, power_orders = census._census_primes(m, x, ETA, lo)
+    small = [p for p in primes.tolist() if p * p <= x]
+    assert len(power_orders) == len(small) > 0
+    for p, orders in zip(small, power_orders):
+        want = [1] + [arith._order_mod_prime_power(m, p, e) for e in range(1, len(orders))]
+        assert orders == want, p
+        assert p ** (len(orders) - 1) <= x < p ** len(orders), p
 
 
 @pytest.mark.parametrize("m", [A, OTHER, CatMap(4, 1, -1, 0)], ids=["default", "other", "4,1,-1,0"])
@@ -831,13 +849,13 @@ def test_sweep_invariants_across_primes(monkeypatch):
         assert row.max_dev**4 <= row.s4 * (1 + 1e-9)
         assert row.rstar >= 1
     # the ceiling is checked again per record: a moment above it aborts the sweep
-    real = census.fourth_moment
+    real = quantum.fourth_moment
 
     def above_the_ceiling(*args, **kwargs):
         moment = real(*args, **kwargs)
         return dataclasses.replace(moment, s4=2 * moment.bound)
 
-    monkeypatch.setattr(census, "fourth_moment", above_the_ceiling)
+    monkeypatch.setattr(quantum, "fourth_moment", above_the_ceiling)
     with pytest.raises(AssertionError, match="ceiling violated at N=5"):
         quantum_sweep(A, [5], Observable.cosine(1), (1, 0))
 
@@ -1512,6 +1530,10 @@ _JSON_EDITS = {
     "record-without-L": (
         "integers", lambda blob: _edit_record(blob, lambda rec: rec.pop("L"))
     ),
+    "record-4-without-L": (
+        "integers", lambda blob: _edit_record(blob, lambda rec: rec.pop("L"), 3)
+    ),
+    "record-4-L-list": ("integers", _edit_cell("L", [1], 3)),
     "record-N-two": ("integers", _edit_cell("N", "two")),
     # a cell that prints as no CSV cell, or as more cells or rows than one
     "ord-2.5": ("integers", _edit_cell("ord", 2.5)),
@@ -1526,12 +1548,16 @@ _JSON_EDITS = {
     "record-extra-key": ("primes", _edit_cell("extra", 7, 1)),
 }
 
-# The error of some of those edits: a bad cell names its record, from 1
+# The error of some of those edits: a bad record is named by its place, from 1
 _JSON_ERRORS = {
     "record-N-two": "^bad record 1: 'two,2,",
     "class-GOOD": "^bad record 1: '2,0,2,GOOD,0'",
     "record-5-ord-oops": "^bad record 5: '11,1,oops,good,0'",
     "record-extra-key": "^bad record 2: 'extra' is not a primes column$",
+    "record-without-L": "^bad record 1: no 'L' column$",
+    "record-4-without-L": "^bad record 4: no 'L' column$",
+    "record-4-L-list": r"^bad record 4: \[1\] is not one CSV cell$",
+    "ord-null": "^bad record 1: None is not one CSV cell$",
 }
 
 

@@ -632,15 +632,13 @@ def test_check_unknown_name_exits_1(capsys):
 
 
 def test_check_failure_exits_3(monkeypatch, capsys):
-    import catmap.cli as cli_mod
-
     def fake_run_checks(**kwargs):
         return [
             CheckResult("alpha", True, "fine", 0.01),
             CheckResult("beta", False, "broken", 0.02),
         ]
 
-    monkeypatch.setattr(cli_mod, "run_checks", fake_run_checks)
+    monkeypatch.setattr(checks, "run_checks", fake_run_checks)
     assert main(["check", "--quick"]) == 3
     out = capsys.readouterr().out
     assert "[FAIL] beta" in out

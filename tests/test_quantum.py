@@ -250,6 +250,34 @@ def test_intertwining_defect_matches_dense_defect():
         assert abs(got - want) <= 1e-12, N
 
 
+def _weyl_form_defect(U, m, vectors):
+    """The defect with both sides through `_apply_weyl`, U T(v) as (T(-v) U^H)^H."""
+    N = len(U)
+    worst = 0.0
+    for n in vectors:
+        v = row_times(m, n)
+        lhs = _apply_weyl(N, Observable.harmonic(n), U)
+        rhs = _apply_weyl(N, Observable.harmonic((-v[0], -v[1])), U.conj().T).conj().T
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+def test_intertwining_defect_matches_its_weyl_form():
+    # the row and column gathers agree with the translation operators of
+    # `_apply_weyl` on propagators off by a little noise, at every small N,
+    # up to the rounding of entries of size at most 1
+    rng = np.random.default_rng(5)
+    maps = [A, OTHER, CatMap(0, 1, -1, 6), CatMap(4, 1, -1, 0)]
+    for m in maps:
+        for N in range(2, 60):
+            noise = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+            U = propagator(m, N).matrix + 1e-6 * noise
+            for vectors in (((1, 0), (0, 1)), ((2, -1), (3, 5))):
+                want = _weyl_form_defect(U, m, vectors)
+                got = _intertwining_defect(U, m, vectors)
+                assert want > 1e-6 and abs(got - want) <= 1e-14, (m, N, vectors)
+
+
 # ----------------------------------------------------------------- propagator
 
 
