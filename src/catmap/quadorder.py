@@ -13,8 +13,9 @@ V_k = tr(A^k) mod p, one square and one product per exponent bit, tests
 A^k = I as (V_k, V_(k+1)) = (2, t), which is exact at odd p coprime to
 t^2 - 4.  One ladder to p - 1 gives chi and, from the pairs it passes, the
 2-part of the order; a smallest-prime-factor sieve factors the odd part of
-M = p - chi, and each odd prime q of M is divided out of the order on its
-own, once per s = 1, 2, ... with A^(M/q^s) = I.  The kernel is exact
+M = p - chi, and each odd prime q of M is divided out of the order once
+per s = 1, 2, ... with A^(M/q^s) = I; the s >= 2 tests of all odd primes
+share one ladder per level.  The kernel is exact
 for p < INT64_PRIME_BOUND = 2^31; larger primes, primes dividing the
 discriminant and prime powers take the scalar route, its oracle.
 """
@@ -201,13 +202,19 @@ def _lucas_ladder(
 
 
 def _smallest_prime_factors(n: int) -> np.ndarray:
-    """spf[k], the smallest prime factor of k, for 2 <= k <= n (int32)."""
-    spf = np.zeros(n + 1, dtype=np.int32)
-    for q in primes_up_to(math.isqrt(n)).tolist():
-        tail = spf[q * q :: q]
-        tail[tail == 0] = q
-    unset = np.flatnonzero(spf == 0)
-    spf[unset] = unset  # primes are their own smallest factor
+    """spf[k], the smallest prime factor of k, for 2 <= k <= n (int32), with
+    spf[0] = 0 and spf[1] = 1.
+
+    Every k starts as its own factor, so primes need no pass of their own.
+    Each prime q <= sqrt(n) then writes q to its multiples from q^2 on, in
+    descending order of q, so the smallest prime of a composite k, which is
+    at most sqrt(k), writes to k last.  No slice is read or masked: one
+    strided store per prime.  int32 holds the result for n <= 2^31: the one
+    start that wraps, k = 2^31, is even and ends as 2.
+    """
+    spf = np.arange(n + 1, dtype=np.int32)
+    for q in primes_up_to(math.isqrt(n)).tolist()[::-1]:
+        spf[q * q :: q] = q
     return spf
 
 
@@ -265,10 +272,16 @@ def _prime_orders(
     2U_(j-1) follow from it and both factors are units, and A^-1 has that
     pair.  One count serves both kinds, for a hit of the wrong kind means
     A^2 = I, so t^2 = 4 mod p.  The order starts as M shifted right by the
-    count.  Each odd prime q of M is then divided out on its own, for
-    s = 1, 2, ... up to the first miss.  The odd part of M is factored by
-    the smallest-prime-factor sieve `spf`, which must reach
-    max(primes) + 1: the caller builds it, as it knows the range it needs.
+    count.  The odd primes q of M are then divided out: round r tests s = 1
+    for the r-th odd prime of every M in one ladder, and carries the hits
+    with q | M/q on.  After the last round the tests at s = 2, 3, ... of all
+    rounds share one ladder per level, each entry up to its first miss.  An
+    entry can hit for two primes at one level, so those divisions go through
+    `np.floor_divide.at`, which applies both where a buffered `//=` keeps
+    one; divisions by distinct q commute, so the order is the same.  The
+    odd part of M is factored by the smallest-prime-factor sieve `spf`,
+    which must reach max(primes) + 1: the caller builds it, as it knows the
+    range it needs.
     """
     t = m.trace
     p = primes[(primes > 2) & (primes < INT64_PRIME_BOUND)]
@@ -290,16 +303,15 @@ def _prime_orders(
     order = multiple >> hits
     rest = multiple // (multiple & -multiple)  # the odd primes of M left to strip
     at = np.flatnonzero(rest > 1)
-    while at.size:
+    carried = [np.empty((3, 0), np.int64)]  # (entry, M/q^s, q) to test at s + 1
+    while at.size:  # A^(M/q) = I for the next odd prime q of each M
         q = spf[rest[at]].astype(np.int64)
-        i, k, qi = at, multiple[at], q
-        while i.size:  # A^(M/q^s) = I for s = 1, 2, ... up to the first miss
-            k //= qi
-            v, w = _lucas_ladder(tp[i], k, p[i])
-            hit = (v == 2) & (w == tp[i])
-            order[i[hit]] //= qi[hit]
-            more = hit & (k % qi == 0)
-            i, k, qi = i[more], k[more], qi[more]
+        k = multiple[at] // q
+        v, w = _lucas_ladder(tp[at], k, p[at])
+        hit = (v == 2) & (w == tp[at])
+        order[at[hit]] //= q[hit]
+        more = hit & (k % q == 0)
+        carried.append(np.stack([at[more], k[more], q[more]]))
         r = rest[at] // q
         j = np.flatnonzero(r % q == 0)
         while j.size:
@@ -307,6 +319,14 @@ def _prime_orders(
             j = j[r[j] % q[j] == 0]
         rest[at] = r
         at = at[r > 1]
+    i, k, q = np.concatenate(carried, axis=1)
+    while i.size:  # A^(M/q^s) = I at s = 2, 3, ... up to the first miss
+        k //= q
+        v, w = _lucas_ladder(tp[i], k, p[i])
+        hit = (v == 2) & (w == tp[i])
+        np.floor_divide.at(order, i[hit], q[hit])  # an entry may recur in i
+        more = hit & (k % q == 0)
+        i, k, q = i[more], k[more], q[more]
     return p, chi, order
 
 

@@ -512,6 +512,15 @@ def test_prime_census_builds_one_sieve(monkeypatch):
     assert built == [6001]  # the primes and every p - chi(p) from one sieve
 
 
+@pytest.mark.parametrize("x", [100, 6000, 200_000])
+def test_sieved_primes_are_the_primes_up_to_x(x):
+    # the primes are the k <= x that the sieve leaves as their own factor;
+    # x + 1 itself, sieved for p - chi(p), is never read as a prime
+    spf, primes = census._sieved_primes(x)
+    assert spf.size == x + 2
+    assert primes.tolist() == primes_up_to(x).tolist()
+
+
 # Census tables depend on the map only through t = tr A and
 # g = gcd(b, c, a - d): A^k = u_k I + v_k A with u_k, v_k polynomials in t,
 # and A is scalar mod p exactly where p | g.

@@ -301,6 +301,24 @@ def test_a_large_prime_dividing_the_discriminant():
     assert split_by_class(m, 2 * p, 0.55) == ClassSplit(1, 2 * p, 2 * p, 0.55)
 
 
+# --- the smallest-prime-factor sieve ----------------------------------------
+
+def smallest_factor_by_trial_division(k: int) -> int:
+    """The least d >= 2 dividing k, or k itself for a prime, 0 and 1."""
+    return next((d for d in range(2, math.isqrt(k) + 1) if k % d == 0), k)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 24, 25, 121, 10007, 10201, 20000])
+def test_smallest_prime_factors_match_trial_division(n):
+    # 25, 121 and 10201 = 101^2 end on a prime square, the one k that
+    # q = sqrt(n) writes; 10007 ends on a prime.  The sieve writes the
+    # largest q first, so the smallest prime of each k must end on top
+    spf = quadorder._smallest_prime_factors(n)
+    assert spf.dtype == np.int32
+    assert spf[:2].tolist() == [0, 1][: n + 1]
+    assert spf.tolist() == [smallest_factor_by_trial_division(k) for k in range(n + 1)]
+
+
 # --- the batched prime-order kernel ----------------------------------------
 
 KERNEL_MAPS = [A, CatMap(1, 2, 2, 5), CatMap(4, 1, -1, 0), CatMap(20001, 2, 10000, 1)]
@@ -514,6 +532,55 @@ def test_kernel_strips_only_odd_primes(m):
     spf = RecordingSpf(sieve_to(primes))
     _prime_orders(m, primes, spf)
     assert spf.looked_up and all(n % 2 for n in spf.looked_up)
+
+
+# primes p <= 10^6 where two odd primes q of M = p - chi both hit at s = 2,
+# q^2 | M/ord: the level's one ladder holds the entry twice, and both
+# divisions must land (found by a search over the primes <= 10^6; 4,1,-1,0
+# shares A's trace and its primes)
+TWO_HITS_AT_ONE_LEVEL = [
+    (A, [99901, 140453, 654029, 734849]),
+    (CatMap(1, 2, 2, 5), [46349, 163351, 215983]),
+    (CatMap(20001, 2, 10000, 1), [434249, 543601]),
+    (CatMap(0, 1, -1, 6), [46349, 163351, 215983]),
+]
+
+
+@pytest.mark.parametrize("m, primes", TWO_HITS_AT_ONE_LEVEL, ids=str)
+def test_kernel_divides_out_two_primes_that_hit_at_one_level(m, primes):
+    kept, chi, order = _prime_orders(m, np.array(primes, dtype=np.int64), sieve_to(primes))
+    assert kept.tolist() == primes
+    for p, c, o in zip(kept.tolist(), chi.tolist(), order.tolist()):
+        assert (c, o) == (_legendre(m.discriminant, p), _order_mod_prime_power(m, p, 1))
+        odd = [q for q, _ in factorize(p - c).factors if q > 2]
+        assert sum((p - c) // o % (q * q) == 0 for q in odd) >= 2
+
+
+def test_kernel_ladder_launches_on_default_map(monkeypatch):
+    # one ladder to p - 1; one s = 1 ladder per round, round r taking the
+    # r-th odd prime of every M; then one ladder per level s = 2, 3, ...
+    # shared by all rounds.  Over the primes <= 2e5, M has at most 5 odd
+    # primes and the deepest test is at s = 5: 1 + 5 + 4 = 10 launches, where
+    # a ladder per round and level took 13
+    launches = []
+    steps = quadorder._lucas_steps
+
+    def counting(t, k, p):
+        launches.append(k.size)
+        return steps(t, k, p)
+
+    monkeypatch.setattr(quadorder, "_lucas_steps", counting)
+    primes = primes_up_to(200_000)
+    kept, chi, order = _prime_orders(A, primes, sieve_to(primes))
+    rounds = deepest = 0
+    for p, c, o in zip(kept.tolist(), chi.tolist(), order.tolist()):
+        odd = [(q, e) for q, e in factorize(p - c).factors if q > 2]
+        rounds = max(rounds, len(odd))
+        for q, e in odd:  # e - v_q(ord) hits, then a miss unless s reached e
+            hits = e - next(s for s in range(e + 1) if o % q ** (s + 1))
+            deepest = max(deepest, min(e, hits + 1))
+    assert (rounds, deepest) == (5, 5)
+    assert len(launches) == 1 + rounds + (deepest - 1) == 10
 
 
 SMALL_PRIMES = primes_up_to(5000)
