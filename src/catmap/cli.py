@@ -3,8 +3,9 @@
 Every artifact embeds the configuration that produced it (CSV header line or
 a "config" key in JSON output): the command and every option but --out and
 --resume.  `argv_from_config` rebuilds the exact command line from it, with
-each key's flag read off the parser, so any stored artifact can be
-regenerated byte-for-byte.
+each key's flag read off the command table `COMMANDS`, so any stored
+artifact can be regenerated byte-for-byte.  A call builds the parser of the
+command it names alone; the full parser, all commands, parses the rest.
 
 Exit codes: 0 success, 1 validation or engine error, 2 usage error,
 3 invariant-check failure.
@@ -20,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict
 from typing import TYPE_CHECKING
 
@@ -153,20 +155,23 @@ def _config(args) -> dict[str, str]:
 
 def argv_from_config(config) -> list[str]:
     """Rebuild the argv that produced an artifact from its embedded config;
-    each key's flag, and whether it takes a value, come from the parser."""
+    each key's flag, and whether it takes a value, come from `COMMANDS`."""
     items = dict(config)
     items.pop("kind", None)
     command = items.pop("command")
-    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
-    if command not in commands.choices:
+    if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r} in config")
-    actions = {a.dest: a for a in commands.choices[command]._actions if a.option_strings}
+    _, _, options = COMMANDS[command]
+    flags = {
+        flag.lstrip("-").replace("-", "_"): (flag, kwargs.get("action") != "store_true")
+        for flag, kwargs in _COMMON + options
+    }
     argv = [command]
     for key, value in sorted(items.items()):
-        if key not in actions:
+        if key not in flags:
             raise ValueError(f"config key {key!r} has no known flag")
-        flag = actions[key].option_strings[0]
-        if actions[key].nargs != 0:
+        flag, takes_value = flags[key]
+        if takes_value:
             argv.extend([flag, value])
         elif value not in ("0", "", "False"):  # a store_true flag
             argv.append(flag)
@@ -330,81 +335,92 @@ def _cmd_check(args, m: CatMap) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# commands
+
+_COMMON = (
+    ("--matrix", {"default": DEFAULT_MATRIX, "help": f"a,b,c,d integers (default {DEFAULT_MATRIX})"}),
+    ("--out", {"default": None, "help": "write output to this path"}),
+)
+_N = ("-N", {"type": int, "required": True})
+_ETA = ("--eta", {"type": float, "default": DEFAULT_ETA})
+_FREQUENCY = ("-n", {"default": "1,0"})
+_FMT = ("--fmt", {"choices": ("csv", "json"), "default": "csv"})
+_CENSUS = (
+    ("-x", {"type": int, "required": True}),
+    _ETA,
+    _FMT,
+    ("--resume", {"action": "store_true", "help": "continue a CSV census after its "
+                  "last stored row; JSON output is written whole"}),
+)
+
+# Each command once: (handler, help, options), every option a flag and its
+# `add_argument` keywords, declared after the --matrix and --out of
+# `_COMMON`.  One flag per option, so its dest is the flag without its dashes,
+# "-" read as "_"; `argv_from_config` relies on that.
+COMMANDS = {
+    "order": (_cmd_order, "multiplicative order of the matrix mod N", (_N,)),
+    "profile": (_cmd_profile, "order profile and class split of N", (_N, _ETA)),
+    "nu": (_cmd_nu, "congruence solution count at frequency n", (_N, _FREQUENCY)),
+    "small-order": (
+        _cmd_small_order, "moduli with ord <= k", (("--k-max", {"type": int, "default": 40}),)
+    ),
+    "census-primes": (_cmd_census, "classify primes up to x", _CENSUS),
+    "census-integers": (_cmd_census, "profile moduli up to x", _CENSUS),
+    "propagator": (_cmd_propagator, "unitary propagator matrix", (_N,)),
+    "spectrum": (_cmd_spectrum, "eigenphases, multiplicities, bases", (_N,)),
+    "fourth-moment": (_cmd_fourth_moment, "S4 statistic and its ceiling", (_N, _FREQUENCY)),
+    "sweep": (
+        _cmd_sweep,
+        "spectral statistics over many dimensions",
+        (
+            ("--sizes", {"required": True, "help": "e.g. 3,5,7 or 5-101:2"}),
+            ("--f", {"default": "cos1", "help": "cos1, cos2, or c:(n1,n2)=re,im;..."}),
+            _FREQUENCY,
+            _FMT,
+            ("--dense-limit", {"type": int, "default": DENSE_DIMENSION_LIMIT}),
+            ("--timing", {"action": "store_true"}),
+        ),
+    ),
+    "check": (
+        _cmd_check,
+        "run the library invariant suite",
+        (
+            ("--quick", {"action": "store_true"}),
+            ("--only", {"default": None, "help": "comma-separated check names"}),
+            ("--seed", {"type": int, "default": 20240901}),
+        ),
+    ),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: Iterable[str] = tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The catmap parser with the named commands, all by default, in the
+    order given."""
     parser = argparse.ArgumentParser(
         prog="catmap",
         description="Quantized hyperbolic torus maps: orders, spectra, censuses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name in commands:
+        handler, help_text, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        p.add_argument(
-            "--matrix",
-            default=DEFAULT_MATRIX,
-            help=f"a,b,c,d integers (default {DEFAULT_MATRIX})",
-        )
-        p.add_argument("--out", default=None, help="write output to this path")
-        return p
-
-    p = add("order", _cmd_order, help="multiplicative order of the matrix mod N")
-    p.add_argument("-N", type=int, required=True)
-
-    p = add("profile", _cmd_profile, help="order profile and class split of N")
-    p.add_argument("-N", type=int, required=True)
-    p.add_argument("--eta", type=float, default=DEFAULT_ETA)
-
-    p = add("nu", _cmd_nu, help="congruence solution count at frequency n")
-    p.add_argument("-N", type=int, required=True)
-    p.add_argument("-n", default="1,0")
-
-    p = add("small-order", _cmd_small_order, help="moduli with ord <= k")
-    p.add_argument("--k-max", type=int, default=40, dest="k_max")
-
-    for name, what in (
-        ("census-primes", "classify primes up to x"),
-        ("census-integers", "profile moduli up to x"),
-    ):
-        p = add(name, _cmd_census, help=what)
-        p.add_argument("-x", type=int, required=True)
-        p.add_argument("--eta", type=float, default=DEFAULT_ETA)
-        p.add_argument("--fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--resume", action="store_true", help="continue a CSV census after its "
-                       "last stored row; JSON output is written whole")
-
-    p = add("propagator", _cmd_propagator, help="unitary propagator matrix")
-    p.add_argument("-N", type=int, required=True)
-
-    p = add("spectrum", _cmd_spectrum, help="eigenphases, multiplicities, bases")
-    p.add_argument("-N", type=int, required=True)
-
-    p = add("fourth-moment", _cmd_fourth_moment, help="S4 statistic and its ceiling")
-    p.add_argument("-N", type=int, required=True)
-    p.add_argument("-n", default="1,0")
-
-    p = add("sweep", _cmd_sweep, help="spectral statistics over many dimensions")
-    p.add_argument("--sizes", required=True, help="e.g. 3,5,7 or 5-101:2")
-    p.add_argument("--f", default="cos1", help="cos1, cos2, or c:(n1,n2)=re,im;...")
-    p.add_argument("-n", default="1,0")
-    p.add_argument("--fmt", choices=("csv", "json"), default="csv")
-    p.add_argument("--dense-limit", type=int, default=DENSE_DIMENSION_LIMIT)
-    p.add_argument("--timing", action="store_true")
-
-    p = add("check", _cmd_check, help="run the library invariant suite")
-    p.add_argument("--quick", action="store_true")
-    p.add_argument("--only", default=None, help="comma-separated check names")
-    p.add_argument("--seed", type=int, default=20240901)
-
+        for flag, kwargs in _COMMON + options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  An argv that starts with a command is parsed by that
+    command's parser alone; any other argv, or one with arguments left over,
+    goes through the full parser, whose usage and error texts list every
+    command."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = rest = None
+    if argv and argv[0] in COMMANDS:
+        args, rest = build_parser(argv[:1]).parse_known_args(argv)
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         m = parse_matrix(args.matrix)
         return args.handler(args, m)

@@ -178,17 +178,25 @@ def _lucas_steps(t: np.ndarray, k: np.ndarray, p: np.ndarray):
     by arithmetic, v + b*(w - v), which numpy runs several times faster than
     `np.where` on bits without a pattern.  The leading zero bits of a shorter
     k leave (2, t) fixed.
+
+    Each bit runs in place on four preallocated int64 arrays: the pair, one
+    work array and the bit.  The yielded arrays are those buffers, so the
+    next step overwrites them: copy a pair to keep it.  Every intermediate is a
+    residue, a difference of two, or one product of two, below p^2.
     """
     v, w = np.full_like(p, 2), t.copy()
+    x, b = np.empty_like(p), np.empty_like(k)
     top = int(k.max(initial=0)).bit_length()
     yield top, v, w
     for bit in range(top - 1, -1, -1):
-        b = k >> bit & 1
-        square = v + b * (w - v)  # V_(j+b)
-        square = (square * square - 2) % p  # V_(2j+2b)
-        product = (v * w - t) % p  # V_(2j+1)
-        swap = b * (product - square)
-        v, w = square + swap, product - swap
+        np.bitwise_and(np.right_shift(k, bit, out=b), 1, out=b)
+        np.add(v, np.multiply(b, np.subtract(w, v, out=x), out=x), out=x)  # V_(j+b)
+        np.remainder(np.subtract(np.multiply(x, x, out=x), 2, out=x), p, out=x)  # V_(2j+2b)
+        np.remainder(np.subtract(np.multiply(v, w, out=v), t, out=v), p, out=v)  # V_(2j+1)
+        np.multiply(b, np.subtract(v, x, out=w), out=w)  # the swap
+        np.subtract(v, w, out=v)  # V_(2j+b+1), the new second
+        np.add(x, w, out=w)  # V_(2j+b), the new first
+        v, w = w, v
         yield bit, v, w
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, dispatch, exit codes, reproducibility."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -112,6 +113,96 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+# one argv per command, every option it takes given, off its default where
+# it has one
+_COMMAND_ARGV = {
+    "order": ["order", "-N", "55", "--matrix", "2,3,1,2", "--out", "o.txt"],
+    "profile": ["profile", "-N", "360", "--eta", "0.52"],
+    "nu": ["nu", "-N", "77", "-n", "2,1"],
+    "small-order": ["small-order", "--k-max", "12"],
+    "census-primes": ["census-primes", "-x", "300", "--eta", "0.52", "--fmt", "json", "--resume"],
+    "census-integers": ["census-integers", "-x", "250", "--matrix", "2,3,1,2"],
+    "propagator": ["propagator", "-N", "9"],
+    "spectrum": ["spectrum", "-N", "12"],
+    "fourth-moment": ["fourth-moment", "-N", "31", "-n", "1,1"],
+    "sweep": ["sweep", "--sizes", "5-13:2", "--f", "cos2", "--dense-limit", "11", "--timing"],
+    "check": ["check", "--quick", "--only", "egorov", "--seed", "7"],
+}
+
+
+def test_every_command_has_a_sample_argv():
+    assert list(_COMMAND_ARGV) == list(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("name", list(_COMMAND_ARGV))
+def test_one_command_parser_gives_the_full_parsers_namespace(name):
+    alone = cli.build_parser([name]).parse_args(_COMMAND_ARGV[name])
+    full = cli.build_parser().parse_args(_COMMAND_ARGV[name])
+    assert alone == full
+    assert list(vars(alone)) == list(vars(full))  # the config's key order
+
+
+@pytest.mark.parametrize("name", list(_COMMAND_ARGV))
+def test_argv_from_config_gives_back_the_namespace(name):
+    # each key of a config finds its flag in the command table
+    args = cli.build_parser().parse_args(_COMMAND_ARGV[name])
+    again = cli.build_parser().parse_args(argv_from_config(cli._config(args)))
+    assert cli._config(again) == cli._config(args)
+    assert again.handler is args.handler
+
+
+# usage, help and error texts, printed by the full parser at the parent
+_USAGE_ARGV = {
+    "no-arguments": [],
+    "help": ["-h"],
+    "command-help": ["census-primes", "-h"],
+    "unknown-command": ["mystery"],
+    "missing-x": ["census-primes"],
+    "bad-int": ["census-primes", "-x", "abc"],
+    "extra-argument": ["census-primes", "-x", "100", "extra"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_USAGE_ARGV))
+def test_usage_texts_are_the_full_parsers(case, capsys):
+    argv = _USAGE_ARGV[case]
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == full.value.code == (0 if "help" in case else 2)
+    assert capsys.readouterr() == expected
+    assert expected.err or expected.out.startswith("usage: catmap")
+
+
+def test_usage_lists_every_command_in_table_order(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+    with pytest.raises(SystemExit):
+        main([])
+    assert capsys.readouterr().err == (
+        "usage: catmap [-h]\n"
+        "              {order,profile,nu,small-order,census-primes,census-integers,"
+        "propagator,spectrum,fourth-moment,sweep,check}\n"
+        "              ...\n"
+        "catmap: error: the following arguments are required: command\n"
+    )
+
+
+def test_a_census_call_builds_only_its_commands_parser(monkeypatch, tmp_path, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["census-primes", "-x", "100", "--out", str(tmp_path / "c.csv")]) == 0
+    capsys.readouterr()
+    assert built == ["catmap", "catmap census-primes"]
 
 
 def test_validation_error_exits_1(capsys):

@@ -399,6 +399,23 @@ def test_kernel_arithmetic_exact_just_below_int64_bound():
         assert [vq, wq] == traces
 
 
+def test_lucas_steps_pass_the_pair_at_every_prefix_of_k():
+    # each yielded pair, copied before the next step overwrites it, is
+    # (V_j, V_(j+1)) with j = k >> s, from the top bit down to s = 0
+    rng = random.Random(11)
+    primes = PRIMES_BELOW_BOUND[:6] + [3, 5, 7, 101, 65537, 1000003]
+    p = np.array(primes * 4, dtype=np.int64)
+    t = np.array([rng.randrange(q) for q in p.tolist()], dtype=np.int64)
+    k = np.array([rng.randrange(1 << rng.randrange(1, 41)) for _ in p.tolist()], dtype=np.int64)
+    steps = [(s, v.copy(), w.copy()) for s, v, w in quadorder._lucas_steps(t, k, p)]
+    assert [s for s, _, _ in steps] == list(range(int(k.max()).bit_length(), -1, -1))
+    for s, v, w in steps:
+        for q, tq, kq, vq, wq in zip(*(z.tolist() for z in (p, t, k, v, w))):
+            j = kq >> s
+            traces = [(2 * u + tq * c) % q for u, c in (_pair_pow(tq, i, q) for i in (j, j + 1))]
+            assert [vq, wq] == traces
+
+
 # quantizable maps are the words in S and T^(+-2), T = [[1, 1], [0, 1]]
 _LETTERS = {"S": (0, 1, -1, 0), "T2": (1, 2, 0, 1), "T-2": (1, -2, 0, 1)}
 
