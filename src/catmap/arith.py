@@ -250,7 +250,17 @@ def _brent_rho(n: int, rng: random.Random, budget: list[int]) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def _factorize_cached(n: int, budget: int) -> Factorization:
+def factorize(n: int) -> Factorization:
+    """Factor n >= 1.  Raises FactorizationTimeout if Brent's rho spends
+    more than `_DEFAULT_FACTOR_BUDGET` squarings.
+
+    Examples
+    --------
+    >>> factorize(360).factors
+    ((2, 3), (3, 2), (5, 1))
+    """
+    if n < 1:
+        raise ValueError(f"can only factor n >= 1, got {n}")
     counts: dict[int, int] = {}
     certified = True
     rest = n
@@ -267,7 +277,7 @@ def _factorize_cached(n: int, budget: int) -> Factorization:
             # below the square of the trial bound the cofactor must be prime
             counts[rest] = counts.get(rest, 0) + 1
         else:
-            work = [budget]
+            work = [_DEFAULT_FACTOR_BUDGET]
             stack = [rest]
             rng = random.Random(n)
             while stack:
@@ -281,19 +291,6 @@ def _factorize_cached(n: int, budget: int) -> Factorization:
                 stack.append(divisor)
                 stack.append(mcur // divisor)
     return Factorization(tuple(sorted(counts.items())), certified)
-
-
-def factorize(n: int, *, budget: int | None = None) -> Factorization:
-    """Factor n >= 1.  Raises FactorizationTimeout if the budget runs out.
-
-    Examples
-    --------
-    >>> factorize(360).factors
-    ((2, 3), (3, 2), (5, 1))
-    """
-    if n < 1:
-        raise ValueError(f"can only factor n >= 1, got {n}")
-    return _factorize_cached(n, _DEFAULT_FACTOR_BUDGET if budget is None else budget)
 
 
 # --------------------------------------------------------------------------
@@ -384,11 +381,9 @@ def _legendre(a: int, p: int) -> int:
 
 
 def _order_mod_prime_power(m: CatMap, p: int, e: int) -> int:
-    if m.discriminant % p == 0:
-        # tr = +-2 mod p: A = +-(I + nilpotent) mod p, so A^(2p) = I
-        o = order_dividing(m, p, 2 * p)
-    else:
-        o = order_dividing(m, p, p - _legendre(m.discriminant, p))
+    chi = _legendre(m.discriminant, p)
+    # chi = 0 where p | D: tr = +-2 mod p, A = +-(I + nilpotent) mod p, so A^(2p) = I
+    o = order_dividing(m, p, p - chi if chi else 2 * p)
     # A^o = I + p^(j-1)*X mod p^j lifts o from p^(j-1), and for j >= 2
     # (I + p^(j-1)*X)^p = I mod p^j, p = 2 included: the order is o or p*o
     for j in range(2, e + 1):

@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, get_type_hints
 import numpy as np
 
 from .arith import CatMap, _power_is_identity, order_dividing, primes_up_to
-from .errors import CatmapError, FactorizationTimeout, SchemaMismatch
+from .errors import CatmapError, ConstructionFailed, FactorizationTimeout, SchemaMismatch
 from .quadorder import (
     PrimeClass,
     _check_eta,
@@ -714,7 +714,8 @@ def quantum_sweep(
     the fourth moment at frequency n with its ceiling, the variance of the
     observable f, and the largest diagonal element of the pure harmonic at n.
     The ratio s4/bound never exceeds 1 and max_dev**4 <= bound is re-checked
-    per record.  Dimensions that fail (beyond the dense cutoff, degenerate
+    per record; a record above that ceiling raises ConstructionFailed and
+    aborts the sweep.  Dimensions that fail (beyond the dense cutoff, degenerate
     frequency, a construction or spectrum check) are reported in the failure
     list and do not abort the sweep.  ``ms`` stays 0 unless ``timing`` is
     set, so default sweeps are deterministic byte-for-byte.
@@ -740,7 +741,7 @@ def quantum_sweep(
         ratio, dev = moment.s4 / moment.bound, moment.max_dev
         slack = 1 + 1e-6
         if ratio > slack or dev**4 > moment.bound * slack:
-            raise AssertionError(
+            raise ConstructionFailed(
                 f"fourth-moment ceiling violated at N={N}: "
                 f"ratio={ratio!r}, max_dev={dev!r}"
             )
@@ -950,11 +951,10 @@ def _records_table(records, kind: str) -> np.ndarray:
     return table.T
 
 
-def _json_records(records, kind: str | None = None) -> list[dict]:
-    """The JSON values of records, or of a column table, as stored."""
-    if not isinstance(records, np.ndarray):
-        records = list(records)
-    layout = _LAYOUTS[_infer_kind(records, kind)]
+def _json_records(records, kind: str) -> list[dict]:
+    """The JSON values of a list of records, or of a column table, of a kind
+    already checked (`_infer_kind`), as stored."""
+    layout = _LAYOUTS[kind]
     return [layout.json_value(values) for values in layout.rows(records)]
 
 

@@ -79,7 +79,7 @@ def parse_sizes(text: str) -> list[int]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        step = 1
+        step, step_text = 1, None
         if ":" in chunk:
             chunk, step_text = chunk.rsplit(":", 1)
             step = int(step_text)
@@ -91,6 +91,8 @@ def parse_sizes(text: str) -> list[int]:
             if hi < lo:
                 raise ValueError(f"empty range {chunk!r}")
             sizes.extend(range(lo, hi + 1, step))
+        elif step_text is not None:
+            raise ValueError(f"step {step_text!r} after the single size {chunk!r} in {text!r}")
         else:
             sizes.append(int(chunk))
     if not sizes:

@@ -1,8 +1,10 @@
 """Exception hierarchy for the catmap package.
 
-Every error raised by the library derives from :class:`CatmapError`, so callers
-can catch one base class.  I/O failures while storing or loading census files
-are reported with the builtin :class:`OSError`.
+catmap's own failures derive from :class:`CatmapError`, so callers can catch
+one base class.  A bad argument raises the builtin :class:`ValueError` (a
+record of the wrong type :class:`TypeError`, a record value beyond int64
+:class:`OverflowError`), and I/O failures while storing or loading census
+files raise the builtin :class:`OSError`.
 """
 
 from __future__ import annotations
@@ -59,9 +61,10 @@ class ZeroVector(CatmapError):
 # --- quantum engine -------------------------------------------------------
 
 class ConstructionFailed(CatmapError):
-    """`propagator` (intertwining defect, zero leading column) or `spectrum`
+    """`propagator` (intertwining defect, zero leading column), `spectrum`
     (Rayleigh quotient off the unit circle, off-diagonal entry of Z^H U Z,
-    eigenvalue off every r*-th root, eigenvector residual, Gram) check failed."""
+    eigenvalue off every r*-th root, eigenvector residual, Gram) or
+    `quantum_sweep` (fourth moment above its ceiling) check failed."""
 
 
 class NotUnitary(CatmapError):

@@ -30,7 +30,6 @@ import numpy as np
 
 from .arith import (
     CatMap,
-    Factorization,
     _legendre,
     _order_mod_prime_power,
     _pair_pow,
@@ -361,7 +360,7 @@ def _prime_data(m: CatMap, p: int, eta: float) -> tuple[int, int, PrimeClass]:
     return chi, order, _order_class(p, order, eta) if chi else PrimeClass.TERRIBLE
 
 
-def order_profile(m: CatMap, N: int, factors: Factorization | None = None) -> OrderProfile:
+def order_profile(m: CatMap, N: int) -> OrderProfile:
     """Profile of N: d, s, d0 = d/gcd(d, D), L(N), ord, and the lower bound.
 
     The lower bound prod_{p | d0} ord(A, p) / L(N) (rounded down) never
@@ -369,8 +368,7 @@ def order_profile(m: CatMap, N: int, factors: Factorization | None = None) -> Or
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    fac = factors if factors is not None else factorize(N)
-    disc = m.discriminant
+    fac = factorize(N)
     d = s = d0 = order = d0_orders = 1
     d0_cofactors = []
     for p, e in fac.factors:
@@ -378,10 +376,11 @@ def order_profile(m: CatMap, N: int, factors: Factorization | None = None) -> Or
         s *= p ** (e // 2)
         if e % 2:
             d *= p
-            # d is squarefree, so p | d0 = d/gcd(d, D) iff p does not divide D
-            if disc % p:
+            # d is squarefree, so p | d0 = d/gcd(d, D) iff p does not divide D, iff chi != 0
+            chi = _legendre(m.discriminant, p)
+            if chi:
                 d0 *= p
-                d0_cofactors.append(p - _legendre(disc, p))
+                d0_cofactors.append(p - chi)
                 d0_orders *= ord_pe if e == 1 else _order_mod_prime_power(m, p, 1)
         order = math.lcm(order, ord_pe)
     L = lcm_defect(d0_cofactors)
@@ -463,8 +462,10 @@ class SmallOrderFactorization:
 def small_order_modulus(m: CatMap, k: int) -> SmallOrderFactorization:
     """Build the modulus N_k <= sqrt-ish of |det(A^k - I)| with A^k = I mod N_k.
 
-    Split and inert primes contribute half their (always even) exponent in
-    det(A^k - I); primes dividing the discriminant contribute the floor of
+    Split and inert primes contribute half their exponent in det(A^k - I),
+    which is always even: in Z[lambda], det(A^k - I) = -lambda^-k *
+    (lambda^k - 1)^2, and a prime not dividing the discriminant is
+    unramified.  Primes dividing the discriminant contribute the floor of
     half.  A final descent shrinks N_k if A^k = I fails at some prime power
     (the construction only guarantees divisibility in the maximal order).
     det(A^k - I) = 2 - tr(A^k) is never 0, since |tr(A^k)| > 2 for a
@@ -481,10 +482,6 @@ def small_order_modulus(m: CatMap, k: int) -> SmallOrderFactorization:
     shrunk = False
     for p, e in fac:
         split = _SPLIT_OF_CHI[_legendre(m.discriminant, p)]
-        if split is not SplitType.RAMIFIED and e % 2:
-            raise RuntimeError(
-                f"odd exponent {e} at unramified prime {p} in det(A^{k} - I)"
-            )
         contrib = e // 2
         # descent: drop the exponent until A^k = I mod p^contrib actually holds
         while contrib > 0 and not _power_is_identity(m, k, p**contrib):

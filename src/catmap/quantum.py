@@ -95,8 +95,8 @@ class StateVector:
             raise ValueError("cannot normalize the zero state")
         return StateVector(self.N, self.amplitudes / nrm)
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() ** 2 - 1.0) <= 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +125,8 @@ class Operator:
     def hermiticity_defect(self) -> float:
         return float(np.abs(self.matrix - self.matrix.conj().T).max())
 
-    def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
-        return self.unitarity_defect() <= tol
+    def is_unitary(self) -> bool:
+        return self.unitarity_defect() <= UNITARY_TOL
 
     def to_jsonable(self) -> dict:
         """JSON layout: {"N": int, "matrix": rows of [re, im] pairs}."""
@@ -178,12 +178,12 @@ class Observable:
     def mean(self) -> complex:
         return self.coefficients.get((0, 0), 0.0 + 0.0j)
 
-    def is_real_valued(self, tol: float = 1e-12) -> bool:
+    def is_real_valued(self) -> bool:
         keys = set(self.coefficients)
         for n1, n2 in keys | {(-n1, -n2) for n1, n2 in keys}:
             left = self.coefficients.get((n1, n2), 0.0)
             right = self.coefficients.get((-n1, -n2), 0.0)
-            if abs(complex(left).conjugate() - complex(right)) > tol:
+            if abs(complex(left).conjugate() - complex(right)) > 1e-12:
                 return False
         return True
 

@@ -21,6 +21,7 @@ from catmap import (
     order_mod_brute,
     primes_up_to,
 )
+from catmap import arith
 from catmap.arith import _pair_pow
 from catmap.errors import (
     FactorizationTimeout,
@@ -217,11 +218,17 @@ def test_factorize_at_the_trial_division_bounds():
         assert f.certified
 
 
-def test_factorize_budget_timeout():
+def test_factorize_budget_timeout(monkeypatch):
     p = 2_147_483_647  # 2^31 - 1
     q = 2_147_483_629
-    with pytest.raises(FactorizationTimeout):
-        factorize(p * q, budget=8)
+    # the budget is not part of factorize's cache key: clear it on both sides
+    factorize.cache_clear()
+    monkeypatch.setattr(arith, "_DEFAULT_FACTOR_BUDGET", 8)
+    try:
+        with pytest.raises(FactorizationTimeout):
+            factorize(p * q)
+    finally:
+        factorize.cache_clear()
 
 
 def test_factorize_rejects_zero():

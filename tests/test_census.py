@@ -19,7 +19,6 @@ from catmap import arith, census, quadorder, quantum
 from catmap.arith import (
     DEFAULT_MAP,
     CatMap,
-    Factorization,
     _legendre,
     _order_mod_prime_power,
     factorize,
@@ -46,7 +45,7 @@ from catmap.census import (
     summarize_prime_records,
 )
 from catmap.cli import main as cli_main
-from catmap.errors import EtaOutOfRange, SchemaMismatch
+from catmap.errors import ConstructionFailed, EtaOutOfRange, SchemaMismatch
 from catmap.quadorder import (
     PrimeClass,
     _smallest_prime_factors,
@@ -386,24 +385,12 @@ def test_prime_census_rejects_x_beyond_the_sieve_before_building_it(monkeypatch)
 
 def _record_loop(m, x, eta, lo=2):
     """The per-N record loop the column engine replaced, kept as its oracle:
-    factor each N by walking a smallest-prime-factor sieve, then take its
-    profile from `order_profile` and its class parts from `split_by_class`,
-    both on the scalar route."""
-    lo = max(lo, 2)
-    spf = _smallest_prime_factors(x).tolist()
+    each N's profile from `order_profile` (which factors N by trial
+    division) and its class parts from `split_by_class`, both on the scalar
+    route."""
     rows = []
-    for N in range(lo, x + 1):
-        factors = []
-        n = N
-        while n > 1:
-            p = spf[n]
-            n //= p
-            e = 1
-            while spf[n] == p:
-                n //= p
-                e += 1
-            factors.append((p, e))
-        prof = order_profile(m, N, Factorization(tuple(factors)))
+    for N in range(max(lo, 2), x + 1):
+        prof = order_profile(m, N)
         parts = split_by_class(m, N, eta)
         rows.append(
             (N, prof.d, prof.s, prof.d0, prof.L, prof.ord, prof.lower_bound)
@@ -818,8 +805,13 @@ def test_small_order_report_skips_degenerate_moduli(monkeypatch):
 
 
 def test_small_order_report_lists_factorization_timeouts(monkeypatch):
+    # the budget is not part of factorize's cache key: clear it on both sides
+    arith.factorize.cache_clear()
     monkeypatch.setattr(arith, "_DEFAULT_FACTOR_BUDGET", 1)
-    rows, failures = small_order_report(A, 45)
+    try:
+        rows, failures = small_order_report(A, 45)
+    finally:
+        arith.factorize.cache_clear()
     assert failures == [29, 35, 37, 39, 41, 45]
     assert not {row.k for row in rows} & set(failures)
     assert {row.k for row in rows} | set(failures) == set(range(2, 46))
@@ -865,7 +857,7 @@ def test_sweep_invariants_across_primes(monkeypatch):
         return dataclasses.replace(moment, s4=2 * moment.bound)
 
     monkeypatch.setattr(quantum, "fourth_moment", above_the_ceiling)
-    with pytest.raises(AssertionError, match="ceiling violated at N=5"):
+    with pytest.raises(ConstructionFailed, match="ceiling violated at N=5"):
         quantum_sweep(A, [5], Observable.cosine(1), (1, 0))
 
 
@@ -1345,7 +1337,7 @@ def test_a_column_table_is_stored_as_its_records_are(tmp_path, x, lo):
         store_results(table, tmp_path / name, kind="integers", config={"x": x})
         store_results(recs, tmp_path / f"r{name}", kind="integers", config={"x": x})
         assert (tmp_path / name).read_bytes() == (tmp_path / f"r{name}").read_bytes()
-    assert census._json_records(table) == census._json_records(recs, "integers")
+    assert census._json_records(table, "integers") == census._json_records(recs, "integers")
     with pytest.raises(TypeError):
         store_results(table, tmp_path / "x.csv", kind="primes")
 

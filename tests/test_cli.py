@@ -1,6 +1,7 @@
 """Command-line interface: parsing, dispatch, exit codes, reproducibility."""
 
 import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from dataclasses import asdict
 
 import pytest
 
-from catmap import arith, census, checks, cli
+from catmap import arith, census, checks, cli, quantum
 from catmap.arith import DEFAULT_MAP
 from catmap.census import (
     DENSE_DIMENSION_LIMIT,
@@ -62,6 +63,10 @@ def test_parse_sizes():
         parse_sizes("")
     with pytest.raises(ValueError, match="step must be >= 1"):
         parse_sizes("3-9:0")
+    with pytest.raises(ValueError, match="step must be >= 1"):
+        parse_sizes("5:0")
+    with pytest.raises(ValueError, match="step '2' after the single size '5'"):
+        parse_sizes("5:2")
 
 
 @pytest.mark.parametrize("text, repeated", [("3,3,5", 3), ("3-6,5-7", 5)])
@@ -582,12 +587,24 @@ def test_small_runs_build_no_large_trial_division_table(argv, tmp_path, capsys, 
         limits.append(limit)
         return real(limit)
 
-    arith._factorize_cached.cache_clear()
+    arith.factorize.cache_clear()
     monkeypatch.setattr(arith, "_sieve_list", recording)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     assert limits
     assert max(limits) <= 1 << 16
+
+
+def test_sweep_ceiling_violation_is_an_error_line(capsys, monkeypatch):
+    real = quantum.fourth_moment
+
+    def above_the_ceiling(*args, **kwargs):
+        moment = real(*args, **kwargs)
+        return dataclasses.replace(moment, s4=2 * moment.bound)
+
+    monkeypatch.setattr(quantum, "fourth_moment", above_the_ceiling)
+    assert main(["sweep", "--sizes", "5"]) == 1
+    assert "error: fourth-moment ceiling violated at N=5" in capsys.readouterr().err
 
 
 def test_sweep_failures_reported(capsys):

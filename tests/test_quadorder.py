@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -25,7 +26,10 @@ from catmap.errors import (
     BudgetExceeded,
     EtaOutOfRange,
     NotAMultiple,
+    NotHyperbolic,
     NotPrime,
+    NotQuantizable,
+    NotUnimodular,
     ZeroVector,
 )
 from catmap.quadorder import (
@@ -743,6 +747,38 @@ def test_small_order_invariants_range():
         for e in so.entries:
             if e.split is not SplitType.RAMIFIED:
                 assert e.det_exponent % 2 == 0
+
+
+def test_unramified_primes_have_even_exponents_in_det_a_k_minus_i():
+    # in Z[lambda], det(A^k - I) = -lambda^-k * (lambda^k - 1)^2, so a prime
+    # not dividing D has an even exponent, which small_order_modulus halves
+    maps = []
+    for a, b, c, d in itertools.product(range(-4, 5), repeat=4):
+        try:
+            maps.append(CatMap(a, b, c, d))
+        except (NotUnimodular, NotHyperbolic, NotQuantizable):
+            pass
+    assert len(maps) == 24
+    factors = unramified = 0
+    for m in maps:
+        power = ((1, 0), (0, 1))
+        for k in range(1, 21):
+            (p00, p01), (p10, p11) = power
+            power = (
+                (p00 * m.a + p01 * m.c, p00 * m.b + p01 * m.d),
+                (p10 * m.a + p11 * m.c, p10 * m.b + p11 * m.d),
+            )
+            det = (power[0][0] - 1) * (power[1][1] - 1) - power[0][1] * power[1][0]
+            so = small_order_modulus(m, k)
+            assert so.det_value == abs(det)
+            assert [(e.prime, e.det_exponent) for e in so.entries] == list(factorize(abs(det)))
+            for e in so.entries:
+                factors += 1
+                if _legendre(m.discriminant, e.prime):
+                    unramified += 1
+                    assert e.split is not SplitType.RAMIFIED
+                    assert e.det_exponent % 2 == 0, (m, k, e)
+    assert (factors, unramified) == (1484, 764)
 
 
 # --- congruence counts -----------------------------------------------------

@@ -212,7 +212,7 @@ def test_weyl_random_real_observable_hermitian(data):
         neg = (-n[0], -n[1])
         coeffs[neg] = coeffs.get(neg, 0) + z.conjugate()
     f = Observable(coeffs)
-    assert f.is_real_valued(1e-9)
+    assert f.is_real_valued()
     assert weyl_quantize(N, f).hermiticity_defect() <= 1e-10
 
 
