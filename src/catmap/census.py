@@ -41,12 +41,15 @@ where the API returns records: by the two censuses and :func:`load_results`.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import io
 import json
 import math
 import operator
 import os
+import pickle
+import threading
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -719,48 +722,112 @@ def quantum_sweep(
     frequency, a construction or spectrum check) are reported in the failure
     list and do not abort the sweep.  ``ms`` stays 0 unless ``timing`` is
     set, so default sweeps are deterministic byte-for-byte.
+
+    The dimensions run in forked processes, one per usable CPU and pinned to
+    it (no fork while another Python thread runs), with byte-identical rows
+    merged in ``sizes`` order.  The earliest size's exception is raised, a
+    dead child's as CatmapError, and every child is reaped and this thread's
+    CPU affinity restored before this returns or raises.
     """
+    from . import quantum  # noqa: F401  (loaded once, before any fork)
+    sizes = [int(N) for N in sizes]
+    row = partial(_sweep_row, m, f, int(n[0]), int(n[1]), timing, dense_limit)
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+    k = max(1, min(len(cpus) if threading.active_count() == 1 else 1, len(sizes)))
+    children = []  # (pid, read end) of each forked child; child j computes sizes[j::k]
+    try:
+        for j in range(1, k):
+            children.append(_fork_share(row, sizes[j::k], cpus[j]))
+        if k > 1:  # unpinned, a child and its parent can share one CPU for the whole sweep
+            _pin(cpus[:1])
+        shares = [_sweep_share(row, sizes[0::k])] + [fh.read() for _, fh in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, 9)  # SIGKILL, while the unreaped pid is still the child's
+        raise
+    finally:
+        if k > 1:
+            _pin(cpus)
+        for _, fh in children:
+            fh.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for j, status in enumerate(statuses, 1):
+        died = f"sweep worker for N in {sizes[j::k]} ended without its rows (wait status {status})"
+        shares[j] = pickle.loads(shares[j]) if shares[j] and not status else [CatmapError(died)]
+    records, failures = [], []
+    for i in range(len(sizes)):
+        result = shares[i % k][i // k]
+        if isinstance(result, Exception):
+            raise result
+        (records if isinstance(result, SweepRecord) else failures).append(result)
+    return records, failures
+
+
+def _sweep_row(m: CatMap, f: Observable, n1: int, n2: int, timing: bool, dense_limit: int, N: int):
+    """One dimension of a sweep: its SweepRecord, or (N, reason) if it fails."""
     from .quantum import fourth_moment, propagator_spectrum, variance_stat
 
-    n1, n2 = int(n[0]), int(n[1])
-    records: list[SweepRecord] = []
-    failures: list[tuple[int, str]] = []
-    for N in sizes:
-        N = int(N)
-        if N > dense_limit:
-            failures.append((N, f"dimension beyond dense limit {dense_limit}"))
-            continue
-        began = perf_counter()
-        try:
-            eigsys = propagator_spectrum(m, N)
-            moment = fourth_moment(m, N, (n1, n2), eigsys=eigsys)
-            variance = variance_stat(m, N, f, eigsys=eigsys)
-        except (CatmapError, ValueError) as exc:
-            failures.append((N, f"{type(exc).__name__}: {exc}"))
-            continue
-        ratio, dev = moment.s4 / moment.bound, moment.max_dev
-        slack = 1 + 1e-6
-        if ratio > slack or dev**4 > moment.bound * slack:
-            raise ConstructionFailed(
-                f"fourth-moment ceiling violated at N={N}: "
-                f"ratio={ratio!r}, max_dev={dev!r}"
-            )
-        elapsed = int((perf_counter() - began) * 1000) if timing else 0
-        records.append(
-            SweepRecord(
-                N,
-                n1,
-                n2,
-                moment.s4,
-                moment.bound,
-                ratio,
-                variance,
-                dev,
-                eigsys.scalar_period,
-                elapsed,
-            )
+    if N > dense_limit:
+        return (N, f"dimension beyond dense limit {dense_limit}")
+    began = perf_counter()
+    try:
+        eigsys = propagator_spectrum(m, N)
+        moment = fourth_moment(m, N, (n1, n2), eigsys=eigsys)
+        variance = variance_stat(m, N, f, eigsys=eigsys)
+    except (CatmapError, ValueError) as exc:
+        return (N, f"{type(exc).__name__}: {exc}")
+    ratio, dev = moment.s4 / moment.bound, moment.max_dev
+    slack = 1 + 1e-6
+    if ratio > slack or dev**4 > moment.bound * slack:
+        raise ConstructionFailed(
+            f"fourth-moment ceiling violated at N={N}: ratio={ratio!r}, max_dev={dev!r}"
         )
-    return records, failures
+    elapsed = int((perf_counter() - began) * 1000) if timing else 0
+    return SweepRecord(
+        N, n1, n2, moment.s4, moment.bound, ratio, variance, dev, eigsys.scalar_period, elapsed
+    )
+
+
+def _sweep_share(row, share: list[int]) -> list:
+    """A share's rows in order, ending at its first exception, if any."""
+    rows = []
+    try:
+        for N in share:
+            rows.append(row(N))
+    except Exception as exc:
+        rows.append(exc)
+    return rows
+
+
+def _pin(cpus) -> None:
+    """Set this thread's CPU affinity where the system allows; it only steers
+    the scheduler, so a refusal is no error."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _fork_share(row, share: list[int], cpu: int):
+    """Fork a child, pinned to `cpu`, that pickles `_sweep_share(row, share)`
+    into a pipe; an exception that does not pickle travels as a CatmapError
+    of its type and text."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into its caller
+        try:
+            os.close(r)
+            _pin([cpu])
+            rows = _sweep_share(row, share)
+            try:
+                pickle.loads(pickle.dumps(rows[-1:]))
+            except Exception:
+                rows[-1] = CatmapError(f"{type(rows[-1]).__name__}: {rows[-1]}")
+            with os.fdopen(w, "wb") as fh:
+                fh.write(pickle.dumps(rows))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Exception hierarchy for the catmap package.
 
 catmap's own failures derive from :class:`CatmapError`, so callers can catch
-one base class.  A bad argument raises the builtin :class:`ValueError` (a
+one base class; a forked sweep worker that dies without sending its rows
+raises a plain :class:`CatmapError`.  A bad argument raises the builtin :class:`ValueError` (a
 record of the wrong type :class:`TypeError`, a record value beyond int64
 :class:`OverflowError`), and I/O failures while storing or loading census
 files raise the builtin :class:`OSError`.

@@ -7,6 +7,8 @@ import math
 import os
 import random
 import re
+import signal
+import time
 import tracemalloc
 from collections import Counter
 
@@ -45,7 +47,7 @@ from catmap.census import (
     summarize_prime_records,
 )
 from catmap.cli import main as cli_main
-from catmap.errors import ConstructionFailed, EtaOutOfRange, SchemaMismatch
+from catmap.errors import CatmapError, ConstructionFailed, EtaOutOfRange, SchemaMismatch
 from catmap.quadorder import (
     PrimeClass,
     _smallest_prime_factors,
@@ -886,6 +888,105 @@ def test_sweep_is_deterministic():
     first, _ = quantum_sweep(A, [5, 8, 11], Observable.cosine(1), (1, 0))
     second, _ = quantum_sweep(A, [5, 8, 11], Observable.cosine(1), (1, 0))
     assert first == second
+
+
+def _cpus(monkeypatch, count):
+    """Make the sweep see `count` usable CPUs, so it runs `count` shares; the
+    pins to those made-up CPUs are recorded, not passed on to the system."""
+    pins = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(list(cpus)))
+    return pins
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("m", [A, CatMap(1, 2, 2, 5), CatMap(0, 1, -1, 6)], ids=str)
+def test_split_sweep_equals_one_size_sweeps(m, monkeypatch):
+    # three shares of 13, 13 and 12 sizes; N = 40 is past the dense limit and
+    # n = (5, 0) vanishes mod 5, so both kinds of failure row are merged too
+    sizes, f, n = range(3, 41), Observable.cosine(1), (5, 0)
+    pins = _cpus(monkeypatch, 3)
+    split = quantum_sweep(m, sizes, f, n, dense_limit=39)
+    _assert_no_child_left()
+    assert pins == [[0], [0, 1, 2]]  # this process on CPU 0 for its share, then unpinned
+    ones = [quantum_sweep(m, [N], f, n, dense_limit=39) for N in sizes]
+    records = [r for recs, _ in ones for r in recs]
+    failures = [fail for _, fails in ones for fail in fails]
+    assert [N for N, _ in failures] == [5, 40]
+    assert repr(split) == repr((records, failures))  # bit for bit: repr round-trips a float
+
+
+@pytest.mark.parametrize("broken, named", [((7, 11), 7), ((11, 13), 11)])
+def test_split_sweep_raises_the_earliest_ceiling_violation(broken, named, monkeypatch):
+    # two shares: [5, 11] in this process, [7, 13] in the child
+    real = quantum.fourth_moment
+
+    def above_the_ceiling(m, N, n, **kwargs):
+        moment = real(m, N, n, **kwargs)
+        return dataclasses.replace(moment, s4=2 * moment.bound) if N in broken else moment
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(quantum, "fourth_moment", above_the_ceiling)
+    with pytest.raises(ConstructionFailed, match=f"ceiling violated at N={named}:"):
+        quantum_sweep(A, [5, 7, 11, 13], Observable.cosine(1), (1, 0))
+    _assert_no_child_left()
+
+
+def test_a_killed_sweep_worker_is_a_catmap_error(monkeypatch):
+    caller, real = os.getpid(), quantum.propagator_spectrum
+
+    def killed_in_the_child(m, N):
+        if N == 6 and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(m, N)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(quantum, "propagator_spectrum", killed_in_the_child)
+    with pytest.raises(CatmapError) as info:
+        quantum_sweep(A, [3, 4, 5, 6, 7, 8], Observable.cosine(1), (1, 0))
+    assert type(info.value) is CatmapError
+    assert str(info.value) == "sweep worker for N in [4, 6, 8] ended without its rows (wait status 9)"
+    _assert_no_child_left()
+
+
+def test_an_unpicklable_worker_error_arrives_as_a_catmap_error(monkeypatch):
+    class LocalError(Exception):  # defined in a function, so pickle cannot find it
+        pass
+
+    real = quantum.variance_stat
+
+    def failing_at_7(m, N, f, **kwargs):
+        if N == 7:
+            raise LocalError("no way back")
+        return real(m, N, f, **kwargs)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(quantum, "variance_stat", failing_at_7)
+    with pytest.raises(CatmapError, match="^LocalError: no way back$"):
+        quantum_sweep(A, [5, 7], Observable.cosine(1), (1, 0))
+    _assert_no_child_left()
+
+
+def test_an_interrupted_sweep_kills_and_reaps_its_children(monkeypatch):
+    caller, real = os.getpid(), quantum.propagator_spectrum
+
+    def interrupted(m, N):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)  # the child would outlive the caller's share
+        return real(m, N)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(quantum, "propagator_spectrum", interrupted)
+    began = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        quantum_sweep(A, [5, 7], Observable.cosine(1), (1, 0))
+    assert time.perf_counter() - began < 30
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

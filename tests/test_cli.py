@@ -3,6 +3,8 @@
 import argparse
 import dataclasses
 import json
+import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -589,6 +591,8 @@ def test_small_runs_build_no_large_trial_division_table(argv, tmp_path, capsys, 
 
     arith.factorize.cache_clear()
     monkeypatch.setattr(arith, "_sieve_list", recording)
+    # one usable CPU: a sweep runs in this process, where the tables are recorded
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     assert limits
@@ -605,6 +609,49 @@ def test_sweep_ceiling_violation_is_an_error_line(capsys, monkeypatch):
     monkeypatch.setattr(quantum, "fourth_moment", above_the_ceiling)
     assert main(["sweep", "--sizes", "5"]) == 1
     assert "error: fourth-moment ceiling violated at N=5" in capsys.readouterr().err
+
+
+def test_sweep_outputs_match_one_process(tmp_path, capsys, monkeypatch):
+    # 3-40 with n = (5, 0), vanishing mod 5, and 301 past the dense limit
+    argv = ["sweep", "--sizes", "3-40,301", "-n", "5,0"]
+
+    def outputs(tag):
+        made = []
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"{tag}.{fmt}"
+            assert main(argv + ["--out", str(path), "--fmt", fmt]) == 0
+            made += [path.read_bytes(), capsys.readouterr().out]
+        assert main(argv) == 0
+        return made + [capsys.readouterr().out]
+
+    usable = os.sched_getaffinity(0)
+    split = outputs("split")
+    assert os.sched_getaffinity(0) == usable  # the pins of the split sweep are undone
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert outputs("one") == split
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_worker_death_is_an_error_line(capsys, monkeypatch):
+    caller, real = os.getpid(), quantum.propagator_spectrum
+
+    def killed_in_the_child(m, N):
+        if N == 6 and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(m, N)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    monkeypatch.setattr(quantum, "propagator_spectrum", killed_in_the_child)
+    assert main(["sweep", "--sizes", "3-8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: sweep worker for N in [4, 6, 8] ended without its rows (wait status 9)\n"
+    )
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_failures_reported(capsys):

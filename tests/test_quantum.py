@@ -1,5 +1,7 @@
 """Tests for the quantum engine: translations, propagator, spectra, stats."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -800,6 +802,8 @@ def test_one_eigensolve_per_dimension(monkeypatch, capsys):
         return solve(U, alpha)
 
     monkeypatch.setattr(quantum, "_rotated_eigh", counting)
+    # one usable CPU: the sweep runs in this process, where the calls are counted
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     records, failures = census.quantum_sweep(A, range(5, 21), Observable.cosine(1), (1, 0))
     assert len(records) == 16 and not failures
     assert calls == list(range(5, 21))
