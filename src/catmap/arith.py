@@ -318,6 +318,12 @@ def _pair_pow(trace: int, k: int, modulus: int | None = None) -> tuple[int, int]
     return ru, rv
 
 
+def _power_content(m: CatMap, k: int) -> int:
+    """gcd of the entries of A^k - I: the largest N with A^k = I mod N."""
+    u, v = _pair_pow(m.trace, k)
+    return math.gcd(u - 1 + v * m.a, v * m.b, v * m.c, u - 1 + v * m.d)
+
+
 def mat_pow_mod(m: CatMap, k: int, modulus: int) -> Mat2Mod:
     """A^k reduced mod `modulus`, as u*I + v*A from `_pair_pow`.  k = 0 gives I."""
     if k < 0:

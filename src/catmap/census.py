@@ -60,8 +60,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .arith import CatMap, _power_is_identity, order_dividing, primes_up_to
-from .errors import CatmapError, ConstructionFailed, FactorizationTimeout, SchemaMismatch
+from .arith import CatMap, _power_content, _power_is_identity, order_dividing, primes_up_to
+from .errors import CatmapError, ConstructionFailed, SchemaMismatch
 from .quadorder import (
     PrimeClass,
     _check_eta,
@@ -69,7 +69,6 @@ from .quadorder import (
     _prime_data,
     _prime_orders,
     _smallest_prime_factors,
-    small_order_modulus,
 )
 
 if TYPE_CHECKING:
@@ -214,13 +213,13 @@ class IntegerCensusSummary:
 
 @dataclass(frozen=True)
 class SmallOrderRow:
-    """ord(A, N_k) <= k for the modulus N_k built from the k-th power."""
+    """ord(A, N_k) <= k for N_k, the gcd of the entries of A^k - I."""
 
     k: int
     modulus: int
     order: int
     order_over_log: float
-    certified: bool
+    certified: bool  # always True: N_k is exact; kept for the stdout layout
 
 
 def c_eta(eta: float) -> float:
@@ -679,27 +678,20 @@ def integer_census(
 def small_order_report(m: CatMap, k_max: int) -> tuple[list[SmallOrderRow], list[int]]:
     """Moduli N_k with ord(A, N_k) <= k, for k = 2..k_max.
 
-    N_k is extracted from the k-th power of the map; rows with N_k = 1 are
-    dropped, and k values whose factorization of det(A^k - I) timed out are
-    returned in the failure list.  ``order_over_log`` = ord / log N_k
-    measures how slowly the order grows compared to log N_k.
+    N_k is the gcd of the entries of A^k - I, the largest N with A^k = I
+    mod N, so nothing is factored and the failure list is always empty.
+    ``order_over_log`` = ord / log N_k measures how slowly the order grows
+    compared to log N_k.
     """
     rows: list[SmallOrderRow] = []
-    failures: list[int] = []
     for k in range(2, k_max + 1):
-        try:
-            sof = small_order_modulus(m, k)
-        except FactorizationTimeout:
-            failures.append(k)
+        n_k = _power_content(m, k)
+        if n_k == 1:  # never at k >= 2, but ord / log 1 would divide by zero
             continue
-        if sof.degenerate:
-            continue
-        # small_order_modulus leaves A^k = I mod N_k, so k is a multiple of the order
-        order = order_dividing(m, sof.N_k, k)
-        rows.append(
-            SmallOrderRow(k, sof.N_k, order, order / math.log(sof.N_k), sof.certified)
-        )
-    return rows, failures
+        # A^k = I mod N_k, so k is a multiple of the order
+        order = order_dividing(m, n_k, k)
+        rows.append(SmallOrderRow(k, n_k, order, order / math.log(n_k), True))
+    return rows, []
 
 
 def quantum_sweep(

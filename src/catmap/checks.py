@@ -58,6 +58,7 @@ from .quadorder import (
     congruence_count,
     norm_one_count,
     order_profile,
+    small_order_modulus,
     split_by_class,
     splitting_character,
     trivial_solution_count,
@@ -311,10 +312,12 @@ def _check_small_order_sequence(s: _Scale, rng) -> str:
     m = DEFAULT_MAP
     rows, failures = small_order_report(m, s.small_order_k)
     assert not failures, f"factoring failures at k={failures}"
+    factored = {k: small_order_modulus(m, k).N_k for k in range(2, s.small_order_k + 1)}
+    assert {row.k: row.modulus for row in rows} == factored, "gcd and factored N_k differ"
     for row in rows:
         assert row.order <= row.k
         assert mat_pow_mod(m, row.k, row.modulus).is_identity()
-    return f"{len(rows)} moduli with ord <= k for k <= {s.small_order_k}"
+    return f"{len(rows)} moduli with ord <= k for k <= {s.small_order_k}, each the factored N_k"
 
 
 def _check_translation_algebra(s: _Scale, rng) -> str:

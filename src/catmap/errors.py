@@ -35,7 +35,9 @@ class FactorizationTimeout(CatmapError):
     """Factorization work budget was exhausted before completion.
 
     The censuses never raise it: below their cutoff bound 2**31 they factor
-    only numbers below 2**32, which trial division settles.
+    only numbers below 2**32, which trial division settles.  The small-order
+    report never raises it either, since it takes N_k as a gcd; `order_mod`
+    and `small_order_modulus` still can.
     """
 
 

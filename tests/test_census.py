@@ -47,12 +47,19 @@ from catmap.census import (
     summarize_prime_records,
 )
 from catmap.cli import main as cli_main
-from catmap.errors import CatmapError, ConstructionFailed, EtaOutOfRange, SchemaMismatch
+from catmap.errors import (
+    CatmapError,
+    ConstructionFailed,
+    EtaOutOfRange,
+    FactorizationTimeout,
+    SchemaMismatch,
+)
 from catmap.quadorder import (
     PrimeClass,
     _smallest_prime_factors,
     classify_prime,
     order_profile,
+    small_order_modulus,
     split_by_class,
 )
 from catmap.quantum import Observable
@@ -794,29 +801,36 @@ def test_small_order_rows_where_two_divides_the_conductor():
 
 def test_small_order_report_skips_degenerate_moduli(monkeypatch):
     # N_k > 1 at every k >= 2 the report visits, so N_3 = 1 is forced here
-    real = census.small_order_modulus
+    real = census._power_content
 
     def with_degenerate_k3(m, k):
-        so = real(m, k)
-        return dataclasses.replace(so, N_k=1) if k == 3 else so
+        return 1 if k == 3 else real(m, k)
 
-    monkeypatch.setattr(census, "small_order_modulus", with_degenerate_k3)
+    monkeypatch.setattr(census, "_power_content", with_degenerate_k3)
     rows, failures = small_order_report(A, 6)
     assert failures == []
     assert [row.k for row in rows] == [2, 4, 5, 6]
 
 
-def test_small_order_report_lists_factorization_timeouts(monkeypatch):
+def test_small_order_report_needs_no_factor_budget(monkeypatch):
     # the budget is not part of factorize's cache key: clear it on both sides
     arith.factorize.cache_clear()
     monkeypatch.setattr(arith, "_DEFAULT_FACTOR_BUDGET", 1)
+    timeouts = []
     try:
         rows, failures = small_order_report(A, 45)
+        for k in range(2, 46):
+            try:
+                small_order_modulus(A, k)
+            except FactorizationTimeout:
+                timeouts.append(k)
     finally:
         arith.factorize.cache_clear()
-    assert failures == [29, 35, 37, 39, 41, 45]
-    assert not {row.k for row in rows} & set(failures)
-    assert {row.k for row in rows} | set(failures) == set(range(2, 46))
+    assert failures == []
+    assert [row.k for row in rows] == list(range(2, 46))
+    assert all(row.certified for row in rows)
+    # the factoring oracle still runs out of budget where the report once did
+    assert timeouts == [29, 35, 37, 39, 41, 45]
 
 
 def test_small_order_ratio_stays_moderate():

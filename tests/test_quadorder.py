@@ -19,6 +19,7 @@ from catmap.arith import (
     _legendre,
     _order_mod_prime_power,
     _pair_pow,
+    _power_content,
     _power_is_identity,
     is_probable_prime,
 )
@@ -749,9 +750,8 @@ def test_small_order_invariants_range():
                 assert e.det_exponent % 2 == 0
 
 
-def test_unramified_primes_have_even_exponents_in_det_a_k_minus_i():
-    # in Z[lambda], det(A^k - I) = -lambda^-k * (lambda^k - 1)^2, so a prime
-    # not dividing D has an even exponent, which small_order_modulus halves
+def maps_with_small_entries() -> list[CatMap]:
+    """The 24 hyperbolic quantizable maps with entries in [-4, 4]."""
     maps = []
     for a, b, c, d in itertools.product(range(-4, 5), repeat=4):
         try:
@@ -759,6 +759,13 @@ def test_unramified_primes_have_even_exponents_in_det_a_k_minus_i():
         except (NotUnimodular, NotHyperbolic, NotQuantizable):
             pass
     assert len(maps) == 24
+    return maps
+
+
+def test_unramified_primes_have_even_exponents_in_det_a_k_minus_i():
+    # in Z[lambda], det(A^k - I) = -lambda^-k * (lambda^k - 1)^2, so a prime
+    # not dividing D has an even exponent, which small_order_modulus halves
+    maps = maps_with_small_entries()
     factors = unramified = 0
     for m in maps:
         power = ((1, 0), (0, 1))
@@ -779,6 +786,35 @@ def test_unramified_primes_have_even_exponents_in_det_a_k_minus_i():
                     assert e.split is not SplitType.RAMIFIED
                     assert e.det_exponent % 2 == 0, (m, k, e)
     assert (factors, unramified) == (1484, 764)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        A,
+        CatMap(2, 3, 1, 2),
+        CatMap(4, 1, -1, 0),
+        CatMap(0, 1, -1, 4),
+        CatMap(1, 2, 2, 5),
+        CatMap(0, 1, -1, 6),
+        CatMap(3, 2, 4, 3),  # content gcd(b, c, a - d) = 2
+    ],
+    ids=str,
+)
+def test_power_content_is_the_factored_modulus(m):
+    # the square of a 2x2 matrix's content divides its determinant, so
+    # v_p(C_k) <= floor(e / 2) and the descent stops exactly at v_p(C_k)
+    for k in range(1, 31):
+        assert _power_content(m, k) == small_order_modulus(m, k).N_k, k
+
+
+def test_power_content_exceeds_one_from_k_2():
+    # the report's N_k = 1 skip guards ord / log 1; pin that it never fires
+    maps = maps_with_small_entries()
+    assert {math.gcd(m.b, m.c, m.a - m.d) for m in maps} == {1, 2}
+    for m in maps:
+        for k in range(2, 61):
+            assert _power_content(m, k) >= 2, (m, k)
 
 
 # --- congruence counts -----------------------------------------------------
