@@ -50,7 +50,6 @@ import operator
 import os
 import pickle
 import threading
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -382,26 +381,6 @@ def prime_census(
     return _records(table, "primes"), summary
 
 
-def _in_s_thresholds(x: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n_s, n_w): s <= log N iff N >= n_s[s], and w <= 1.5 log log N iff
-    N >= n_w[w], for 2 <= N <= x, with the float rule of `OrderProfile.in_s`.
-
-    Each threshold is found once, by bisection on math.log, and the last
-    entry of each is x + 1: larger s or w hold at no N <= x.
-    """
-    log_x = math.log(x)
-    ns = range(2, x + 1)
-    n_s = [
-        bisect_left(ns, True, key=lambda n: k <= math.log(n)) + 2
-        for k in range(int(log_x) + 2)
-    ]
-    n_w = [
-        bisect_left(ns, True, key=lambda n: k <= 1.5 * math.log(math.log(n))) + 2
-        for k in range(int(1.5 * math.log(log_x)) + 2)
-    ]
-    return np.array(n_s, np.int64), np.array(n_w, np.int64)
-
-
 def _census_primes(m: CatMap, x: int, eta: float, lo: int):
     """The primes dividing some N in [lo, x], with per-prime data as arrays.
 
@@ -448,7 +427,9 @@ def _integer_columns(m: CatMap, x: int, eta: float, lo: int = 2) -> np.ndarray:
     prod(p - chi), lcm(p - chi) and prod ord(A, p).  What is left of N after
     that is 1 or one prime p > sqrt(x), and one vectorized step takes all of
     those.  Per-prime data come from `_census_primes`, whose sieve
-    (`_sieved_primes`) needs x < 2**31.
+    (`_sieved_primes`) needs x < 2**31.  in_s is the float rule of
+    `OrderProfile.in_s` on np.log: for N < 2**31, log N and 1.5 log log N lie
+    >= 1e-11 (relative) from every integer, so any log good to a few ULPs agrees.
     """
     if x < 2:
         raise ValueError(f"cutoff x must be >= 2, got {x}")
@@ -500,10 +481,8 @@ def _integer_columns(m: CatMap, x: int, eta: float, lo: int = 2) -> np.ndarray:
 
     L //= cof_lcm
     lower_bound //= L
-    n_s, n_w = _in_s_thresholds(x)
-    in_s[:] = (N >= n_s[np.minimum(s, len(n_s) - 1)]) & (
-        N >= n_w[np.minimum(omega, len(n_w) - 1)]
-    )
+    log_n = np.log(N)
+    in_s[:] = (s <= log_n) & (omega <= 1.5 * np.log(log_n))
     return table
 
 

@@ -1,5 +1,6 @@
 """Census records, summaries, resumable storage, and the spectral sweep."""
 
+import bisect
 import dataclasses
 import functools
 import json
@@ -453,18 +454,69 @@ def test_integer_columns_match_the_record_loop_field_by_field(m, x, lo):
     assert census._records(table, "integers") == [IntegerRecord(*r) for r in want]
 
 
-@pytest.mark.parametrize("x", [2, 3, 7, 8, 44, 45, 1618, 1619, 60_000, 2**31 - 1])
-def test_in_s_thresholds_are_the_least_moduli(x):
-    n_s, n_w = census._in_s_thresholds(x)
-    for thresholds, holds in (
-        (n_s, lambda k, n: k <= math.log(n)),
-        (n_w, lambda k, n: k <= 1.5 * math.log(math.log(n))),
-    ):
-        assert thresholds[-1] == x + 1  # the clipped last entry holds nowhere
-        for k, n in enumerate(thresholds.tolist()):
-            assert 2 <= n <= x + 1
-            assert n == x + 1 or holds(k, n), (k, n)
-            assert n == 2 or not holds(k, n - 1), (k, n)
+# the two halves of OrderProfile.in_s on math.log, each with the census's
+# form on int64 arrays and the census's dtype of its left side
+_IN_S_RULES = {
+    "s": (math.log, np.log, np.int64),
+    "omega": (
+        lambda n: 1.5 * math.log(math.log(n)),
+        lambda N: 1.5 * np.log(np.log(N)),
+        np.int8,  # the fold's omega
+    ),
+}
+
+
+# every threshold below 2**31: s <= log N holds from some N on for s <= 21,
+# omega <= 1.5 log log N for omega <= 4
+@pytest.mark.parametrize(
+    "k, field", [(k, "s") for k in range(22)] + [(k, "omega") for k in range(5)]
+)
+def test_in_s_float_rule_decides_as_math_log_around_every_threshold(k, field):
+    rule, census_rule, dtype = _IN_S_RULES[field]
+    # the oracle: the least N at which the math.log rule holds, by bisection
+    n = bisect.bisect_left(range(2, 2**31), True, key=lambda N: k <= rule(N)) + 2
+    assert n < 2**31 and k <= rule(n) and (n == 2 or k > rule(n - 1))
+    near = np.arange(max(n - 50, 2), n + 51, dtype=np.int64)
+    got = np.full(len(near), k, dtype) <= census_rule(near)
+    assert got.tolist() == [k <= rule(N) for N in near.tolist()]
+    for N in (n - 1, n):  # both neighbours lie well off the threshold
+        if N >= 2:
+            assert abs(rule(N) - k) >= 1e-12 * abs(rule(N)), N
+
+
+# thresholds beyond 10**6 (s or omega, its value) with a window around each
+# that holds moduli of that s or omega on both sides, one of them in S
+_IN_S_WINDOWS = [
+    (1_202_605, "s", 14, 345, 640),
+    (1_779_631, "omega", 4, 15, 5),
+    (3_269_018, "s", 15, 445, 10),
+    (8_886_111, "s", 16, 100, 675),
+]
+
+
+@pytest.mark.parametrize("m", [A, CatMap(3, 2, 4, 3)], ids=str)
+def test_integer_columns_in_s_at_thresholds_beyond_a_million(m):
+    for n, field, k, below, above in _IN_S_WINDOWS:
+        lo, hi = n - below, n + above
+        in_s = census._integer_columns(m, hi, ETA, lo)[:, 10]
+        profiles = [order_profile(m, N) for N in range(lo, hi + 1)]
+        assert in_s.tolist() == [p.in_s for p in profiles], n
+        at_k = [p for p in profiles if getattr(p, field) == k]
+        # the threshold decides: below it such an N is out of S, from it on one is in
+        assert any(p.N < n and not p.in_s for p in at_k), n
+        assert any(p.N >= n and p.in_s for p in at_k), n
+
+
+@pytest.mark.parametrize("x, lo", [(60_000, 2), (60_000, 30_001), (200_000, 2)])
+def test_in_s_is_the_complement_of_the_summarys_square_and_factor_statistics(x, lo):
+    # s > log N and omega >= 1.5 log log N as `_integer_counts` takes them,
+    # omega from the sieve rather than from the fold
+    table = census._integer_columns(A, x, ETA, lo)
+    N, s, in_s = table[:, 0], table[:, 2], table[:, 10]
+    log_n = np.log(N)
+    outside = (s > log_n) | (census._omega_sieve(x)[N] >= 1.5 * np.log(log_n))
+    assert np.array_equal(in_s != 0, ~outside)
+    assert 0 < np.count_nonzero(outside) < len(N)
 
 
 def test_integer_census_builds_one_sieve(monkeypatch):

@@ -113,6 +113,19 @@ def test_order_rejects_parabolic_matrix(capsys):
     assert "error" in capsys.readouterr().err
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone, as in `catmap census-primes ... | head`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_pipe_exits_0_without_a_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["census-primes", "-x", "100"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["order"])  # missing -N
